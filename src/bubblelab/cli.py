@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from .greens import Ball, kernel_robin
 from .solver import rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
-SUMMARY_SCHEMA = "bubblelab-summary/1"
+SUMMARY_SCHEMA = "bubblelab-summary/2"
 
 TASK_ORDER = (
     "c-vector",
@@ -58,6 +57,7 @@ _PREREQUISITES = {
 }
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
+MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 
 
 # --------------------------------------------------------------- diagnostics
@@ -120,14 +120,18 @@ def _parse_scaling(raw, N, diags):
     dims = dims_for(N)
     families = []
     for kind in ("single", "weighted", "pair"):
-        for k, entry in enumerate(raw.get(kind, [])):
+        entries = raw.get(kind, [])
+        if not isinstance(entries, list):
+            _err(diags, f"scaling.{kind}", "must be a list of objects")
+            continue
+        for k, entry in enumerate(entries):
             where = f"scaling.{kind}[{k}]"
             if not isinstance(entry, dict):
                 _err(diags, where, "must be an object")
                 continue
             try:
                 params = {key: float(entry[key]) for key in entry}
-            except (TypeError, ValueError, KeyError):
+            except (TypeError, ValueError, OverflowError):
                 _err(diags, where, "parameters must be numeric")
                 continue
             try:
@@ -163,14 +167,14 @@ def _parse_epsilon_grid(raw, diags):
         try:
             start, stop = float(raw["start"]), float(raw["stop"])
             num = int(raw["num"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             _err(diags, where, "needs numeric start/stop and integer num")
             return None
         if not (start > 0 and stop > 0):
             _err(diags, where, "start and stop must be positive")
             return None
-        if num < 2:
-            _err(diags, where, "num must be at least 2")
+        if not 2 <= num <= MAX_EPSILONS:
+            _err(diags, where, f"num must lie in [2, {MAX_EPSILONS}]")
             return None
         grid = np.geomspace(start, stop, num)
     elif isinstance(raw, list):
@@ -217,7 +221,7 @@ def parse_config(data):
             mu = np.asarray(coupling["mu"], dtype=float)
             beta = np.asarray(coupling["beta"], dtype=float)
             decomposition = tuple(int(v) for v in coupling["decomposition"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             _err(diags, "coupling", f"malformed coupling block: {exc}")
             mu = beta = decomposition = None
         if mu is not None:
@@ -303,7 +307,12 @@ def parse_config(data):
                         )
 
     # ---- reduction block
-    reduction = data.get("reduction") or {}
+    reduction = data.get("reduction")
+    if reduction is None:
+        reduction = {}
+    elif not isinstance(reduction, dict):
+        _err(diags, "reduction", "must be an object (eta, epsilon_grid, n_nodes)")
+        reduction = {}
     eta = reduction.get("eta", 1e-3)
     if not isinstance(eta, (int, float)) or not 0 < eta < 1:
         _err(diags, "reduction.eta", "eta must lie in (0, 1)")
@@ -635,24 +644,12 @@ def _family_verdict(kind, fit):
     return "pass", "within tolerance"
 
 
-def _task_scaling(cfg, ctx, rng, out, threads):
-    dims = cfg.dims
-    radius = cfg.ball.radius
-
-    def job(entry):
-        kind, params = entry
-        return _run_family(dims, radius, kind, params)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(job, cfg.scaling))
-    else:
-        fits = [job(entry) for entry in cfg.scaling]
-
+def _task_scaling(cfg, ctx, rng, out):
     families = []
     worst = "pass"
     messages = []
-    for (kind, params), fit in zip(cfg.scaling, fits):
+    for kind, params in cfg.scaling:
+        fit = _run_family(cfg.dims, cfg.ball.radius, kind, params)
         name = _family_name(kind, params)
         verdict, note = _family_verdict(kind, fit)
         if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
@@ -750,7 +747,7 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 # ----------------------------------------------------------------------- run
 
 
-def run(config, out_dir, seed=0, threads=1):
+def run(config, out_dir, seed=0):
     """Execute the configured tasks; returns (exit_code, summary dict).
 
     Also writes summary.json plus per-task CSV artifacts into out_dir."""
@@ -782,7 +779,7 @@ def run(config, out_dir, seed=0, threads=1):
             elif task == "critical-point":
                 verdict, message, outputs = _task_critical_point(config, ctx, rng, out)
             elif task == "scaling-checks":
-                verdict, message, outputs = _task_scaling(config, ctx, rng, out, threads)
+                verdict, message, outputs = _task_scaling(config, ctx, rng, out)
             else:
                 verdict, message, outputs = _task_radial_sweep(config, ctx, rng, out)
         except Exception as exc:   # numerical failures keep task attribution
@@ -812,7 +809,6 @@ def run(config, out_dir, seed=0, threads=1):
         "schema": SUMMARY_SCHEMA,
         "package_version": __version__,
         "seed": int(seed),
-        "threads": int(threads),
         "tasks": entries,
         "verdict": worst,
         "exit_code": exit_code,
@@ -877,8 +873,6 @@ def _build_parser():
                        help="output directory (default: config output.dir "
                             "or ./bubblelab_out)")
     p_run.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent subtasks")
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
     p_val.add_argument("config", help="path to a JSON experiment config")
@@ -904,12 +898,9 @@ def main(argv=None):
     if not 0 <= args.seed < 2**64:
         print("error[--seed]: seed must fit in u64", file=sys.stderr)
         return EXIT_ERROR
-    if args.threads < 1:
-        print("error[--threads]: need at least one thread", file=sys.stderr)
-        return EXIT_ERROR
 
     out_dir = args.out if args.out is not None else (config.out_dir or "bubblelab_out")
-    exit_code, summary = run(config, out_dir, seed=args.seed, threads=args.threads)
+    exit_code, summary = run(config, out_dir, seed=args.seed)
     print(f"verdict: {summary['verdict']} (exit {exit_code}); "
           f"report: {Path(out_dir) / 'summary.json'}")
     return exit_code

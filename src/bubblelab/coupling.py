@@ -67,7 +67,8 @@ class CouplingSpec:
         if not np.allclose(np.diag(beta), mu, rtol=0, atol=0):
             raise ValueError("beta_ii must equal mu_i")
         dec = tuple(int(v) for v in self.decomposition)
-        if dec[0] != 0 or dec[-1] != self.m or any(b <= a for a, b in zip(dec, dec[1:])):
+        if (len(dec) < 2 or dec[0] != 0 or dec[-1] != self.m
+                or any(b <= a for a, b in zip(dec, dec[1:]))):
             raise ValueError("decomposition must be strictly increasing from 0 to m")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "beta", beta)

@@ -305,6 +305,84 @@ def _offcenter_ball_integral(dims, delta, q, offset, radius=1.0):
     return total
 
 
+def _adaptive_pair_integral(dims, delta, q1, q2, separation, nu1=0.0, nu2=0.0,
+                            radius=1.0):
+    """Oracle: the pair integral by nested adaptive quad on the library's
+    domain split (a ball of radius separation/4 around each peak plus the
+    cylinder remainder), with a scalar profile of its own."""
+    N = dims.N
+    k = (N - 2) / 2
+    slice_area = 2 * math.pi ** ((N - 1) / 2) / math.gamma((N - 1) / 2)
+    rho, L = separation / 4, separation
+    z1, z2 = -separation / 2, separation / 2
+    wpow = nu1 - nu2
+    opts = dict(epsabs=0.0, epsrel=1e-9, limit=200)
+
+    def prof(s, q):
+        return (dims.alphaN * (delta / (delta * delta + s * s)) ** k) ** q
+
+    def segments(f, lo, hi, anchors):
+        pts = sorted({lo, hi, *(a for a in anchors if lo < a < hi)})
+        return sum(quad(f, a, b, **opts)[0] for a, b in zip(pts[:-1], pts[1:]))
+
+    def peak_piece(q_near, q_far, near_is_pole):
+        def polar(r):
+            def g(theta):
+                dist2 = r * r + L * L - 2 * r * L * math.cos(theta)
+                w = 1.0 if near_is_pole else dist2 ** (wpow / 2)
+                return math.sin(theta) ** (N - 2) * prof(math.sqrt(dist2), q_far) * w
+            return quad(g, 0.0, math.pi, **opts)[0]
+
+        def f(r):
+            w = r**wpow if near_is_pole else 1.0
+            return r ** (N - 1) * prof(r, q_near) * w * polar(r)
+
+        return segments(f, 0.0, rho, [delta * 10.0**j for j in range(-2, 6)])
+
+    def cross_section(z):
+        u_hi = math.sqrt(max(radius**2 - z * z, 0.0))
+        u_lo = max(math.sqrt(max(rho * rho - (z - zc) ** 2, 0.0)) for zc in (z1, z2))
+        if u_lo >= u_hi:
+            return 0.0
+
+        def g(u):
+            s1, s2 = math.hypot(z - z1, u), math.hypot(z - z2, u)
+            return u ** (N - 2) * prof(s1, q1) * prof(s2, q2) * s1**wpow
+
+        return quad(g, u_lo, u_hi, **opts)[0]
+
+    rest = segments(cross_section, -radius, radius,
+                    [z1 - rho, z1, z1 + rho, z2 - rho, z2, z2 + rho])
+    return slice_area * (peak_piece(q1, q2, True) + peak_piece(q2, q1, False) + rest)
+
+
+PAIR_ORACLE_CASES = [
+    # (dims, q1, q2, nu2)
+    (DIMS3, 1.0, 1.0, 0.0),
+    (DIMS3, 3.0, 3.0, 0.0),
+    (DIMS4, 2.0, 2.0, 0.0),
+    (DIMS4, 4.0, 2.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("dims, q1, q2, nu2", PAIR_ORACLE_CASES)
+def test_pair_matches_adaptive_oracle(dims, q1, q2, nu2):
+    for delta in (2e-2, 1e-3):
+        got = asy.pair_product_integral(dims, delta, delta, q1, q2, 0.5, nu2=nu2)
+        want = _adaptive_pair_integral(dims, delta, q1, q2, 0.5, nu2=nu2)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("dims, q1, q2, nu2", PAIR_ORACLE_CASES)
+def test_pair_rule_self_converged(dims, q1, q2, nu2, monkeypatch):
+    # doubling the nodes per panel moves no value by more than 1e-12
+    grid = asy.default_delta_grid()
+    coarse = [asy.pair_product_integral(dims, d, d, q1, q2, 0.5, nu2=nu2) for d in grid]
+    monkeypatch.setattr(asy, "NODES_PER_PANEL", 2 * asy.NODES_PER_PANEL)
+    fine = [asy.pair_product_integral(dims, d, d, q1, q2, 0.5, nu2=nu2) for d in grid]
+    np.testing.assert_allclose(coarse, fine, rtol=1e-12, atol=0.0)
+
+
 def test_pair_trivial_power_reduces_to_offcenter_single():
     dims, sep = DIMS4, 0.5
     for delta in (1e-2, 1e-3):

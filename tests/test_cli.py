@@ -78,7 +78,6 @@ def load_summary(out_dir):
 
 def strip_timings(summary):
     clone = copy.deepcopy(summary)
-    clone.pop("threads")
     for t in clone["tasks"]:
         t.pop("time_s")
     return clone
@@ -164,6 +163,28 @@ def test_validate_rejects_hole_group_mismatch(tmp_path, capsys):
     assert "one hole per group" in capsys.readouterr().err
 
 
+def _parse_with(path, value):
+    cfg = copy.deepcopy(DEMO)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cli.parse_config(cfg)
+
+
+@pytest.mark.parametrize("path, value, field_name", [
+    (("reduction",), 5, "reduction"),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": 10**12}},
+     "reduction.epsilon_grid"),
+    (("coupling", "decomposition"), [], "coupling"),
+    (("scaling",), {"single": 5}, "scaling.single"),
+])
+def test_parse_reports_malformed_field(path, value, field_name):
+    config, diags = _parse_with(path, value)
+    assert config is None
+    assert field_name in {d.field for d in diags if d.level == "error"}
+
+
 # ----------------------------------------------------------------- pipeline
 
 
@@ -244,7 +265,7 @@ def sweep_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("sweep")
     out = tmp_path / "out"
     code = cli.main(["run", write_config(tmp_path, SWEEP), "--out", str(out),
-                     "--seed", "7", "--threads", "2"])
+                     "--seed", "7"])
     return code, out
 
 
@@ -300,17 +321,6 @@ def test_reports_deterministic_given_seed(tmp_path):
     # but the deterministic verdicts and closed forms do not
     assert outs[0]["verdict"] == outs[2]["verdict"]
     assert outs[0]["tasks"][3] == outs[2]["tasks"][3]
-
-
-def test_threads_do_not_change_results(tmp_path):
-    cfg_path = write_config(tmp_path, SWEEP)
-    results = []
-    for k, threads in enumerate(["1", "3"]):
-        out = tmp_path / f"out{k}"
-        assert cli.main(["run", cfg_path, "--out", str(out), "--seed", "5",
-                         "--threads", threads]) == 0
-        results.append(strip_timings(load_summary(out)))
-    assert results[0] == results[1]
 
 
 def test_output_dir_from_config(tmp_path):
