@@ -8,7 +8,6 @@ exit status: 0 all tasks pass, 1 error, 2 degenerate or inconclusive.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -58,6 +57,9 @@ _PREREQUISITES = {
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
+MAX_NODES = 10**6     # mesh nodes of one radial solve
+PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
+CSV_BLOCK_ROWS = 8192  # rows formatted by one `%` call in _write_csv
 
 
 # --------------------------------------------------------------- diagnostics
@@ -147,6 +149,9 @@ def _parse_scaling(raw, N, diags):
                     sep = params.get("separation", 0.5)
                     if not 0 < sep < 4.0 / 3.0:
                         raise ValueError("separation must lie in (0, 4/3) of the radius")
+                    n, (lo, hi) = params.get("n", 7.0), PAIR_DELTAS
+                    if not (n.is_integer() and lo <= n <= hi):
+                        raise ValueError(f"n must be an integer in [{lo}, {hi}]")
             except KeyError as exc:
                 _err(diags, where, f"missing parameter {exc}")
                 continue
@@ -319,8 +324,8 @@ def parse_config(data):
         eta = 1e-3
     grid = _parse_epsilon_grid(reduction.get("epsilon_grid"), diags)
     n_nodes = reduction.get("n_nodes", 2000)
-    if not isinstance(n_nodes, int) or n_nodes < 100:
-        _err(diags, "reduction.n_nodes", "n_nodes must be an integer >= 100")
+    if not isinstance(n_nodes, int) or not 100 <= n_nodes <= MAX_NODES:
+        _err(diags, "reduction.n_nodes", f"n_nodes must be an integer in [100, {MAX_NODES}]")
 
     # ---- tasks
     tasks_raw = data.get("tasks", [])
@@ -418,11 +423,18 @@ def _num(value, module, operation):
     return {"value": _jsonable(value), "module": module, "operation": operation}
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write equal-length columns as CSV with CRLF line ends: ``%d`` for
+    integer columns, ``%.12e`` for the rest.  Each block of CSV_BLOCK_ROWS
+    rows is formatted by a single ``%`` call."""
+    fmts = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.12e" for c in columns]
+    line = ",".join(fmts) + "\r\n"
+    table = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 # --------------------------------------------------------------------- tasks
@@ -670,12 +682,11 @@ def _task_scaling(cfg, ctx, rng, out):
             }
         )
         header = ["delta", "value"]
-        rows = [[f"{d:.12e}", f"{v:.12e}"] for d, v in zip(fit.delta_grid, fit.values)]
+        columns = [fit.delta_grid, fit.values]
         if fit.bound_values is not None:
             header.append("bound")
-            for row, b in zip(rows, fit.bound_values):
-                row.append(f"{b:.12e}")
-        _write_csv(out / f"scaling_{name}.csv", header, rows)
+            columns.append(fit.bound_values)
+        _write_csv(out / f"scaling_{name}.csv", header, columns)
     message = "; ".join(messages) if messages else "all families within tolerance"
     op = "scaling_law_single/weighted/pair"
     return worst, message, {"families": _num(families, "asymptotics", op)}
@@ -689,33 +700,15 @@ def _task_radial_sweep(cfg, ctx, rng, out):
         cfg.epsilon_grid,
         n_nodes=cfg.n_nodes,
     )
-    rows = []
     for eps, res in zip(sweep.epsilons, sweep.results):
-        m = res.metrics
-        rows.append(
-            [
-                f"{eps:.12e}",
-                f"{m.delta_est:.12e}",
-                f"{m.d_est:.12e}",
-                f"{m.umax:.12e}",
-                f"{m.rpeak:.12e}",
-                f"{m.energy:.12e}",
-                res.report.iterations,
-            ]
-        )
         _write_csv(
-            out / f"profile_{eps:.3e}.csv",
-            ["radius", "value"],
-            [
-                [f"{r:.12e}", f"{v:.12e}"]
-                for r, v in zip(res.grid.nodes, res.grid.values)
-            ],
+            out / f"profile_{eps:.3e}.csv", ["radius", "value"], [res.grid.nodes, res.grid.values]
         )
-    _write_csv(
-        out / "sweep_rate.csv",
-        ["epsilon", "delta_est", "d_est", "umax", "rpeak", "energy", "iterations"],
-        rows,
-    )
+    keys = ("delta_est", "d_est", "umax", "rpeak", "energy")
+    columns = [[getattr(res.metrics, key) for res in sweep.results] for key in keys]
+    iterations = [res.report.iterations for res in sweep.results]
+    header = ["epsilon", *keys, "iterations"]
+    _write_csv(out / "sweep_rate.csv", header, [sweep.epsilons, *columns, iterations])
     outputs = {
         "slope": _num(sweep.slope, "solver", "rate_sweep"),
         "d_final": _num(sweep.d_final, "solver", "rate_sweep"),

@@ -185,8 +185,8 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     The discrete system is kept in difference form (rows scaled by
     h_m h_p / 2), so the residual lives in solution units.  Stops when
     max|F| / (1 + max|u| + max scaled potential) < tol.  A converged
-    profile that is numerically zero is flagged as the trivial branch and
-    carries no concentration metrics.
+    profile whose peak max u is below 1e-8 max(1, max|u|) is flagged as the
+    trivial branch and carries no concentration metrics.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -237,7 +237,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         u[0] = u[-1] = 0.0
 
     grid = RadialGrid(nodes=nodes, values=u, dims=dims)
-    trivial = bool(converged and np.max(np.abs(u)) < 1e-8)
+    trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
     metrics = None
     if converged and not trivial:
         metrics = _metrics(grid, epsilon, mu)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 
@@ -6,6 +7,9 @@ import numpy as np
 import pytest
 
 from bubblelab import cli
+from bubblelab.asymptotics import Annulus
+from bubblelab.bubbles import DIMS4
+from bubblelab.solver import solve_radial
 
 DEMO = {
     "schema": "bubblelab-config/1",
@@ -178,11 +182,75 @@ def _parse_with(path, value):
      "reduction.epsilon_grid"),
     (("coupling", "decomposition"), [], "coupling"),
     (("scaling",), {"single": 5}, "scaling.single"),
+    (("reduction",), {"n_nodes": 10**15}, "reduction.n_nodes"),
+    (("reduction",), {"n_nodes": cli.MAX_NODES + 1}, "reduction.n_nodes"),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 1200}]}, "scaling.pair[0]"),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 0}]}, "scaling.pair[0]"),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 7.5}]}, "scaling.pair[0]"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
     assert config is None
     assert field_name in {d.field for d in diags if d.level == "error"}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("reduction",), {"n_nodes": cli.MAX_NODES}),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 4}, {"q1": 1, "q2": 1, "n": 27}]}),
+])
+def test_parse_accepts_limits(path, value):
+    config, diags = _parse_with(path, value)
+    assert config is not None, diags
+
+
+# ----------------------------------------------------------------- csv writer
+
+
+def _csv_writer_oracle(path, header, columns):
+    """The CLI's former writer: csv.writer over rows of f"{v:.12e}"
+    strings, with integer columns passed through as ints."""
+    ints = [np.asarray(c).dtype.kind in "iu" for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [int(v) if is_int else f"{v:.12e}" for v, is_int in zip(row, ints)]
+            for row in zip(*columns)
+        )
+
+
+def _wide_floats(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+_B = cli.CSV_BLOCK_ROWS
+CSV_CASES = {
+    "header_only": (["radius", "value"], [np.array([]), np.array([])]),
+    "one_row": (["radius", "value"], [np.array([0.5]), np.array([-2.25])]),
+    "one_block": (["radius", "value"], [_wide_floats(_B, 1), _wide_floats(_B, 2)]),
+    "block_plus_one": (["delta", "value", "bound"],
+                       [_wide_floats(_B + 1, 3), _wide_floats(_B + 1, 4),
+                        _wide_floats(_B + 1, 5)]),
+    "mixed_int_float": (["epsilon", "delta_est", "iterations"],
+                        [_wide_floats(2 * _B + 3, 6), _wide_floats(2 * _B + 3, 7),
+                         np.arange(2 * _B + 3) % 50]),
+    "sweep_rate_lists": (["epsilon", "energy", "iterations"],
+                         [np.geomspace(1e-2, 1e-4, 8), [0.1 * k for k in range(8)],
+                          [3, 4, 5, 6, 7, 8, 9, 10]]),
+    "special_values": (["x", "y"],
+                       [np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]),
+                        np.array([1.7976931348623157e308, -1e-300, 0.0, 1.0, -np.inf,
+                                  np.nan])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_write_csv_matches_csv_writer_bytes(tmp_path, case):
+    header, columns = CSV_CASES[case]
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    _csv_writer_oracle(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ----------------------------------------------------------------- pipeline
@@ -284,6 +352,15 @@ def test_full_run_passes_and_writes_artifacts(sweep_run):
     body = profiles[0].read_text().splitlines()
     assert body[0] == "radius,value"
     assert len(body) > 1000  # full solution profile exported
+
+
+def test_profile_csv_reads_back_the_solution(sweep_run):
+    # the first sweep solve starts from the bubble ansatz, as a fresh solve does
+    _, out = sweep_run
+    table = np.loadtxt(out / "profile_1.000e-02.csv", delimiter=",", skiprows=1)
+    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2)
+    np.testing.assert_allclose(table[:, 0], res.grid.nodes, rtol=1e-12)
+    np.testing.assert_allclose(table[:, 1], res.grid.values, rtol=1e-12)
 
 
 def test_sweep_task_agrees_with_rate_prediction(sweep_run):

@@ -1,6 +1,6 @@
-"""Property test: whatever JSON value sits in the reduction, coupling
-decomposition or scaling field, `parse_config` returns a config or
-diagnostics and never raises."""
+"""Property test: whatever JSON value sits in the reduction, its n_nodes,
+the coupling decomposition or the scaling field, `parse_config` returns a
+config or diagnostics and never raises."""
 
 import pytest
 
@@ -23,7 +23,8 @@ JSON_VALUES = st.recursive(
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
-    path=st.sampled_from([("reduction",), ("coupling", "decomposition"), ("scaling",)]),
+    path=st.sampled_from([("reduction",), ("reduction", "n_nodes"),
+                          ("coupling", "decomposition"), ("scaling",)]),
     value=JSON_VALUES,
 )
 def test_parse_config_never_raises(path, value):

@@ -77,6 +77,16 @@ def test_zero_seed_lands_on_trivial_branch():
     assert np.max(np.abs(res.grid.values)) < 1e-8
 
 
+def test_n3_default_grid_sweep_aborts_on_trivial_branch():
+    # at eps = 1e-2 the 20k-node solve converges to a profile with no
+    # positive peak (max u = 0, max|u| ~ 1.5e-3); it must be flagged trivial
+    # instead of reaching the concentration metrics
+    sweep = rate_sweep(DIMS3, 1.0, 1.0, np.geomspace(1e-2, 1e-4, 8), n_nodes=20000)
+    assert sweep.aborted
+    assert "trivial branch" in sweep.message
+    assert sweep.results == ()
+
+
 def test_iteration_limit_reported():
     res = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, max_iter=1)
     assert not res.report.converged
