@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bubbles import BubbleParams
+from .bubbles import BubbleParams, bubble_residual
 from .greens import Ball, kernel_regular_part
 
 NODES_PER_PANEL = 24
@@ -51,16 +51,6 @@ def radial_profile(dims, delta, s):
     """Bubble profile as a function of the distance s to its center."""
     k = (dims.N - 2) / 2
     return dims.alphaN * (delta / (delta**2 + np.asarray(s, float) ** 2)) ** k
-
-
-def _radial_laplacian(dims, delta, s):
-    """Analytic Laplacian of the radial profile (same closed form as the
-    point-based version in `bubbles`, specialized to a radius argument)."""
-    N = dims.N
-    A = dims.alphaN * delta ** ((N - 2) / 2)
-    return -A * N * (N - 2) * delta**2 * (delta**2 + np.asarray(s, float) ** 2) ** (
-        -(N + 2) / 2
-    )
 
 
 def _segments(lo, hi, anchors):
@@ -136,11 +126,12 @@ class RadialProjection:
         """-Δ(PU) - U^p with the Laplacian taken analytically.
 
         The correction is harmonic in closed form, so the residual reduces
-        to the bubble's own certified residual.
+        to the bubble's own certified residual, taken at the points s e_1.
         """
-        dims, delta = self.bubble.dims, self.bubble.delta
-        u = radial_profile(dims, delta, s)
-        return -_radial_laplacian(dims, delta, s) - u**dims.p
+        s = np.asarray(s, float)
+        x = np.zeros(s.shape + (self.bubble.dims.N,))
+        x[..., 0] = s
+        return bubble_residual(self.bubble, x)
 
 
 def project_bubble_radial(annulus, bubble):

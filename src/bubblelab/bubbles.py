@@ -53,7 +53,11 @@ DIMS4 = DimensionConstants(4)
 
 
 def dims_for(N):
-    return DIMS3 if int(N) == 3 else DimensionConstants(int(N))
+    """The shared constants for N = 3 or 4; ValueError for any other N."""
+    N = int(N)
+    if N not in (3, 4):
+        raise ValueError(f"dimension must be 3 or 4, got {N}")
+    return DIMS3 if N == 3 else DIMS4
 
 
 @dataclass(frozen=True)

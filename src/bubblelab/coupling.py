@@ -117,18 +117,6 @@ def system_residual(block, c, p):
     return block @ (c**e2) * c**e1 - c
 
 
-def closed_form_c2(mu1, mu2, beta12):
-    """k=2, N=4 closed form: c_i^2 = (beta12 - mu_other) / (beta12^2 - mu1 mu2).
-
-    Returned without a positivity gate so the degenerate boundary
-    (beta12 = mu_1 or mu_2, where one entry vanishes) is representable.
-    """
-    den = beta12**2 - mu1 * mu2
-    if den == 0:
-        raise NoPositiveSolution("beta12^2 = mu1 mu2: closed form degenerates")
-    return (beta12 - mu2) / den, (beta12 - mu1) / den
-
-
 def admissible_beta_range(mu1, mu2):
     """Predicate on beta_12 for the two-component existence window:
     (-sqrt(mu1 mu2), min(mu1, mu2)) union (max(mu1, mu2), +inf)."""

@@ -3,9 +3,9 @@
 The finite-dimensional energy for peaks at hole centers a_i, with rates
 d_i (delta_i = d_i sqrt(eps)) and normalized offsets tau_i, is
 
-    Psi(d, tau) = sum_i w_i [ b2 H_i d_i^(N-2)
-                  + (alpha_N^(p+1) r_i^(N-2) / 2) Gamma(tau_i)
-                    / (d_i^(N-2) (1+|tau_i|^2)^((N-2)/2)) ],
+    Psi(d, tau) = sum_i [ A_i d_i^(N-2)
+                          + B_i / (d_i^(N-2) (1+|tau_i|^2)^(N-2)) ],
+    A_i = w_i b2 H_i,   B_i = w_i alpha_N^(p+1) r_i^(N-2) Gamma(0) / 2,
 
 where H_i is the Robin function of the ambient domain at a_i in the
 plain-kernel normalization (regular part of |x-y|^(2-N); see greens.py)
@@ -14,110 +14,67 @@ one component per peak, or the group sums of c_i^2 in the grouped
 construction — the same formula, since a singleton group has
 c^2 = mu^(-2/(p-1)).
 
-Gamma is reduced exactly to 1D: |y+tau|^(2-N) is harmonic away from -tau,
-so its average over the sphere |y| = r equals max(r,|tau|)^(2-N), giving
+Every constant and kernel is a closed form.  The radial integrals are
+beta functions,
 
-    Gamma(tau) = omega_{N-1} [ s^(2-N) A(s) + (1+s^2)^(-N/2)/N ],
-    A(s) = int_0^s r^(N-1) (1+r^2)^(-(N+2)/2) dr,   s = |tau|.
+    M(a, c) = int_0^inf r^(a-1) (1+r^2)^(-c) dr = B(a/2, c - a/2) / 2,
 
-All 1D integrals use adaptive Gauss-Kronrod quadrature at abs tolerance
-1e-12, with tails mapped by r = tan(theta).
+so b1 = alpha^(p+1) omega_{N-1} B(N/2, N/2) / (2N) and
+b2 = alpha^(p+1) omega_{N-1} / (2N) = alpha^(p+1) Gamma(0) / 2.
+
+The interaction kernel Gamma(tau) = int |y+tau|^(2-N) (1+|y|^2)^(-(N+2)/2) dy
+is radial: |y+tau|^(2-N) is harmonic away from -tau, so its average over
+the sphere |y| = r equals max(r, s)^(2-N) with s = |tau|, giving
+
+    Gamma(tau) = omega_{N-1} [ s^(2-N) A(s) + (1+s^2)^(-N/2) / N ],
+    A(s) = int_0^s r^(N-1) (1+r^2)^(-(N+2)/2) dr = s^N / (N (1+s^2)^(N/2)),
+
+which sums to Gamma(tau) = (omega_{N-1}/N) (1+s^2)^(-(N-2)/2).  The hole
+term w_i (alpha^(p+1) r_i^(N-2)/2) Gamma(tau_i) / (d_i^(N-2)
+(1+|tau_i|^2)^((N-2)/2)) is therefore the B_i term above, and Psi, its
+gradient and its Hessian at tau = 0 are elementary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
-def _quad_tail(f, a):
-    """Integral of f over (a, infinity) via the r = tan(theta) substitution."""
-    t0 = math.atan(a)
-    val, _ = quad(
-        lambda t: f(math.tan(t)) / math.cos(t) ** 2, t0, math.pi / 2, **_QUAD_OPTS
-    )
-    return val
+def _radial_moment(a, c):
+    """int_0^inf r^(a-1) (1+r^2)^(-c) dr = B(a/2, c - a/2) / 2."""
+    x, y = a / 2, c - a / 2
+    return math.gamma(x) * math.gamma(y) / (2 * math.gamma(x + y))
 
 
 def constant_b1(dims):
     """b1 = (alpha^(p+1)/N) * omega_{N-1} * int_0^inf r^(N-1)(1+r^2)^(-N) dr."""
     N = dims.N
-    radial = _quad_tail(lambda r: r ** (N - 1) * (1 + r**2) ** (-N), 0.0)
-    return dims.alphaN ** (dims.p + 1) / N * dims.omegaNm1 * radial
+    return dims.alphaN ** (dims.p + 1) / N * dims.omegaNm1 * _radial_moment(N, N)
 
 
 def constant_b2(dims):
-    """b2 = (alpha^(p+1)/2) * omega_{N-1} * int_0^inf r^(N-1)(1+r^2)^(-(N+2)/2) dr."""
-    N = dims.N
-    radial = _quad_tail(lambda r: r ** (N - 1) * (1 + r**2) ** (-(N + 2) / 2), 0.0)
-    return dims.alphaN ** (dims.p + 1) / 2 * dims.omegaNm1 * radial
-
-
-def _gamma_inner(dims, s):
-    """A(s) = int_0^s r^(N-1) (1+r^2)^(-(N+2)/2) dr."""
-    N = dims.N
-    val, _ = quad(lambda r: r ** (N - 1) * (1 + r**2) ** (-(N + 2) / 2), 0.0, s, **_QUAD_OPTS)
-    return val
+    """b2 = (alpha^(p+1)/2) * omega_{N-1} * int_0^inf r^(N-1)(1+r^2)^(-(N+2)/2) dr;
+    the radial integral is 1/N."""
+    return dims.alphaN ** (dims.p + 1) / 2 * dims.omegaNm1 / dims.N
 
 
 def gamma_kernel(dims, tau):
-    """Interaction kernel Gamma(tau); depends on tau only through |tau|."""
-    s = float(np.linalg.norm(np.atleast_1d(np.asarray(tau, float))))
-    N = dims.N
-    tail = (1 + s**2) ** (-N / 2) / N
-    if s == 0.0:
-        return dims.omegaNm1 * tail  # = omega_{N-1}/N
-    return dims.omegaNm1 * (s ** (2 - N) * _gamma_inner(dims, s) + tail)
-
-
-def gamma_radial_derivs(dims, s):
-    """(Gamma'(s), Gamma''(s)) of the radial profile; the tail derivative
-    cancels against the moving endpoint, leaving only the A(s) terms."""
-    N, om = dims.N, dims.omegaNm1
-    if s == 0.0:
-        return 0.0, om * (2 - N) / N
-    A = _gamma_inner(dims, s)
-    g1 = om * (2 - N) * s ** (1 - N) * A
-    g2 = om * (2 - N) * ((1 - N) * s**-N * A + (1 + s**2) ** (-(N + 2) / 2))
-    return g1, g2
-
-
-def gamma_mc(dims, tau, n_samples=2_000_000, seed=0):
-    """Monte Carlo value of the N-dimensional Gamma integral (cross-check).
-
-    Importance-samples the density proportional to (1+|y|^2)^(-(N+2)/2),
-    whose radial CDF inverts in closed form: u = q^(2/N), r = sqrt(u/(1-u)).
-    The normalization constant equals Gamma(0), so
-    Gamma(tau) = Gamma(0) * E[|y + tau|^(2-N)].
-    """
-    N = dims.N
-    rng = np.random.default_rng(seed)
-    q = rng.random(n_samples)
-    u = q ** (2.0 / N)
-    r = np.sqrt(u / (1.0 - u))
-    dirs = rng.normal(size=(n_samples, N))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    y = r[:, None] * dirs
-    dist = np.linalg.norm(y + np.asarray(tau, float), axis=1)
-    return gamma_kernel(dims, np.zeros(N)) * float(np.mean(dist ** (2.0 - N)))
+    """Interaction kernel Gamma(tau) = (omega_{N-1}/N) (1+|tau|^2)^(-(N-2)/2)."""
+    return dims.omegaNm1 / dims.N * (1.0 + float(np.sum(np.square(tau)))) ** (-(dims.N - 2) / 2)
 
 
 @dataclass(frozen=True)
 class ReducedEnergyModel:
     """Everything needed to evaluate Psi: per-peak weights, Robin values
-    (plain-kernel normalization), hole radius coefficients, cached b1/b2."""
+    (plain-kernel normalization) and hole radius coefficients."""
 
     dims: object
     weights: np.ndarray
     robin: np.ndarray
     hole_r: np.ndarray
-    b1: float = field(default=None)
-    b2: float = field(default=None)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, float))
@@ -130,20 +87,23 @@ class ReducedEnergyModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "robin", H)
         object.__setattr__(self, "hole_r", r)
-        if self.b1 is None:
-            object.__setattr__(self, "b1", constant_b1(self.dims))
-        if self.b2 is None:
-            object.__setattr__(self, "b2", constant_b2(self.dims))
+
+    @property
+    def b1(self):
+        return constant_b1(self.dims)
+
+    @property
+    def b2(self):
+        return constant_b2(self.dims)
 
     @property
     def n_peaks(self):
         return len(self.weights)
 
     def hole_coeff(self):
-        """B-side coefficients: w_i alpha^(p+1) r_i^(N-2) Gamma(0) / 2."""
-        d = self.dims
-        gamma0 = d.omegaNm1 / d.N
-        return self.weights * d.alphaN ** (d.p + 1) * self.hole_r ** (d.N - 2) * gamma0 / 2
+        """B-side coefficients: w_i alpha^(p+1) r_i^(N-2) Gamma(0) / 2,
+        i.e. w_i b2 r_i^(N-2)."""
+        return self.weights * self.b2 * self.hole_r ** (self.dims.N - 2)
 
     def robin_coeff(self):
         """A-side coefficients: w_i b2 H_i."""
@@ -182,70 +142,39 @@ def _check_box(pt):
         raise ValueError("point outside the box X_eta")
 
 
+def _hole_terms(model, pt):
+    """Per-peak hole terms B_i / (d_i (1+|tau_i|^2))^(N-2) and 1+|tau_i|^2."""
+    q = 1.0 + np.sum(pt.tau**2, axis=-1)
+    return model.hole_coeff() / (pt.d * q) ** (model.dims.N - 2), q
+
+
 def psi_value(model, pt):
     """Psi(d, tau)."""
     _check_box(pt)
-    dm = model.dims
-    N = dm.N
-    total = 0.0
-    for i in range(model.n_peaks):
-        s2 = float(np.sum(pt.tau[i] ** 2))
-        g = gamma_kernel(dm, pt.tau[i])
-        total += model.weights[i] * (
-            model.b2 * model.robin[i] * pt.d[i] ** (N - 2)
-            + dm.alphaN ** (dm.p + 1) * model.hole_r[i] ** (N - 2) / 2
-            * g / (pt.d[i] ** (N - 2) * (1 + s2) ** ((N - 2) / 2))
-        )
-    return total
+    hole, _ = _hole_terms(model, pt)
+    return float(np.sum(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole))
 
 
 def psi_grad(model, pt):
     """Analytic gradient (d Psi/d d_i, d Psi/d tau_{i,h}); flat layout
     [d_0..d_{m-1}, tau_{0,1..N}, tau_{1,1..N}, ...]."""
     _check_box(pt)
-    dm = model.dims
-    N = dm.N
-    m = model.n_peaks
-    gd = np.zeros(m)
-    gt = np.zeros((m, N))
-    for i in range(m):
-        tau = pt.tau[i]
-        s = float(np.linalg.norm(tau))
-        s2 = s * s
-        g = gamma_kernel(dm, tau)
-        g1, g2 = gamma_radial_derivs(dm, s)
-        Ki = model.weights[i] * dm.alphaN ** (dm.p + 1) * model.hole_r[i] ** (N - 2) / 2
-        phi = (1 + s2) ** (-(N - 2) / 2)
-        gd[i] = (N - 2) * (
-            model.weights[i] * model.b2 * model.robin[i] * pt.d[i] ** (N - 3)
-            - Ki * g * phi / pt.d[i] ** (N - 1)
-        )
-        if s > 0:
-            radial = g1 * phi - (N - 2) * g * s * (1 + s2) ** (-N / 2)
-            gt[i] = Ki / pt.d[i] ** (N - 2) * radial * tau / s
-        # at tau = 0 the gradient vanishes identically (radial maximum)
+    k = model.dims.N - 2
+    hole, q = _hole_terms(model, pt)
+    gd = k * (model.robin_coeff() * pt.d ** (k - 1) - hole / pt.d)
+    # vanishes identically at tau = 0 (radial maximum)
+    gt = -2 * k * (hole / q)[:, None] * pt.tau
     return np.concatenate([gd, gt.ravel()])
 
 
 def psi_hessian_at_flat(model, d):
     """Analytic Hessian blocks at (d, tau=0): returns (d-block diagonal,
     tau-block diagonal scalars per peak).  Mixed blocks vanish there."""
-    dm = model.dims
-    N = dm.N
-    gamma0 = dm.omegaNm1 / dm.N
-    _, g2_0 = gamma_radial_derivs(dm, 0.0)
+    k = model.dims.N - 2
     d = np.atleast_1d(np.asarray(d, float))
-    dd = np.empty(model.n_peaks)
-    tt = np.empty(model.n_peaks)
-    for i in range(model.n_peaks):
-        Ki = model.weights[i] * dm.alphaN ** (dm.p + 1) * model.hole_r[i] ** (N - 2) / 2
-        dd[i] = (N - 2) * (
-            (N - 3) * model.weights[i] * model.b2 * model.robin[i] * d[i] ** (N - 4)
-            + (N - 1) * Ki * gamma0 / d[i] ** N
-        )
-        # radial function Gamma(s)(1+s^2)^(-(N-2)/2): second derivative at 0
-        tt[i] = Ki / d[i] ** (N - 2) * (g2_0 - (N - 2) * gamma0)
-    return dd, tt
+    B = model.hole_coeff()
+    dd = k * ((k - 1) * model.robin_coeff() * d ** (k - 2) + (k + 1) * B / d ** (k + 2))
+    return dd, -2 * k * B / d**k
 
 
 @dataclass(frozen=True)
@@ -294,6 +223,7 @@ def sigma_constant(dims, l, k=None):
     sigma_lk = 0 for l != k (odd symmetry);
     sigma_00 = p alpha^(p+1) ((N-2)/2)^2 int (|y|^2-1)^2 (1+|y|^2)^-(N+2) dy;
     sigma_ll = p alpha^(p+1) (N-2)^2   int y_l^2    (1+|y|^2)^-(N+2) dy.
+    With (r^2-1)^2 = (1+r^2)^2 - 4r^2 both are beta functions.
     """
     N = dims.N
     if not (0 <= l <= N) or (k is not None and not (0 <= k <= N)):
@@ -302,42 +232,6 @@ def sigma_constant(dims, l, k=None):
         return 0.0
     pref = dims.p * dims.alphaN ** (dims.p + 1)
     if l == 0:
-        radial = _quad_tail(
-            lambda r: r ** (N - 1) * (r**2 - 1) ** 2 * (1 + r**2) ** (-(N + 2)), 0.0
-        )
+        radial = _radial_moment(N, N) - 4 * _radial_moment(N + 2, N + 2)
         return pref * ((N - 2) / 2) ** 2 * dims.omegaNm1 * radial
-    radial = _quad_tail(lambda r: r ** (N + 1) * (1 + r**2) ** (-(N + 2)), 0.0)
-    return pref * (N - 2) ** 2 * dims.omegaNm1 / N * radial
-
-
-def sigma_cross_quadrature_01(dims):
-    """Direct 2D axisymmetric quadrature of the (0,1) cross integral
-    int y_1 (|y|^2-1) (1+|y|^2)^-(N+2) dy — odd in y_1, so ~ 0."""
-    N = dims.N
-    om = {3: 2 * math.pi, 4: 4 * math.pi}[N]  # area of S^(N-2) in R^(N-1)
-
-    def inner(z):
-        val, _ = quad(
-            lambda rho: rho ** (N - 2)
-            * z
-            * (z**2 + rho**2 - 1)
-            * (1 + z**2 + rho**2) ** (-(N + 2)),
-            0.0,
-            20.0,
-            **_QUAD_OPTS,
-        )
-        return val
-
-    val, _ = quad(inner, -20.0, 20.0, **_QUAD_OPTS)
-    return om * val
-
-
-def sigma_cross_mc_12(dims, n_samples=400_000, seed=3):
-    """Monte Carlo spot check of int y_1 y_2 (1+|y|^2)^-(N+2) dy ~ 0."""
-    N = dims.N
-    rng = np.random.default_rng(seed)
-    y = rng.normal(scale=1.0, size=(n_samples, N))
-    # importance weight against the normal proposal
-    dens = np.exp(-0.5 * np.sum(y**2, axis=1)) / (2 * np.pi) ** (N / 2)
-    f = y[:, 0] * y[:, 1] * (1 + np.sum(y**2, axis=1)) ** (-(N + 2.0))
-    return float(np.mean(f / dens))
+    return pref * (N - 2) ** 2 * dims.omegaNm1 / N * _radial_moment(N + 2, N + 2)

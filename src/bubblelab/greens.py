@@ -145,30 +145,3 @@ def kernel_robin(ball, a):
 def robin(ball, a):
     """Robin function H(a,a), c_N-weighted convention; positive, blows up at the boundary."""
     return ball.cN * kernel_robin(ball, a)
-
-
-def harmonicity_check(ball, y, n_samples=60, step_frac=1e-3, seed=7):
-    """Max |Δ_x H(x,y)| over a sample grid, by central finite differences.
-
-    Certifies that the image closed form is harmonic in x.  Sample points
-    keep a margin from the boundary so the FD stencil stays inside the ball
-    (the image point itself lies outside, so H is smooth on the grid).
-    """
-    _check_interior(ball, y)
-    N = ball.dims.N
-    step = step_frac * ball.radius
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n_samples, N))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    radii = rng.uniform(0.0, ball.radius - 4 * step, size=n_samples)
-    x = ball.center + radii[:, None] * pts
-
-    worst = 0.0
-    f0 = regular_part(ball, x, y)
-    lap = np.zeros(n_samples)
-    for h in range(N):
-        e = np.zeros(N)
-        e[h] = step
-        lap += (regular_part(ball, x + e, y) - 2 * f0 + regular_part(ball, x - e, y)) / step**2
-    worst = float(np.max(np.abs(lap)))
-    return worst

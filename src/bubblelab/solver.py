@@ -275,17 +275,6 @@ def profile_is_positive(grid, tol=1e-10):
     return bool(np.all(interior > -tol * max(1.0, float(np.max(np.abs(interior))))))
 
 
-def profile_is_unimodal(grid, rel_tol=1e-8):
-    """Single sign change of the discrete derivative (+ to -)."""
-    dv = np.diff(grid.values)
-    thresh = rel_tol * float(np.max(np.abs(grid.values)))
-    signs = np.sign(dv[np.abs(dv) > thresh])
-    if len(signs) == 0:
-        return False
-    collapsed = signs[np.r_[True, signs[1:] != signs[:-1]]]
-    return bool(len(collapsed) == 2 and collapsed[0] > 0 and collapsed[1] < 0)
-
-
 @dataclass(frozen=True)
 class RateSweepReport:
     """Continuation sweep results: per-eps concentration scales, the

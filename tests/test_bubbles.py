@@ -8,6 +8,7 @@ from bubblelab.bubbles import (
     bubble_deriv,
     bubble_eval,
     bubble_residual,
+    dims_for,
     linearized_residual,
 )
 
@@ -31,6 +32,13 @@ def test_dimension_constants():
     # S^2 area 4*pi and S^3 area 2*pi^2
     assert DIMS3.omegaNm1 == pytest.approx(4 * np.pi, rel=1e-15)
     assert DIMS4.omegaNm1 == pytest.approx(2 * np.pi ** 2, rel=1e-15)
+
+
+def test_dims_for_returns_the_shared_constants():
+    assert dims_for(3) is DIMS3
+    assert dims_for(4) is DIMS4
+    with pytest.raises(ValueError):
+        dims_for(5)
 
 
 def test_bubble_value_at_center():

@@ -7,7 +7,6 @@ from bubblelab.coupling import (
     NoPositiveSolution,
     admissible_beta_range,
     build_spectrum,
-    closed_form_c2,
     eigenvalue_ladder,
     nondegeneracy_check,
     solve_c_vector,
@@ -15,6 +14,18 @@ from bubblelab.coupling import (
 )
 
 RNG = np.random.default_rng(4242)
+
+
+def closed_form_c2(mu1, mu2, beta12):
+    """k=2, N=4 closed form: c_i^2 = (beta12 - mu_other) / (beta12^2 - mu1 mu2).
+
+    Returned without a positivity gate so the degenerate boundary
+    (beta12 = mu_1 or mu_2, where one entry vanishes) is representable.
+    """
+    den = beta12**2 - mu1 * mu2
+    if den == 0:
+        raise NoPositiveSolution("beta12^2 = mu1 mu2: closed form degenerates")
+    return (beta12 - mu2) / den, (beta12 - mu1) / den
 
 
 def two_component_spec(mu1, mu2, beta12, N=4):

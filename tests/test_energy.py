@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta as B
 
+import bubblelab
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.energy import (
     ReducedEnergyModel,
@@ -13,17 +18,112 @@ from bubblelab.energy import (
     critical_point,
     energy_expansion,
     gamma_kernel,
-    gamma_mc,
-    gamma_radial_derivs,
     psi_grad,
     psi_hessian_at_flat,
     psi_value,
     sigma_constant,
-    sigma_cross_mc_12,
-    sigma_cross_quadrature_01,
 )
 
 RNG = np.random.default_rng(1234)
+
+
+# ---------------------------------------------------------------- oracles
+# Adaptive Gauss-Kronrod quadrature and Monte Carlo versions of the closed
+# forms in bubblelab.energy, kept here as independent references.
+
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+
+
+def _quad_tail(f, a):
+    """Integral of f over (a, infinity) via the r = tan(theta) substitution."""
+    t0 = math.atan(a)
+    val, _ = quad(
+        lambda t: f(math.tan(t)) / math.cos(t) ** 2, t0, math.pi / 2, **_QUAD_OPTS
+    )
+    return val
+
+
+def _gamma_inner(dims, s):
+    """A(s) = int_0^s r^(N-1) (1+r^2)^(-(N+2)/2) dr."""
+    N = dims.N
+    val, _ = quad(lambda r: r ** (N - 1) * (1 + r**2) ** (-(N + 2) / 2), 0.0, s, **_QUAD_OPTS)
+    return val
+
+
+def gamma_quad(dims, tau):
+    """Gamma(tau) = omega_{N-1} [ s^(2-N) A(s) + (1+s^2)^(-N/2)/N ], s = |tau|,
+    with A(s) by quadrature."""
+    s = float(np.linalg.norm(np.atleast_1d(np.asarray(tau, float))))
+    N = dims.N
+    tail = (1 + s**2) ** (-N / 2) / N
+    if s == 0.0:
+        return dims.omegaNm1 * tail  # = omega_{N-1}/N
+    return dims.omegaNm1 * (s ** (2 - N) * _gamma_inner(dims, s) + tail)
+
+
+def gamma_radial_derivs(dims, s):
+    """(Gamma'(s), Gamma''(s)) of the radial profile; the tail derivative
+    cancels against the moving endpoint, leaving only the A(s) terms."""
+    N, om = dims.N, dims.omegaNm1
+    if s == 0.0:
+        return 0.0, om * (2 - N) / N
+    A = _gamma_inner(dims, s)
+    g1 = om * (2 - N) * s ** (1 - N) * A
+    g2 = om * (2 - N) * ((1 - N) * s**-N * A + (1 + s**2) ** (-(N + 2) / 2))
+    return g1, g2
+
+
+def gamma_mc(dims, tau, n_samples=2_000_000, seed=0):
+    """Monte Carlo value of the N-dimensional Gamma integral (cross-check).
+
+    Importance-samples the density proportional to (1+|y|^2)^(-(N+2)/2),
+    whose radial CDF inverts in closed form: u = q^(2/N), r = sqrt(u/(1-u)).
+    The normalization constant equals Gamma(0), so
+    Gamma(tau) = Gamma(0) * E[|y + tau|^(2-N)].
+    """
+    N = dims.N
+    rng = np.random.default_rng(seed)
+    q = rng.random(n_samples)
+    u = q ** (2.0 / N)
+    r = np.sqrt(u / (1.0 - u))
+    dirs = rng.normal(size=(n_samples, N))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    y = r[:, None] * dirs
+    dist = np.linalg.norm(y + np.asarray(tau, float), axis=1)
+    return gamma_quad(dims, np.zeros(N)) * float(np.mean(dist ** (2.0 - N)))
+
+
+def sigma_cross_quadrature_01(dims):
+    """Direct 2D axisymmetric quadrature of the (0,1) cross integral
+    int y_1 (|y|^2-1) (1+|y|^2)^-(N+2) dy — odd in y_1, so ~ 0."""
+    N = dims.N
+    om = {3: 2 * math.pi, 4: 4 * math.pi}[N]  # area of S^(N-2) in R^(N-1)
+
+    def inner(z):
+        val, _ = quad(
+            lambda rho: rho ** (N - 2)
+            * z
+            * (z**2 + rho**2 - 1)
+            * (1 + z**2 + rho**2) ** (-(N + 2)),
+            0.0,
+            20.0,
+            **_QUAD_OPTS,
+        )
+        return val
+
+    val, _ = quad(inner, -20.0, 20.0, **_QUAD_OPTS)
+    return om * val
+
+
+def sigma_cross_mc_12(dims, n_samples=400_000, seed=3):
+    """Monte Carlo spot check of int y_1 y_2 (1+|y|^2)^-(N+2) dy ~ 0."""
+    N = dims.N
+    rng = np.random.default_rng(seed)
+    y = rng.normal(scale=1.0, size=(n_samples, N))
+    # importance weight against the normal proposal
+    dens = np.exp(-0.5 * np.sum(y**2, axis=1)) / (2 * np.pi) ** (N / 2)
+    f = y[:, 0] * y[:, 1] * (1 + np.sum(y**2, axis=1)) ** (-(N + 2.0))
+    return float(np.mean(f / dens))
 
 
 # ---------------------------------------------------------------- constants
@@ -44,6 +144,26 @@ def test_b2_against_beta_oracle():
         oracle = dims.alphaN ** (dims.p + 1) / 2 * dims.omegaNm1 * B(N / 2, 1) / 2
         assert constant_b2(dims) == pytest.approx(oracle, rel=1e-10)
     assert constant_b2(DIMS4) == pytest.approx(16 * math.pi**2, rel=1e-10)
+
+
+def test_constants_match_quadrature_oracle():
+    for dims in (DIMS3, DIMS4):
+        N, alpha_p1, om = dims.N, dims.alphaN ** (dims.p + 1), dims.omegaNm1
+        pref = dims.p * alpha_p1
+        b1 = alpha_p1 / N * om * _quad_tail(lambda r: r ** (N - 1) * (1 + r**2) ** (-N), 0.0)
+        b2 = alpha_p1 / 2 * om * _quad_tail(
+            lambda r: r ** (N - 1) * (1 + r**2) ** (-(N + 2) / 2), 0.0
+        )
+        s00 = pref * ((N - 2) / 2) ** 2 * om * _quad_tail(
+            lambda r: r ** (N - 1) * (r**2 - 1) ** 2 * (1 + r**2) ** (-(N + 2)), 0.0
+        )
+        sll = pref * (N - 2) ** 2 * om / N * _quad_tail(
+            lambda r: r ** (N + 1) * (1 + r**2) ** (-(N + 2)), 0.0
+        )
+        assert constant_b1(dims) == pytest.approx(b1, rel=1e-12, abs=0)
+        assert constant_b2(dims) == pytest.approx(b2, rel=1e-12, abs=0)
+        assert sigma_constant(dims, 0) == pytest.approx(s00, rel=1e-12, abs=0)
+        assert sigma_constant(dims, 1) == pytest.approx(sll, rel=1e-12, abs=0)
 
 
 def test_gamma_at_zero():
@@ -137,6 +257,16 @@ def test_gamma_derivatives_match_fd():
         assert g2_0 == pytest.approx(dims.omegaNm1 * (2 - dims.N) / dims.N, rel=1e-12)
 
 
+def test_gamma_kernel_matches_quadrature_oracle():
+    for dims in (DIMS3, DIMS4):
+        e1 = np.zeros(dims.N)
+        for s in np.concatenate([[0.0], np.geomspace(1e-6, 50.0, 400)]):
+            e1[0] = s
+            assert gamma_kernel(dims, e1) == pytest.approx(
+                gamma_quad(dims, e1), rel=1e-12, abs=0
+            )
+
+
 # ---------------------------------------------------------------- Psi
 
 def model4(n_peaks=2):
@@ -167,14 +297,11 @@ def test_psi_linear_in_weights():
         weights=m.weights * np.array([2.0, 1.0]),
         robin=m.robin,
         hole_r=m.hole_r,
-        b1=m.b1,
-        b2=m.b2,
     )
     pt = ReducedPoint(d=[1.1, 0.8], tau=RNG.normal(size=(2, 4)) * 0.3)
     # doubling weight 0 doubles peak 0's contribution
     single0 = ReducedEnergyModel(
         dims=DIMS4, weights=m.weights[:1], robin=m.robin[:1], hole_r=m.hole_r[:1],
-        b1=m.b1, b2=m.b2,
     )
     pt0 = ReducedPoint(d=pt.d[:1], tau=pt.tau[:1])
     assert psi_value(doubled, pt) - psi_value(m, pt) == pytest.approx(
@@ -213,6 +340,44 @@ def test_psi_grad_matches_fd():
                 ) / (2 * h)
                 k += 1
         np.testing.assert_allclose(grad, fd, rtol=2e-6, atol=1e-8)
+
+
+def psi_loop(model, pt):
+    """(Psi, grad Psi) by the per-peak loop over the quadrature kernel:
+    w_i [b2 H_i d^(N-2) + K_i Gamma(tau_i) / (d^(N-2) (1+|tau_i|^2)^((N-2)/2))]."""
+    dm = model.dims
+    N, m = dm.N, model.n_peaks
+    total, gd, gt = 0.0, np.zeros(m), np.zeros((m, N))
+    for i in range(m):
+        tau, d = pt.tau[i], pt.d[i]
+        s = float(np.linalg.norm(tau))
+        g = gamma_quad(dm, tau)
+        g1, _ = gamma_radial_derivs(dm, s)
+        Ki = model.weights[i] * dm.alphaN ** (dm.p + 1) * model.hole_r[i] ** (N - 2) / 2
+        Ai = model.weights[i] * model.b2 * model.robin[i]
+        phi = (1 + s * s) ** (-(N - 2) / 2)
+        total += Ai * d ** (N - 2) + Ki * g * phi / d ** (N - 2)
+        gd[i] = (N - 2) * (Ai * d ** (N - 3) - Ki * g * phi / d ** (N - 1))
+        if s > 0:
+            radial = g1 * phi - (N - 2) * g * s * (1 + s * s) ** (-N / 2)
+            gt[i] = Ki / d ** (N - 2) * radial * tau / s
+    return total, np.concatenate([gd, gt.ravel()])
+
+
+def test_psi_matches_loop_over_quadrature_kernel():
+    for dims in (DIMS3, DIMS4):
+        m = ReducedEnergyModel(
+            dims=dims,
+            weights=RNG.uniform(0.5, 2.0, 3),
+            robin=RNG.uniform(0.5, 3.0, 3),
+            hole_r=RNG.uniform(0.5, 2.0, 3),
+        )
+        for _ in range(10):
+            tau = RNG.normal(size=(3, dims.N)) * RNG.uniform(0.01, 3.0)
+            pt = ReducedPoint(d=RNG.uniform(0.3, 3.0, 3), tau=tau)
+            value, grad = psi_loop(m, pt)
+            assert psi_value(m, pt) == pytest.approx(value, rel=1e-12, abs=0)
+            np.testing.assert_allclose(psi_grad(m, pt), grad, rtol=1e-11, atol=0)
 
 
 def test_tau_gradient_vanishes_on_axis():
@@ -269,6 +434,28 @@ def test_critical_point_against_fd_hessian():
     # tau-block is diagonal (no cross-coordinate coupling at tau=0)
     off = H[2:, 2:] - np.diag(np.diag(H[2:, 2:]))
     assert np.max(np.abs(off)) < 1e-8
+
+
+def test_hessian_tau_block_is_gamma_second_derivative():
+    # tau-block = K_i/d^(N-2) (Gamma''(0) - (N-2) Gamma(0)) with the exact
+    # Gamma''(0) = -(N-2) Gamma(0), i.e. -2(N-2) B_i / d^(N-2)
+    for dims in (DIMS3, DIMS4):
+        N = dims.N
+        m = ReducedEnergyModel(
+            dims=dims,
+            weights=RNG.uniform(0.5, 2.0, 3),
+            robin=RNG.uniform(0.5, 3.0, 3),
+            hole_r=RNG.uniform(0.5, 2.0, 3),
+        )
+        d = RNG.uniform(0.3, 3.0, 3)
+        _, tt = psi_hessian_at_flat(m, d)
+        _, g2_0 = gamma_radial_derivs(dims, 0.0)
+        gamma0 = gamma_quad(dims, np.zeros(N))
+        K = m.weights * dims.alphaN ** (dims.p + 1) * m.hole_r ** (N - 2) / 2
+        np.testing.assert_allclose(tt, -2 * (N - 2) * m.hole_coeff() / d ** (N - 2), rtol=1e-12)
+        np.testing.assert_allclose(
+            tt, K / d ** (N - 2) * (g2_0 - (N - 2) * gamma0), rtol=1e-12
+        )
 
 
 def test_n3_critical_point():
@@ -341,3 +528,16 @@ def test_model_validation():
     m = model4(1)
     with pytest.raises(ValueError):
         psi_value(m, ReducedPoint(d=[1e-9], tau=np.zeros((1, 4))))  # outside X_eta
+
+
+def test_package_import_does_not_load_quadrature():
+    # every closed form is elementary: importing the CLI must not pull in
+    # scipy.integrate (which the oracles above use)
+    src = os.path.dirname(os.path.dirname(bubblelab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import bubblelab.cli, sys; assert 'scipy.integrate' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -14,7 +14,6 @@ from bubblelab.solver import (
     energy_of_solution,
     graded_mesh,
     profile_is_positive,
-    profile_is_unimodal,
     rate_sweep,
     solve_radial,
 )
@@ -22,6 +21,17 @@ from bubblelab.solver import (
 SPEC_SCALAR = CouplingSpec(
     N=4, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]), decomposition=(0, 1)
 )
+
+
+def profile_is_unimodal(grid, rel_tol=1e-8):
+    """Single sign change of the discrete derivative (+ to -)."""
+    dv = np.diff(grid.values)
+    thresh = rel_tol * float(np.max(np.abs(grid.values)))
+    signs = np.sign(dv[np.abs(dv) > thresh])
+    if len(signs) == 0:
+        return False
+    collapsed = signs[np.r_[True, signs[1:] != signs[:-1]]]
+    return bool(len(collapsed) == 2 and collapsed[0] > 0 and collapsed[1] < 0)
 
 
 @pytest.fixture(scope="module")
