@@ -35,7 +35,7 @@ from .coupling import (
     system_residual,
 )
 from .energy import ReducedEnergyModel, ReducedPoint, critical_point, psi_grad, psi_value
-from .greens import Ball, kernel_robin
+from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
 from .solver import rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
@@ -59,7 +59,7 @@ EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 MAX_NODES = 10**6     # mesh nodes of one radial solve
 PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
-CSV_BLOCK_ROWS = 8192  # rows formatted by one `%` call in _write_csv
+CSV_BLOCK_ROWS = 8192  # rows formatted at a time by _write_csv; bounds its buffers
 
 
 # --------------------------------------------------------------- diagnostics
@@ -175,8 +175,8 @@ def _parse_epsilon_grid(raw, diags):
         except (KeyError, TypeError, ValueError, OverflowError):
             _err(diags, where, "needs numeric start/stop and integer num")
             return None
-        if not (start > 0 and stop > 0):
-            _err(diags, where, "start and stop must be positive")
+        if not (0 < start < np.inf and 0 < stop < np.inf):
+            _err(diags, where, "start and stop must be positive and finite")
             return None
         if not 2 <= num <= MAX_EPSILONS:
             _err(diags, where, f"num must lie in [2, {MAX_EPSILONS}]")
@@ -185,11 +185,11 @@ def _parse_epsilon_grid(raw, diags):
     elif isinstance(raw, list):
         try:
             grid = np.asarray([float(v) for v in raw])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             _err(diags, where, "entries must be numeric")
             return None
-        if len(grid) < 2 or not np.all(grid > 0):
-            _err(diags, where, "need at least two positive values")
+        if len(grid) < 2 or not np.all((grid > 0) & (grid < np.inf)):
+            _err(diags, where, "need at least two positive finite values")
             return None
     else:
         _err(diags, where, "must be a list or a start/stop/num object")
@@ -197,6 +197,15 @@ def _parse_epsilon_grid(raw, diags):
     if np.max(grid) > 0.1:
         _warn(diags, where, "epsilon above 0.1 is outside the asymptotic regime")
     return grid
+
+
+def _point(raw, N):
+    """`raw` as an array of N finite coordinates, or None."""
+    try:
+        point = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return point if point.shape == (N,) and np.isfinite(point).all() else None
 
 
 def parse_config(data):
@@ -264,52 +273,40 @@ def parse_config(data):
     # ---- domain block
     domain = data.get("domain")
     ball = None
-    centers = coeffs = None
+    holes = centers = coeffs = None
     if not isinstance(domain, dict):
         _err(diags, "domain", "missing domain object (radius, holes)")
     else:
         radius = domain.get("radius")
-        if not isinstance(radius, (int, float)) or not radius > 0:
-            _err(diags, "domain.radius", "radius must be a positive number")
+        if not isinstance(radius, (int, float)) or not 0 < radius <= sys.float_info.max:
+            _err(diags, "domain.radius", "radius must be a positive finite number")
         else:
-            center = np.asarray(domain.get("center", [0.0] * N), dtype=float)
-            if center.shape != (N,):
-                _err(diags, "domain.center", f"center must have {N} coordinates")
+            center = _point(domain.get("center", [0.0] * N), N)
+            if center is None:
+                _err(diags, "domain.center", f"center must be {N} finite coordinates")
             else:
                 ball = Ball(radius=float(radius), center=center, dims=dims)
-        holes = domain.get("holes")
-        if not isinstance(holes, list) or not holes:
+        raw_holes = domain.get("holes")
+        if not isinstance(raw_holes, list) or not raw_holes:
             _err(diags, "domain.holes", "at least one hole is required")
         else:
-            centers = np.zeros((len(holes), N))
-            coeffs = np.zeros(len(holes))
-            for k, hole in enumerate(holes):
+            holes = []
+            for k, hole in enumerate(raw_holes):
                 where = f"domain.holes[{k}]"
+                if not isinstance(hole, dict):
+                    _err(diags, where, "hole must be an object (center, radius_coeff)")
+                    continue
+                c = _point(hole.get("center"), N)
+                if c is None:
+                    _err(diags, where, f"hole center must be {N} finite coordinates")
+                    continue
                 try:
-                    c = np.asarray(hole["center"], dtype=float)
-                    r = float(hole.get("radius_coeff", 1.0))
-                except (KeyError, TypeError, ValueError) as exc:
+                    holes.append(HoleSpec(c, float(hole.get("radius_coeff", 1.0))))
+                except (TypeError, ValueError, OverflowError) as exc:
                     _err(diags, where, f"malformed hole: {exc}")
-                    continue
-                if c.shape != (N,):
-                    _err(diags, where, f"hole center must have {N} coordinates")
-                    continue
-                if not r > 0:
-                    _err(diags, where, "radius_coeff must be positive")
-                centers[k] = c
-                coeffs[k] = r
-                if ball is not None:
-                    gap = ball.radius - float(np.linalg.norm(c - ball.center))
-                    if not gap > 1e-12 * ball.radius:
-                        _err(diags, where, "hole touches or leaves the ambient boundary")
-            for a in range(len(holes)):
-                for b in range(a + 1, len(holes)):
-                    if np.linalg.norm(centers[a] - centers[b]) == 0.0:
-                        _err(
-                            diags,
-                            f"domain.holes[{b}]",
-                            f"coincides with hole {a}; holes must be disjoint",
-                        )
+            if len(holes) == len(raw_holes):
+                centers = np.array([h.center for h in holes])
+                coeffs = np.array([h.radius_coeff for h in holes])
 
     # ---- reduction block
     reduction = data.get("reduction")
@@ -326,6 +323,14 @@ def parse_config(data):
     n_nodes = reduction.get("n_nodes", 2000)
     if not isinstance(n_nodes, int) or not 100 <= n_nodes <= MAX_NODES:
         _err(diags, "reduction.n_nodes", f"n_nodes must be an integer in [100, {MAX_NODES}]")
+
+    if ball is not None and centers is not None and grid is not None:
+        try:
+            # far-off holes overflow to infinite distances, which fail the checks
+            with np.errstate(over="ignore"):
+                PerforatedDomain(ball, holes, float(np.max(grid)))
+        except ValueError as exc:
+            _err(diags, "domain.holes", str(exc))
 
     # ---- tasks
     tasks_raw = data.get("tasks", [])
@@ -353,7 +358,7 @@ def parse_config(data):
                 f"({len(centers)} holes vs {spec.n_groups} groups)",
             )
     if "radial-sweep" in tasks and centers is not None and ball is not None:
-        centered = len(centers) == 1 and np.linalg.norm(centers[0] - ball.center) == 0.0
+        centered = len(centers) == 1 and np.array_equal(centers[0], ball.center)
         if not centered:
             _err(diags, "tasks", "radial-sweep requires a single centered hole")
 
@@ -423,18 +428,124 @@ def _num(value, module, operation):
     return {"value": _jsonable(value), "module": module, "operation": operation}
 
 
+def _e12_scales(dtype):
+    """10**(12 - e) in `dtype` for the exponents e of _E12_EXPONENTS, and 0
+    where that overflows `dtype`, so that the kernel leaves those values to
+    `%`."""
+    k = 12 - _E12_EXPONENTS
+    fits = k <= int(np.log10(np.finfo(dtype).max))
+    scales = np.zeros(len(k), dtype=dtype)
+    scales[fits] = np.array([f"1e{v}" for v in k[fits]]).astype(dtype)
+    return scales
+
+
+def _words(strings, nbytes):
+    """ASCII strings as rows of nbytes // 4 uint32 words, zero-padded."""
+    text = np.array(strings, dtype="S")
+    if text.itemsize > nbytes:
+        raise ValueError(f"{max(strings, key=len)!r} is longer than {nbytes} bytes")
+    return text.astype(f"S{nbytes}").view(np.uint32).reshape(len(strings), -1)
+
+
+# The %.12e kernel.  A normal double x is m * 10^(e-12) with 13 significant
+# digits m in [10^12, 10^13).  |x| * 10^(12-e) is formed in the precision of
+# the scale table (np.longdouble).  Two roundings, of the scale and of the
+# product, keep its relative error below eps; as the product is below
+# 10^13 < 2^44, its absolute error stays below eps * 2^44.  Rounding it gives
+# m exactly unless its fraction lies within 64 times that bound of 0.5;
+# such near-ties are left to `%`, as are zeros, subnormal and non-finite
+# values.  Where np.longdouble is a plain double that margin is 0.25:
+# still exact, but half of the values fall back.
+#
+# A field is spelled into five uint32 words, "-d.d" "dddd" "dddd" "ddde"
+# "-ddd", each zero-padded; the zero bytes are dropped when the block is
+# written.
+_E12_WORDS = 5                         # 20 bytes = len("-d.dddddddddddde-ddd")
+_E12_MIN_VALUES = 256                  # smaller blocks go to `%` whole
+_E12_EXPONENTS = np.arange(-309, 310)  # decimal exponents of normal doubles, +-1
+_E12_SCALES = _e12_scales(np.longdouble)
+_E12_TIE_MARGIN = 64 * float(np.finfo(np.longdouble).eps) * 2.0**44
+_DOUBLE = np.finfo(np.float64)
+_HEADS = _words([f"{sign}{k // 10}.{k % 10}" for sign in ("", "-") for k in range(100)], 4)
+_DIGITS2 = np.array([f"{k:02d}" for k in range(100)], dtype="S2").view(np.uint16)
+_DIGITS4 = np.stack(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=-1).view(
+    np.uint32).reshape(10**4, 1)                # "%04d" % k from two "%02d" halves
+_TAILS = _words([f"{k:03d}e" for k in range(1000)], 4)
+_EXPONENTS = _words([f"{e:+03d}" for e in _E12_EXPONENTS], 4)
+_SEPARATORS = _words([",", "\r\n"], 4)[:, 0]
+
+
+def _e12_kernel(x, out):
+    """Spell ``"%.12e" % v`` for each v of the float64 array `x` into the
+    rows of the uint32 array `out`, shape (len(x), _E12_WORDS).  Returns
+    the mask of the values it left to `%`."""
+    a = np.abs(x)
+    ok = (a >= _DOUBLE.smallest_normal) & (a <= _DOUBLE.max)
+    a[~ok] = 1.0
+    ei = np.floor(np.log10(a)).astype(np.int64) - _E12_EXPONENTS[0]  # exponent index
+    scales = _E12_SCALES
+    wide = a.astype(scales.dtype)
+    s = wide * scales[ei]
+    m = s.astype(np.int64)
+    off = np.flatnonzero((m < 10**12) | (m >= 10**13))   # log10 off by one
+    ei[off] += np.where(m[off] < 10**12, -1, 1)
+    s[off] = wide[off] * scales[ei[off]]
+    m[off] = s[off].astype(np.int64)
+    frac = (s - m).astype(np.float64)
+    ok &= (m >= 10**12) & (m < 10**13) & (np.abs(frac - 0.5) > _E12_TIE_MARGIN)
+    m += frac > 0.5
+    carry = m == 10**13
+    m[carry] = 10**12
+    ei[carry] += 1
+
+    rest, tail = np.divmod(m, 1000)
+    rest, g2 = np.divmod(rest, 10**4)
+    head, g1 = np.divmod(rest, 10**4)
+    out[:, 0] = _HEADS[head + 100 * np.signbit(x), 0]
+    out[:, 1] = _DIGITS4[g1, 0]
+    out[:, 2] = _DIGITS4[g2, 0]
+    out[:, 3] = _TAILS[tail, 0]
+    out[:, 4] = _EXPONENTS[ei, 0]
+    return ~ok
+
+
+def _csv_block(block, fmts):
+    """CSV bytes of a float table: each field is spelled into a zero-padded
+    slot, then the zero bytes are dropped."""
+    rows, ncols = block.shape
+    buf = np.zeros((rows, ncols, _E12_WORDS + 1), np.uint32)  # slot, separator
+    buf[:, :, -1] = _SEPARATORS[[0] * (ncols - 1) + [1]]
+    for j, fmt in enumerate(fmts):
+        col = block[:, j]
+        todo = (
+            _e12_kernel(col.astype(np.float64), buf[:, j, :-1])
+            if fmt == "%.12e"
+            else np.ones(rows, bool)
+        )
+        idx = np.flatnonzero(todo)
+        if len(idx):
+            fields = [fmt % v for v in col[idx].tolist()]
+            buf[idx, j, :-1] = _words(fields, 4 * _E12_WORDS)
+    text = buf.view(np.uint8)
+    return text[text != 0].tobytes()
+
+
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV with CRLF line ends: ``%d`` for
-    integer columns, ``%.12e`` for the rest.  Each block of CSV_BLOCK_ROWS
-    rows is formatted by a single ``%`` call."""
+    integer columns, ``%.12e`` for the rest.  Float tables are formatted by
+    _csv_block, CSV_BLOCK_ROWS rows at a time; integer tables and blocks of
+    fewer than _E12_MIN_VALUES values by a single ``%`` call each."""
     fmts = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.12e" for c in columns]
     line = ",".join(fmts) + "\r\n"
     table = np.column_stack(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            if block.dtype.kind == "f" and block.size >= _E12_MIN_VALUES:
+                fh.write(_csv_block(block, fmts))
+            else:
+                fh.write(((line * len(block)) % tuple(block.ravel().tolist())).encode())
 
 
 # --------------------------------------------------------------------- tasks

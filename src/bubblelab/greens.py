@@ -78,21 +78,24 @@ class PerforatedDomain:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         R, z = self.ambient.radius, self.ambient.center
-        for h in self.holes:
+        for k, h in enumerate(self.holes):
             d_bdry = R - np.linalg.norm(h.center - z)
             if not d_bdry > 0:
-                raise ValueError("hole center outside the ambient ball")
+                raise ValueError(f"hole {k} touches or leaves the ambient boundary")
             if not h.radius_coeff * self.epsilon < d_bdry / 2:
                 raise ValueError(
-                    "epsilon too large: hole radius exceeds half the distance "
-                    "to the ambient boundary"
+                    f"epsilon {self.epsilon:g} too large: the radius of hole {k} "
+                    "exceeds half its distance to the ambient boundary"
                 )
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):
                 gap = np.linalg.norm(self.holes[i].center - self.holes[j].center)
                 rsum = (self.holes[i].radius_coeff + self.holes[j].radius_coeff) * self.epsilon
                 if not gap > rsum:
-                    raise ValueError(f"holes {i} and {j} overlap at eps={self.epsilon}")
+                    raise ValueError(
+                        f"holes {i} and {j} overlap at eps={self.epsilon:g}; "
+                        "holes must be disjoint"
+                    )
 
 
 def _check_interior(ball, *points):

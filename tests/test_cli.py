@@ -187,6 +187,22 @@ def _parse_with(path, value):
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 1200}]}, "scaling.pair[0]"),
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 0}]}, "scaling.pair[0]"),
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 7.5}]}, "scaling.pair[0]"),
+    (("domain", "center"), ["a", "b", "c"], "domain.center"),
+    (("domain", "center"), {"x": 1}, "domain.center"),
+    (("domain", "center"), [10**400, 0, 0, 0], "domain.center"),
+    (("domain", "center"), [float("nan"), 0, 0, 0], "domain.center"),
+    pytest.param(("domain", "radius"), 10**400, "domain.radius", id="radius-10**400"),
+    pytest.param(("domain", "holes", 0, "radius_coeff"), 10**400, "domain.holes[0]",
+                 id="radius_coeff-10**400"),
+    (("domain", "holes", 0, "center"), [10**400, 0, 0, 0], "domain.holes[0]"),
+    (("domain", "holes", 1), [0.3, 0, 0, 0], "domain.holes[1]"),
+    # inside the ball, but too close to its boundary or too large at eps = 1e-2
+    (("domain", "holes", 1), {"center": [0.995, 0, 0, 0], "radius_coeff": 1}, "domain.holes"),
+    (("domain", "holes", 0), {"center": [0, 0, 0, 0], "radius_coeff": 60}, "domain.holes"),
+    (("reduction",), {"epsilon_grid": [10**400, 1e-3]}, "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": [float("inf"), 1e-3]}, "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": float("inf"), "stop": 1e-4, "num": 8}},
+     "reduction.epsilon_grid"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
@@ -225,6 +241,48 @@ def _wide_floats(n, seed):
 
 
 _B = cli.CSV_BLOCK_ROWS
+
+
+def _decimal_ties(n, seed):
+    """Doubles nearest to 14-digit decimals ending in 5 (the %.12e rounding
+    ties) and their neighbours, and doubles that are such ties exactly:
+    integers below 2^53, and odd / 2^j where odd * 5^j has 14 digits."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(10**12, 10**13, n) * 10 + 5
+    exps = rng.integers(-300, 290, n)
+    near = np.array([float(f"{d}e{k}") for d, k in zip(digits.tolist(), exps.tolist())])
+    dyadic = [
+        odd / 2**j
+        for j in range(1, 20)
+        for odd in rng.integers(-(-10**13 // 5**j), 10**14 // 5**j, n // 20) | 1
+        if len(str(odd * 5**j)) == 14
+    ]
+    ints = (10 * rng.integers(10**12, 9 * 10**12, n) + 5) * 10 ** rng.integers(0, 3, n)
+    return np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf),
+                           dyadic, ints.astype(float)])
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-307, 309)])
+KERNEL_VALUES = {  # tiled past one block, they reach the kernel
+    "decimal_ties": _decimal_ties(4000, 11),
+    "carry": np.array([9.9999999999995e5, 9.99999999999949e5, 9.9999999999995e-5,
+                       -9.9999999999995e5, 9.9999999999995e99, 9.9999999999995e-101]),
+    "three_digit_exponents": np.random.default_rng(12).standard_normal(6000)
+    * 10.0 ** np.concatenate([np.arange(100, 300), -np.arange(100, 300)]).repeat(15),
+    "powers_of_ten": np.concatenate([_POWERS, -_POWERS, np.nextafter(_POWERS, 0),
+                                     np.nextafter(_POWERS, np.inf)]),
+    "extremes": np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          2.225073858507201e-308, 1.7976931348623157e308,
+                          -1.7976931348623157e308, np.nan, np.inf, -np.inf]),
+}
+
+
+def _tiled(values, ncols):
+    """`values` repeated into ncols columns of more than one block."""
+    rows = max(_B + 500, -(-values.size // ncols))
+    return [f"c{j}" for j in range(ncols)], list(np.resize(values, (ncols, rows)))
+
+
 CSV_CASES = {
     "header_only": (["radius", "value"], [np.array([]), np.array([])]),
     "one_row": (["radius", "value"], [np.array([0.5]), np.array([-2.25])]),
@@ -242,15 +300,75 @@ CSV_CASES = {
                        [np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]),
                         np.array([1.7976931348623157e308, -1e-300, 0.0, 1.0, -np.inf,
                                   np.nan])]),
+    **{f"{name}_{ncols}col": _tiled(values, ncols)
+       for name, values in KERNEL_VALUES.items() for ncols in (1, 2, 3)},
 }
+
+
+def _assert_same_bytes(tmp_path, header, columns):
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    _csv_writer_oracle(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_write_csv_matches_csv_writer_bytes(tmp_path, case):
-    header, columns = CSV_CASES[case]
-    cli._write_csv(tmp_path / "new.csv", header, columns)
-    _csv_writer_oracle(tmp_path / "old.csv", header, columns)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _assert_same_bytes(tmp_path, *CSV_CASES[case])
+
+
+def test_write_csv_exact_with_double_precision_scales(tmp_path, monkeypatch):
+    # where np.longdouble is a plain double, the kernel uses float64 scales
+    # and a 0.25 margin: half the values go to `%`, the bytes stay the same
+    eps = float(np.finfo(np.float64).eps)
+    monkeypatch.setattr(cli, "_E12_SCALES", cli._e12_scales(np.float64))
+    monkeypatch.setattr(cli, "_E12_TIE_MARGIN", 64 * eps * 2.0**44)
+    values = np.concatenate([*KERNEL_VALUES.values(), _wide_floats(20_000, 14)])
+    _assert_same_bytes(tmp_path, ["x", "y"], list(np.resize(values, (2, values.size // 2))))
+
+
+def _bit_pattern_floats():
+    st = pytest.importorskip("hypothesis").strategies
+    return st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+
+
+def test_write_csv_kernel_property(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    block = cli.CSV_BLOCK_ROWS
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        pool=st.lists(st.floats(width=64) | _bit_pattern_floats(), min_size=1, max_size=50),
+        ncols=st.integers(1, 3),
+        rows=st.sampled_from([1, 85, 86, 127, 128, 129, 256, block - 1, block, block + 1,
+                              block + 85, block + 86, block + 128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(pool, ncols, rows, seed):
+        values = np.random.default_rng(seed).choice(np.array(pool), rows * ncols)
+        tmp_path = tmp_path_factory.mktemp("csv")
+        _assert_same_bytes(tmp_path, ["a", "b", "c"][:ncols], list(values.reshape(ncols, -1)))
+
+    check()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is a plain double: half the values go to `%`")
+@pytest.mark.parametrize("case", ["solution_profile", "powers_of_ten"])
+def test_kernel_formats_the_values_itself(case):
+    # the `%` fallback keeps the bytes right whatever the tie margin or the
+    # exponent fix-up do, so only this share shows that the kernel does the
+    # work: at least 99.9% of a 20k-node profile, and of the powers of ten,
+    # half of which need the fix-up of log10's exponent
+    if case == "solution_profile":
+        res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=20_000)
+        values = np.concatenate([res.grid.nodes, res.grid.values])
+    else:
+        values = KERNEL_VALUES[case]
+    out = np.zeros((len(values), cli._E12_WORDS), np.uint32)
+    left = cli._e12_kernel(values, out)
+    assert left.mean() <= 1e-3, int(left.sum())
 
 
 # ----------------------------------------------------------------- pipeline

@@ -1,6 +1,7 @@
 """Property test: whatever JSON value sits in the reduction, its n_nodes,
-the coupling decomposition or the scaling field, `parse_config` returns a
-config or diagnostics and never raises."""
+the coupling decomposition, the scaling field, the domain, its center or
+its holes, `parse_config` returns a config or diagnostics and never
+raises."""
 
 import pytest
 
@@ -11,7 +12,8 @@ st = hypothesis.strategies
 
 # keys the parser looks up, so generated objects reach the nested checks
 KEYS = ("single", "weighted", "pair", "q", "q1", "q2", "nu1", "nu2", "n",
-        "separation", "eta", "epsilon_grid", "n_nodes", "start", "stop", "num")
+        "separation", "eta", "epsilon_grid", "n_nodes", "start", "stop", "num",
+        "center", "radius_coeff", "holes", "radius")
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -24,7 +26,8 @@ JSON_VALUES = st.recursive(
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
     path=st.sampled_from([("reduction",), ("reduction", "n_nodes"),
-                          ("coupling", "decomposition"), ("scaling",)]),
+                          ("coupling", "decomposition"), ("scaling",), ("domain",),
+                          ("domain", "center"), ("domain", "holes")]),
     value=JSON_VALUES,
 )
 def test_parse_config_never_raises(path, value):
