@@ -46,6 +46,7 @@ from .energy import (
     ReducedPoint,
     critical_point,
     energy_expansion,
+    gradient_check,
     psi_grad,
     psi_value,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "dims_for",
     "energy_expansion",
     "energy_of_solution",
+    "gradient_check",
     "HoleSpec",
     "kernel_regular_part",
     "kernel_robin",

@@ -9,6 +9,7 @@ exit status: 0 all tasks pass, 1 error, 2 degenerate or inconclusive.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from .coupling import (
     solve_c_vector,
     system_residual,
 )
-from .energy import ReducedEnergyModel, ReducedPoint, critical_point, psi_grad, psi_value
+from .energy import ReducedEnergyModel, ReducedPoint, critical_point, gradient_check, psi_value
 from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
 from .solver import rate_sweep
 
@@ -199,13 +200,17 @@ def _parse_epsilon_grid(raw, diags):
     return grid
 
 
+def _is_number(value):
+    """A JSON number: int or float, not bool (nor a numeric string)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _point(raw, N):
     """`raw` as an array of N finite coordinates, or None."""
-    try:
-        point = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return point if point.shape == (N,) and np.isfinite(point).all() else None
+    valid = isinstance(raw, (list, tuple)) and len(raw) == N and all(
+        _is_number(v) and abs(v) <= sys.float_info.max for v in raw
+    )
+    return np.array(raw, dtype=float) if valid else None
 
 
 def parse_config(data):
@@ -278,7 +283,7 @@ def parse_config(data):
         _err(diags, "domain", "missing domain object (radius, holes)")
     else:
         radius = domain.get("radius")
-        if not isinstance(radius, (int, float)) or not 0 < radius <= sys.float_info.max:
+        if not _is_number(radius) or not 0 < radius <= sys.float_info.max:
             _err(diags, "domain.radius", "radius must be a positive finite number")
         else:
             center = _point(domain.get("center", [0.0] * N), N)
@@ -300,9 +305,12 @@ def parse_config(data):
                 if c is None:
                     _err(diags, where, f"hole center must be {N} finite coordinates")
                     continue
+                coeff = hole.get("radius_coeff", 1.0)
                 try:
-                    holes.append(HoleSpec(c, float(hole.get("radius_coeff", 1.0))))
-                except (TypeError, ValueError, OverflowError) as exc:
+                    if not _is_number(coeff):
+                        raise ValueError("radius_coeff must be a number")
+                    holes.append(HoleSpec(c, float(coeff)))
+                except (ValueError, OverflowError) as exc:
                     _err(diags, where, f"malformed hole: {exc}")
             if len(holes) == len(raw_holes):
                 centers = np.array([h.center for h in holes])
@@ -321,7 +329,9 @@ def parse_config(data):
         eta = 1e-3
     grid = _parse_epsilon_grid(reduction.get("epsilon_grid"), diags)
     n_nodes = reduction.get("n_nodes", 2000)
-    if not isinstance(n_nodes, int) or not 100 <= n_nodes <= MAX_NODES:
+    if _is_number(n_nodes) and 100 <= n_nodes <= MAX_NODES and n_nodes == int(n_nodes):
+        n_nodes = int(n_nodes)
+    else:
         _err(diags, "reduction.n_nodes", f"n_nodes must be an integer in [100, {MAX_NODES}]")
 
     if ball is not None and centers is not None and grid is not None:
@@ -417,7 +427,7 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -509,14 +519,13 @@ def _e12_kernel(x, out):
     return ~ok
 
 
-def _csv_block(block, fmts):
-    """CSV bytes of a float table: each field is spelled into a zero-padded
-    slot, then the zero bytes are dropped."""
-    rows, ncols = block.shape
-    buf = np.zeros((rows, ncols, _E12_WORDS + 1), np.uint32)  # slot, separator
-    buf[:, :, -1] = _SEPARATORS[[0] * (ncols - 1) + [1]]
-    for j, fmt in enumerate(fmts):
-        col = block[:, j]
+def _csv_block(columns, fmts):
+    """CSV bytes of equal-length columns: each field is spelled into a
+    zero-padded slot, then the zero bytes are dropped."""
+    rows = len(columns[0])
+    buf = np.zeros((rows, len(columns), _E12_WORDS + 1), np.uint32)  # slot, separator
+    buf[:, :, -1] = _SEPARATORS[[0] * (len(columns) - 1) + [1]]
+    for j, (col, fmt) in enumerate(zip(columns, fmts)):
         todo = (
             _e12_kernel(col.astype(np.float64), buf[:, j, :-1])
             if fmt == "%.12e"
@@ -532,20 +541,22 @@ def _csv_block(block, fmts):
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV with CRLF line ends: ``%d`` for
-    integer columns, ``%.12e`` for the rest.  Float tables are formatted by
-    _csv_block, CSV_BLOCK_ROWS rows at a time; integer tables and blocks of
-    fewer than _E12_MIN_VALUES values by a single ``%`` call each."""
-    fmts = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.12e" for c in columns]
+    integer columns, ``%.12e`` for the rest, each formatted from its own
+    values.  Tables with a float column are formatted by _csv_block,
+    CSV_BLOCK_ROWS rows at a time; integer tables and blocks of fewer than
+    _E12_MIN_VALUES values by a single ``%`` call each."""
+    columns = [np.asarray(c) for c in columns]
+    fmts = ["%d" if c.dtype.kind in "iu" else "%.12e" for c in columns]
     line = ",".join(fmts) + "\r\n"
-    table = np.column_stack(columns)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            if block.dtype.kind == "f" and block.size >= _E12_MIN_VALUES:
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            if "%.12e" in fmts and len(block[0]) * len(block) >= _E12_MIN_VALUES:
                 fh.write(_csv_block(block, fmts))
             else:
-                fh.write(((line * len(block)) % tuple(block.ravel().tolist())).encode())
+                values = [v for row in zip(*(c.tolist() for c in block)) for v in row]
+                fh.write(((line * len(block[0])) % tuple(values)).encode())
 
 
 # --------------------------------------------------------------------- tasks
@@ -586,31 +597,6 @@ def _task_c_vector(cfg, ctx, rng, out):
 _VERDICT_RANK = {"pass": 0, "inconclusive": 1, "degenerate": 2, "error": 3}
 
 
-def _spectrum_message(report):
-    lam = np.sort(report.lambdas)[::-1]
-    if report.verdict == "nondegenerate":
-        return "nondegenerate"
-    # lambda_1 is the structural eigenvalue 3; the rest are numbered after
-    # it in descending order
-    near3 = np.abs(lam - 3.0) <= 1e-8
-    if np.any(near3):
-        first = int(np.argmax(near3))
-        others = np.delete(lam, first)
-    else:
-        others = lam
-    for k, v in enumerate(others):
-        if report.verdict == "degenerate" and (
-            abs(v - 1.0) <= 1e-8 or abs(v - 3.0) <= 1e-8
-        ):
-            return f"degenerate: lambda_{k + 2} = {v:.6g}"
-        if report.verdict == "inconclusive" and (v > 3.0 + 1e-8 or v < -1.0 - 1e-8):
-            return (
-                f"inconclusive: lambda_{k + 2} = {v:.6g} outside the certified "
-                "ladder range"
-            )
-    return report.verdict
-
-
 def _task_spectrum(cfg, ctx, rng, out):
     spec = cfg.coupling
     groups = []
@@ -618,7 +604,6 @@ def _task_spectrum(cfg, ctx, rng, out):
     messages = []
     for h, cv in enumerate(ctx["cvecs"]):
         report = build_spectrum(spec, cv)
-        msg = _spectrum_message(report)
         groups.append(
             {
                 "group": h,
@@ -626,14 +611,14 @@ def _task_spectrum(cfg, ctx, rng, out):
                 "thetas": report.thetas,
                 "det_identity_gap": report.det_identity_gap,
                 "verdict": report.verdict,
-                "message": msg,
+                "message": report.reason,
             }
         )
         task_verdict = "pass" if report.verdict == "nondegenerate" else report.verdict
         if _VERDICT_RANK[task_verdict] > _VERDICT_RANK[worst]:
             worst = task_verdict
         if task_verdict != "pass":
-            messages.append(f"group {h}: {msg}")
+            messages.append(f"group {h}: {report.reason}")
     message = "; ".join(messages) if messages else "all groups nondegenerate"
     return worst, message, {
         "groups": _num(groups, "coupling", "build_spectrum"),
@@ -641,7 +626,6 @@ def _task_spectrum(cfg, ctx, rng, out):
 
 
 def _task_reduced_energy(cfg, ctx, rng, out):
-    spec = cfg.coupling
     weights = np.array([float(np.sum(cv.c**2)) for cv in ctx["cvecs"]])
     robin = np.array(
         [kernel_robin(cfg.ball, a) for a in cfg.hole_centers]
@@ -655,27 +639,7 @@ def _task_reduced_energy(cfg, ctx, rng, out):
     # random interior point of the box
     d_probe = np.exp(rng.uniform(-0.5, 0.5, model.n_peaks))
     tau_probe = rng.uniform(-0.2, 0.2, (model.n_peaks, cfg.dims.N))
-    pt = ReducedPoint(d=d_probe, tau=tau_probe, eta=cfg.eta)
-    analytic = psi_grad(model, pt)
-    step = 1e-6
-    fd = np.zeros_like(analytic)
-    for k in range(model.n_peaks):
-        for sgn in (+1, -1):
-            d_shift = d_probe.copy()
-            d_shift[k] += sgn * step
-            fd[k] += sgn * psi_value(
-                model, ReducedPoint(d=d_shift, tau=tau_probe, eta=cfg.eta)
-            )
-    for k in range(model.n_peaks):
-        for hcoord in range(cfg.dims.N):
-            for sgn in (+1, -1):
-                t_shift = tau_probe.copy()
-                t_shift[k, hcoord] += sgn * step
-                fd[model.n_peaks + k * cfg.dims.N + hcoord] += sgn * psi_value(
-                    model, ReducedPoint(d=d_probe, tau=t_shift, eta=cfg.eta)
-                )
-    fd /= 2 * step
-    gap = float(np.max(np.abs(fd - analytic)) / (1.0 + np.max(np.abs(analytic))))
+    gap = gradient_check(model, ReducedPoint(d=d_probe, tau=tau_probe, eta=cfg.eta))
     verdict = "pass" if gap < 1e-5 else "inconclusive"
     message = f"analytic vs finite-difference gradient gap {gap:.3e}"
     return verdict, message, {
@@ -851,6 +815,17 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 # ----------------------------------------------------------------------- run
 
 
+# task -> module and operation it is reported under, and its runner
+_TASKS = {
+    "c-vector": ("coupling", "solve_c_vector", _task_c_vector),
+    "spectrum": ("coupling", "build_spectrum", _task_spectrum),
+    "reduced-energy": ("energy", "ReducedEnergyModel", _task_reduced_energy),
+    "critical-point": ("energy", "critical_point", _task_critical_point),
+    "scaling-checks": ("asymptotics", "scaling_law fits", _task_scaling),
+    "radial-sweep": ("solver", "rate_sweep", _task_radial_sweep),
+}
+
+
 def run(config, out_dir, seed=0):
     """Execute the configured tasks; returns (exit_code, summary dict).
 
@@ -864,36 +839,18 @@ def run(config, out_dir, seed=0):
     for task in TASK_ORDER:
         if task not in config.tasks:
             continue
-        meta = {
-            "c-vector": ("coupling", "solve_c_vector"),
-            "spectrum": ("coupling", "build_spectrum"),
-            "reduced-energy": ("energy", "ReducedEnergyModel"),
-            "critical-point": ("energy", "critical_point"),
-            "scaling-checks": ("asymptotics", "scaling_law fits"),
-            "radial-sweep": ("solver", "rate_sweep"),
-        }[task]
+        module, operation, runner = _TASKS[task]
         t0 = time.perf_counter()
         try:
-            if task == "c-vector":
-                verdict, message, outputs = _task_c_vector(config, ctx, rng, out)
-            elif task == "spectrum":
-                verdict, message, outputs = _task_spectrum(config, ctx, rng, out)
-            elif task == "reduced-energy":
-                verdict, message, outputs = _task_reduced_energy(config, ctx, rng, out)
-            elif task == "critical-point":
-                verdict, message, outputs = _task_critical_point(config, ctx, rng, out)
-            elif task == "scaling-checks":
-                verdict, message, outputs = _task_scaling(config, ctx, rng, out)
-            else:
-                verdict, message, outputs = _task_radial_sweep(config, ctx, rng, out)
+            verdict, message, outputs = runner(config, ctx, rng, out)
         except Exception as exc:   # numerical failures keep task attribution
             verdict, message, outputs = "error", f"{type(exc).__name__}: {exc}", {}
         elapsed = time.perf_counter() - t0
         entries.append(
             {
                 "task": task,
-                "module": meta[0],
-                "operation": meta[1],
+                "module": module,
+                "operation": operation,
                 "inputs": _task_inputs(config, task),
                 "outputs": outputs,
                 "verdict": verdict,

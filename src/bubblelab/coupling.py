@@ -208,22 +208,32 @@ class SpectrumReport:
     lambdas: np.ndarray         # 1 + 2*thetas
     principal_eigvec: np.ndarray
     verdict: str
+    reason: str                 # the verdict and the eigenvalue that decided it
     m2_closed_form: tuple | None = None
     det_identity_gap: float = 0.0   # |det C - prod(c^2) det(beta)| / scale
 
 
 def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
+    """(verdict, reason).  The reason names the first eigenvalue that meets
+    the verdict's condition, in descending order after the structural 3,
+    numbered from lambda_2."""
     lam = np.sort(np.asarray(lambdas))[::-1]
     near3 = np.abs(lam - 3.0) <= tol
-    if not np.any(near3):
-        return "inconclusive"  # the structural eigenvalue 3 is missing: outside theory
     others = lam[~_first_true_mask(near3)]
-    if np.any(np.abs(others - 3.0) <= tol) or np.any(np.abs(others - 1.0) <= tol):
-        return "degenerate"
-    if np.any(others >= 3.0 + tol) or np.any(others <= -1.0 - tol):
-        # would need ladder entries beyond (1, 3), which are not computed
-        return "inconclusive"
-    return "nondegenerate"
+    on_ladder = (np.abs(others - 3.0) <= tol) | (np.abs(others - 1.0) <= tol)
+    if np.any(near3) and np.any(on_ladder):
+        verdict, hits, note = "degenerate", on_ladder, ""
+    elif not np.any(near3) or np.any(others >= 3.0 + tol) or np.any(others <= -1.0 - tol):
+        # the structural eigenvalue 3 is missing (outside theory), or the
+        # verdict would need ladder entries beyond (1, 3), which are not computed
+        verdict, note = "inconclusive", " outside the certified ladder range"
+        hits = (others > 3.0 + tol) | (others < -1.0 - tol)
+    else:
+        return "nondegenerate", "nondegenerate"
+    if not np.any(hits):
+        return verdict, verdict
+    k = int(np.argmax(hits))
+    return verdict, f"{verdict}: lambda_{k + 2} = {others[k]:.6g}{note}"
 
 
 def _first_true_mask(mask):
@@ -288,13 +298,15 @@ def build_spectrum(spec, cvec):
         disc = np.sqrt((a11 - a22) ** 2 + 4 * a12**2)
         closed = ((a11 + a22 + disc) / 2, (a11 + a22 - disc) / 2)
 
+    verdict, reason = _verdict_from_lambdas(lambdas)
     return SpectrumReport(
         matC=matC,
         matM=matM,
         thetas=thetas,
         lambdas=lambdas,
         principal_eigvec=vec,
-        verdict=_verdict_from_lambdas(lambdas),
+        verdict=verdict,
+        reason=reason,
         m2_closed_form=closed,
         det_identity_gap=det_gap / scale,
     )
@@ -302,4 +314,4 @@ def build_spectrum(spec, cvec):
 
 def nondegeneracy_check(report):
     """Re-derive the verdict from a report's eigenvalues (pure function)."""
-    return _verdict_from_lambdas(report.lambdas)
+    return _verdict_from_lambdas(report.lambdas)[0]

@@ -112,7 +112,8 @@ class ReducedEnergyModel:
 
 @dataclass(frozen=True)
 class ReducedPoint:
-    """Rates d_i and offsets tau_i, constrained to the box X_eta."""
+    """Rates d_i and offsets tau_i, constrained to the box X_eta.  d of shape
+    (..., m) and tau of shape (..., m, N) hold a stack of points."""
 
     d: np.ndarray
     tau: np.ndarray
@@ -148,11 +149,16 @@ def _hole_terms(model, pt):
     return model.hole_coeff() / (pt.d * q) ** (model.dims.N - 2), q
 
 
-def psi_value(model, pt):
-    """Psi(d, tau)."""
+def _psi(model, pt):
+    """Psi at pt, or at each point of a stack: d (..., m), tau (..., m, N)."""
     _check_box(pt)
     hole, _ = _hole_terms(model, pt)
-    return float(np.sum(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole))
+    return np.sum(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole, axis=-1)
+
+
+def psi_value(model, pt):
+    """Psi(d, tau)."""
+    return float(_psi(model, pt))
 
 
 def psi_grad(model, pt):
@@ -165,6 +171,26 @@ def psi_grad(model, pt):
     # vanishes identically at tau = 0 (radial maximum)
     gt = -2 * k * (hole / q)[:, None] * pt.tau
     return np.concatenate([gd, gt.ravel()])
+
+
+def _fd_grad(model, pt, step):
+    """Central differences of Psi in the flat layout of psi_grad.  The 2n
+    shifted points, n = m (N + 1), go through one batched Psi evaluation."""
+    m, N = pt.tau.shape
+    n = m * (N + 1)
+    shifts = np.concatenate([step * np.eye(n), -step * np.eye(n)])
+    d = pt.d + shifts[:, :m]
+    tau = pt.tau + shifts[:, m:].reshape(2 * n, m, N)
+    v = _psi(model, ReducedPoint(d=d, tau=tau, eta=pt.eta))
+    return (v[:n] - v[n:]) / (2 * step)
+
+
+def gradient_check(model, pt, step=1e-6):
+    """Gap max|fd - grad| / (1 + max|grad|) between the analytic gradient
+    and central differences of Psi with the given step, at pt."""
+    analytic = psi_grad(model, pt)
+    gap = np.max(np.abs(_fd_grad(model, pt, step) - analytic))
+    return float(gap / (1.0 + np.max(np.abs(analytic))))
 
 
 def psi_hessian_at_flat(model, d):

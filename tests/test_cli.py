@@ -203,6 +203,21 @@ def _parse_with(path, value):
     (("reduction",), {"epsilon_grid": [float("inf"), 1e-3]}, "reduction.epsilon_grid"),
     (("reduction",), {"epsilon_grid": {"start": float("inf"), "stop": 1e-4, "num": 8}},
      "reduction.epsilon_grid"),
+    # booleans and numeric strings are not numbers
+    (("domain", "radius"), True, "domain.radius"),
+    (("domain", "radius"), "2", "domain.radius"),
+    (("domain", "center"), ["0", "0", "0", "0"], "domain.center"),
+    (("domain", "center"), [True, 0, 0, 0], "domain.center"),
+    (("domain", "holes", 0, "center"), ["0.3", 0, 0, 0], "domain.holes[0]"),
+    (("domain", "holes", 0, "center"), [0.3, False, 0, 0], "domain.holes[0]"),
+    (("domain", "holes", 0, "radius_coeff"), "2", "domain.holes[0]"),
+    (("domain", "holes", 0, "radius_coeff"), True, "domain.holes[0]"),
+    (("domain", "holes", 0, "radius_coeff"), None, "domain.holes[0]"),
+    (("reduction",), {"n_nodes": 2000.5}, "reduction.n_nodes"),
+    (("reduction",), {"n_nodes": True}, "reduction.n_nodes"),
+    (("reduction",), {"n_nodes": "2000"}, "reduction.n_nodes"),
+    (("reduction",), {"n_nodes": float("nan")}, "reduction.n_nodes"),
+    (("reduction",), {"n_nodes": 10**400}, "reduction.n_nodes"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
@@ -213,10 +228,20 @@ def test_parse_reports_malformed_field(path, value, field_name):
 @pytest.mark.parametrize("path, value", [
     (("reduction",), {"n_nodes": cli.MAX_NODES}),
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": 4}, {"q1": 1, "q2": 1, "n": 27}]}),
+    (("reduction",), {"n_nodes": 2000.0}),
+    (("reduction",), {"n_nodes": float(cli.MAX_NODES)}),
+    (("domain", "radius"), 2),
+    (("domain", "center"), [0, 0, 0, 0]),
+    (("domain", "holes", 0, "radius_coeff"), 2),
 ])
 def test_parse_accepts_limits(path, value):
     config, diags = _parse_with(path, value)
     assert config is not None, diags
+
+
+def test_parse_stores_integral_float_n_nodes_as_int():
+    config, _ = _parse_with(("reduction",), {"n_nodes": 2000.0})
+    assert type(config.n_nodes) is int and config.n_nodes == 2000
 
 
 # ----------------------------------------------------------------- csv writer
@@ -300,6 +325,13 @@ CSV_CASES = {
                        [np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]),
                         np.array([1.7976931348623157e308, -1e-300, 0.0, 1.0, -np.inf,
                                   np.nan])]),
+    # integers above 2^53 next to a float column, below and above the
+    # _E12_MIN_VALUES cutoff
+    "big_ints_small_table": (["x", "n"], [np.array([0.5, -1.5]),
+                                          np.array([2**53 + 1, 2**63 - 1])]),
+    "big_ints_one_block": (["x", "n", "y"],
+                           [_wide_floats(300, 8), 2**53 + 1 + np.arange(300) * 3,
+                            _wide_floats(300, 9)]),
     **{f"{name}_{ncols}col": _tiled(values, ncols)
        for name, values in KERNEL_VALUES.items() for ncols in (1, 2, 3)},
 }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bubblelab.coupling import (
+    DEGENERACY_TOL,
     CouplingSpec,
     CVector,
     NoPositiveSolution,
@@ -11,6 +12,7 @@ from bubblelab.coupling import (
     nondegeneracy_check,
     solve_c_vector,
     system_residual,
+    _verdict_from_lambdas,
 )
 
 RNG = np.random.default_rng(4242)
@@ -161,6 +163,71 @@ def test_degenerate_boundary_lambda2_equals_1():
     rep = build_spectrum(spec, cv)
     assert np.min(np.abs(rep.lambdas - 1.0)) < 1e-10
     assert rep.verdict == "degenerate"
+
+
+def spectrum_message(verdict, lambdas):
+    """The CLI's former message for a spectrum verdict, worked out again
+    from the eigenvalues: the first one, in descending order after the
+    structural 3, that meets the verdict's condition."""
+    lam = np.sort(lambdas)[::-1]
+    if verdict == "nondegenerate":
+        return "nondegenerate"
+    near3 = np.abs(lam - 3.0) <= 1e-8
+    if np.any(near3):
+        first = int(np.argmax(near3))
+        others = np.delete(lam, first)
+    else:
+        others = lam
+    for k, v in enumerate(others):
+        if verdict == "degenerate" and (abs(v - 1.0) <= 1e-8 or abs(v - 3.0) <= 1e-8):
+            return f"degenerate: lambda_{k + 2} = {v:.6g}"
+        if verdict == "inconclusive" and (v > 3.0 + 1e-8 or v < -1.0 - 1e-8):
+            return (
+                f"inconclusive: lambda_{k + 2} = {v:.6g} outside the certified "
+                "ladder range"
+            )
+    return verdict
+
+
+@pytest.mark.parametrize("lambdas", [
+    [3.0, 0.5, -0.5],                  # nondegenerate
+    [3.0, 3.0, 0.2],                   # second 3: degenerate
+    [3.0 + 5e-9, 1.0 - 5e-9, 0.1],     # ladder hits within the tolerance
+    [4.0, 3.0, 1.0],                   # degenerate wins over beyond-ladder
+    [5.0, 3.0, 0.0],                   # inconclusive: above the ladder
+    [3.0, -2.0, -1.5],                 # inconclusive: below -1
+    [2.5, 0.5],                        # structural 3 missing
+    [4.0, 2.5, -3.0],                  # 3 missing, named outside values
+    [3.0 + DEGENERACY_TOL, 3.0, 0.0],  # 3 + tol still counts as a second 3
+    [3.0, -1.0 - DEGENERACY_TOL, 0.5],  # exactly -1 - tol: verdict without a named value
+    [3.0, 1.0 + 2e-8, 1.0 - 2e-8],     # just off the ladder
+])
+def test_spectrum_reason_matches_former_message(lambdas):
+    verdict, reason = _verdict_from_lambdas(np.array(lambdas))
+    assert reason == spectrum_message(verdict, np.array(lambdas))
+
+
+def test_random_spectrum_reasons_match_former_message():
+    verdicts = set()
+    for _ in range(2000):
+        k = int(RNG.integers(1, 6))
+        lam = np.concatenate([[3.0], RNG.choice([-1.0, 1.0, 3.0], k) + RNG.choice(
+            [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.7, -0.7, 3.0], k)])
+        if RNG.random() < 0.2:
+            lam = lam[1:] if k > 1 else lam + 0.1
+        verdict, reason = _verdict_from_lambdas(RNG.permutation(lam))
+        assert reason == spectrum_message(verdict, lam)
+        verdicts.add(verdict)
+    assert verdicts == {"nondegenerate", "degenerate", "inconclusive"}
+
+
+def test_spectrum_report_carries_reason():
+    for beta12, verdict in ((3.0, "nondegenerate"), (1.0, "degenerate"), (-0.5, "inconclusive")):
+        spec = two_component_spec(1.0, 2.0, beta12)
+        rep = build_spectrum(spec, solve_c_vector(spec, 0))
+        assert rep.verdict == verdict
+        assert rep.reason == spectrum_message(rep.verdict, rep.lambdas)
+        assert rep.reason.startswith(verdict)
 
 
 def test_perron_frobenius_on_random_positive_blocks():

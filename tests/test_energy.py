@@ -18,10 +18,12 @@ from bubblelab.energy import (
     critical_point,
     energy_expansion,
     gamma_kernel,
+    gradient_check,
     psi_grad,
     psi_hessian_at_flat,
     psi_value,
     sigma_constant,
+    _fd_grad,
 )
 
 RNG = np.random.default_rng(1234)
@@ -378,6 +380,108 @@ def test_psi_matches_loop_over_quadrature_kernel():
             value, grad = psi_loop(m, pt)
             assert psi_value(m, pt) == pytest.approx(value, rel=1e-12, abs=0)
             np.testing.assert_allclose(psi_grad(m, pt), grad, rtol=1e-11, atol=0)
+
+
+def psi_formula(model, pt):
+    """Psi of one point as psi_value computed it before the batched kernel."""
+    if not pt.in_box():
+        raise ValueError("point outside the box X_eta")
+    q = 1.0 + np.sum(pt.tau**2, axis=-1)
+    hole = model.hole_coeff() / (pt.d * q) ** (model.dims.N - 2)
+    return float(np.sum(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole))
+
+
+def fd_loop(model, pt, step=1e-6):
+    """(central differences, gap) by the reduced-energy task's former loops:
+    one psi_formula call per shifted point."""
+    m, N = pt.tau.shape
+    analytic = psi_grad(model, pt)
+    fd = np.zeros_like(analytic)
+    for k in range(m):
+        for sgn in (+1, -1):
+            d_shift = pt.d.copy()
+            d_shift[k] += sgn * step
+            fd[k] += sgn * psi_formula(model, ReducedPoint(d=d_shift, tau=pt.tau, eta=pt.eta))
+    for k in range(m):
+        for h in range(N):
+            for sgn in (+1, -1):
+                t_shift = pt.tau.copy()
+                t_shift[k, h] += sgn * step
+                fd[m + k * N + h] += sgn * psi_formula(
+                    model, ReducedPoint(d=pt.d, tau=t_shift, eta=pt.eta)
+                )
+    fd /= 2 * step
+    gap = float(np.max(np.abs(fd - analytic)) / (1.0 + np.max(np.abs(analytic))))
+    return fd, gap
+
+
+def random_model_and_probe(dims, m, rng):
+    """A model with m peaks and a probe drawn as the reduced-energy task draws it."""
+    model = ReducedEnergyModel(
+        dims=dims,
+        weights=rng.uniform(0.2, 3.0, m),
+        robin=rng.uniform(0.3, 5.0, m),
+        hole_r=rng.uniform(0.5, 2.0, m),
+    )
+    d = np.exp(rng.uniform(-0.5, 0.5, m))
+    tau = rng.uniform(-0.2, 0.2, (m, dims.N))
+    return model, ReducedPoint(d=d, tau=tau)
+
+
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4], ids=["N3", "N4"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_batched_fd_gradient_matches_loop_bitwise(dims, m):
+    rng = np.random.default_rng(100 * dims.N + m)
+    for _ in range(5):
+        model, pt = random_model_and_probe(dims, m, rng)
+        fd, gap = fd_loop(model, pt)
+        assert np.array_equal(_fd_grad(model, pt, 1e-6), fd)
+        assert gradient_check(model, pt) == gap
+        assert gap < 1e-5
+
+
+def test_gradient_check_step_and_scale():
+    model, pt = random_model_and_probe(DIMS4, 3, np.random.default_rng(5))
+    for step in (1e-4, 1e-5, 1e-7):
+        fd, gap = fd_loop(model, pt, step)
+        assert np.array_equal(_fd_grad(model, pt, step), fd)
+        assert gradient_check(model, pt, step=step) == gap
+    # a coarse step leaves an O(step^2) gap
+    assert gradient_check(model, pt, step=1e-2) > 1e3 * gradient_check(model, pt)
+
+
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4], ids=["N3", "N4"])
+def test_psi_value_bitwise_unchanged(dims):
+    rng = np.random.default_rng(dims.N)
+    for m in range(1, 9):
+        for _ in range(20):
+            model, _ = random_model_and_probe(dims, m, rng)
+            pt = ReducedPoint(
+                d=rng.uniform(0.01, 50.0, m), tau=rng.normal(size=(m, dims.N)) * rng.uniform(0, 5)
+            )
+            value = psi_value(model, pt)
+            assert type(value) is float
+            assert value == psi_formula(model, pt)
+
+
+@pytest.mark.parametrize("shift", ["d_below", "d_above", "tau_norm"])
+def test_gradient_check_rejects_shift_outside_box(shift):
+    eta, step = 1e-3, 1e-6
+    model, pt = random_model_and_probe(DIMS4, 2, np.random.default_rng(9))
+    d, tau = pt.d.copy(), pt.tau.copy()
+    if shift == "d_below":
+        d[1] = eta + step / 2
+    elif shift == "d_above":
+        d[0] = 1 / eta - step / 2
+    else:
+        tau[1] = [1 / eta - step / 2, 0.0, 0.0, 0.0]
+    probe = ReducedPoint(d=d, tau=tau, eta=eta)
+    assert probe.in_box()
+    psi_grad(model, probe)  # the probe itself is in the box
+    with pytest.raises(ValueError, match="^point outside the box X_eta$"):
+        fd_loop(model, probe)
+    with pytest.raises(ValueError, match="^point outside the box X_eta$"):
+        gradient_check(model, probe)
 
 
 def test_tau_gradient_vanishes_on_axis():
