@@ -46,7 +46,6 @@ from .energy import (
     ReducedPoint,
     critical_point,
     energy_expansion,
-    gradient_check,
     psi_grad,
     psi_value,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "dims_for",
     "energy_expansion",
     "energy_of_solution",
-    "gradient_check",
     "HoleSpec",
     "kernel_regular_part",
     "kernel_robin",

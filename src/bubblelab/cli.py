@@ -42,14 +42,6 @@ from .solver import rate_sweep
 CONFIG_SCHEMA = "bubblelab-config/1"
 SUMMARY_SCHEMA = "bubblelab-summary/2"
 
-TASK_ORDER = (
-    "c-vector",
-    "spectrum",
-    "reduced-energy",
-    "critical-point",
-    "scaling-checks",
-    "radial-sweep",
-)
 _PREREQUISITES = {
     "spectrum": "c-vector",
     "reduced-energy": "c-vector",
@@ -815,7 +807,8 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 # ----------------------------------------------------------------------- run
 
 
-# task -> module and operation it is reported under, and its runner
+# task -> module and operation it is reported under, and its runner; tasks
+# run in this order
 _TASKS = {
     "c-vector": ("coupling", "solve_c_vector", _task_c_vector),
     "spectrum": ("coupling", "build_spectrum", _task_spectrum),
@@ -824,6 +817,7 @@ _TASKS = {
     "scaling-checks": ("asymptotics", "scaling_law fits", _task_scaling),
     "radial-sweep": ("solver", "rate_sweep", _task_radial_sweep),
 }
+TASK_ORDER = tuple(_TASKS)
 
 
 def run(config, out_dir, seed=0):

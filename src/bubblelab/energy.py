@@ -173,23 +173,33 @@ def psi_grad(model, pt):
     return np.concatenate([gd, gt.ravel()])
 
 
+GRAD_CHECK_STEP = 1e-6   # central-difference step of gradient_check
+_FD_CHUNK = 1 << 18      # floats of tau per batched Psi call in _fd_grad
+
+
 def _fd_grad(model, pt, step):
     """Central differences of Psi in the flat layout of psi_grad.  The 2n
-    shifted points, n = m (N + 1), go through one batched Psi evaluation."""
+    shifted points, n = m (N + 1), are pt plus the rows of [step I; -step I],
+    evaluated in batches of about _FD_CHUNK floats of tau each: O(n) memory,
+    O(n^2) time as for a loop over the points."""
     m, N = pt.tau.shape
     n = m * (N + 1)
-    shifts = np.concatenate([step * np.eye(n), -step * np.eye(n)])
-    d = pt.d + shifts[:, :m]
-    tau = pt.tau + shifts[:, m:].reshape(2 * n, m, N)
-    v = _psi(model, ReducedPoint(d=d, tau=tau, eta=pt.eta))
+    v = []
+    for idx in np.array_split(np.arange(2 * n), -(-2 * n * n // _FD_CHUNK)):
+        shifts = np.zeros((len(idx), n))
+        shifts[np.arange(len(idx)), idx % n] = np.where(idx < n, step, -step)
+        d = pt.d + shifts[:, :m]
+        tau = pt.tau + shifts[:, m:].reshape(len(idx), m, N)
+        v.append(_psi(model, ReducedPoint(d=d, tau=tau, eta=pt.eta)))
+    v = np.concatenate(v)
     return (v[:n] - v[n:]) / (2 * step)
 
 
-def gradient_check(model, pt, step=1e-6):
+def gradient_check(model, pt):
     """Gap max|fd - grad| / (1 + max|grad|) between the analytic gradient
-    and central differences of Psi with the given step, at pt."""
+    and central differences of Psi with step GRAD_CHECK_STEP, at pt."""
     analytic = psi_grad(model, pt)
-    gap = np.max(np.abs(_fd_grad(model, pt, step) - analytic))
+    gap = np.max(np.abs(_fd_grad(model, pt, GRAD_CHECK_STEP) - analytic))
     return float(gap / (1.0 + np.max(np.abs(analytic))))
 
 

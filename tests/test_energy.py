@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from scipy.integrate import quad
 from scipy.special import beta as B
 
 import bubblelab
+from bubblelab import energy
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.energy import (
+    GRAD_CHECK_STEP,
     ReducedEnergyModel,
     ReducedPoint,
     constant_b1,
@@ -442,12 +445,42 @@ def test_batched_fd_gradient_matches_loop_bitwise(dims, m):
 
 def test_gradient_check_step_and_scale():
     model, pt = random_model_and_probe(DIMS4, 3, np.random.default_rng(5))
+    assert GRAD_CHECK_STEP == 1e-6
     for step in (1e-4, 1e-5, 1e-7):
-        fd, gap = fd_loop(model, pt, step)
+        fd, _ = fd_loop(model, pt, step)
         assert np.array_equal(_fd_grad(model, pt, step), fd)
-        assert gradient_check(model, pt, step=step) == gap
     # a coarse step leaves an O(step^2) gap
-    assert gradient_check(model, pt, step=1e-2) > 1e3 * gradient_check(model, pt)
+    analytic = psi_grad(model, pt)
+    coarse = np.max(np.abs(_fd_grad(model, pt, 1e-2) - analytic)) / (1 + np.max(np.abs(analytic)))
+    assert coarse > 1e3 * gradient_check(model, pt)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 27, 40, 80])
+def test_fd_gradient_chunks_match_loop_bitwise(monkeypatch, chunk):
+    """n = 40 unknowns, 80 shifted points in 80, 12, 3, 2 or 1 batches: one
+    point per batch, batches of unequal size, a batch straddling the +step
+    and -step halves, the two halves, all points at once."""
+    monkeypatch.setattr(energy, "_FD_CHUNK", chunk * 40)
+    model, pt = random_model_and_probe(DIMS4, 8, np.random.default_rng(chunk))
+    fd, gap = fd_loop(model, pt)
+    assert np.array_equal(_fd_grad(model, pt, 1e-6), fd)
+    assert gradient_check(model, pt) == gap
+
+
+def test_gradient_check_memory_linear_in_peaks():
+    """500 peaks in N = 3: n = 2000 unknowns.  All 2n shifted points at once
+    would take 2n * n * 8 B = 64 MB per array."""
+    model, pt = random_model_and_probe(DIMS3, 500, np.random.default_rng(11))
+    fd, gap = fd_loop(model, pt)
+    tracemalloc.start()
+    try:
+        batched = _fd_grad(model, pt, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(batched, fd)
+    assert gradient_check(model, pt) == gap < 1e-5
 
 
 @pytest.mark.parametrize("dims", [DIMS3, DIMS4], ids=["N3", "N4"])
