@@ -124,11 +124,10 @@ def _parse_scaling(raw, N, diags):
             if not isinstance(entry, dict):
                 _err(diags, where, "must be an object")
                 continue
-            try:
-                params = {key: float(entry[key]) for key in entry}
-            except (TypeError, ValueError, OverflowError):
-                _err(diags, where, "parameters must be numeric")
+            if not all(_is_finite(v) for v in entry.values()):
+                _err(diags, where, "parameters must be finite numbers")
                 continue
+            params = {key: float(v) for key, v in entry.items()}
             try:
                 if kind == "single":
                     single_exponent(dims, params["q"])
@@ -162,26 +161,23 @@ def _parse_epsilon_grid(raw, diags):
         return np.geomspace(1e-2, 1e-4, 8)
     where = "reduction.epsilon_grid"
     if isinstance(raw, dict):
-        try:
-            start, stop = float(raw["start"]), float(raw["stop"])
-            num = int(raw["num"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        start, stop, num = (raw.get(key) for key in ("start", "stop", "num"))
+        if not (_is_finite(start) and _is_finite(stop) and _is_integral(num)):
             _err(diags, where, "needs numeric start/stop and integer num")
             return None
-        if not (0 < start < np.inf and 0 < stop < np.inf):
-            _err(diags, where, "start and stop must be positive and finite")
+        if not (start > 0 and stop > 0):
+            _err(diags, where, "start and stop must be positive")
             return None
         if not 2 <= num <= MAX_EPSILONS:
             _err(diags, where, f"num must lie in [2, {MAX_EPSILONS}]")
             return None
-        grid = np.geomspace(start, stop, num)
+        grid = np.geomspace(float(start), float(stop), int(num))
     elif isinstance(raw, list):
-        try:
-            grid = np.asarray([float(v) for v in raw])
-        except (TypeError, ValueError, OverflowError):
-            _err(diags, where, "entries must be numeric")
+        grid = _floats(raw)
+        if grid is None:
+            _err(diags, where, "entries must be finite numbers")
             return None
-        if len(grid) < 2 or not np.all((grid > 0) & (grid < np.inf)):
+        if len(grid) < 2 or not np.all(grid > 0):
             _err(diags, where, "need at least two positive finite values")
             return None
     else:
@@ -197,12 +193,30 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    """A JSON number that is a finite double."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _is_integral(value):
+    """A JSON integer, or a float with an integral value (2000.0)."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _all_finite(raw):
+    """True if `raw` is a list of finite JSON numbers."""
+    return isinstance(raw, (list, tuple)) and all(map(_is_finite, raw))
+
+
+def _floats(raw):
+    """`raw` as a float array if it is a list of finite numbers, else None."""
+    return np.array(raw, dtype=float) if _all_finite(raw) else None
+
+
 def _point(raw, N):
     """`raw` as an array of N finite coordinates, or None."""
-    valid = isinstance(raw, (list, tuple)) and len(raw) == N and all(
-        _is_number(v) and abs(v) <= sys.float_info.max for v in raw
-    )
-    return np.array(raw, dtype=float) if valid else None
+    point = _floats(raw)
+    return point if point is not None and len(point) == N else None
 
 
 def parse_config(data):
@@ -228,16 +242,20 @@ def parse_config(data):
     if not isinstance(coupling, dict):
         _err(diags, "coupling", "missing coupling object (mu, beta, decomposition)")
     else:
-        try:
-            mu = np.asarray(coupling["mu"], dtype=float)
-            beta = np.asarray(coupling["beta"], dtype=float)
-            decomposition = tuple(int(v) for v in coupling["decomposition"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            _err(diags, "coupling", f"malformed coupling block: {exc}")
-            mu = beta = decomposition = None
+        mu, rows = _floats(coupling.get("mu")), coupling.get("beta")
+        decomposition = coupling.get("decomposition")
+        if mu is None or not isinstance(rows, list) or not all(map(_all_finite, rows)):
+            _err(diags, "coupling", "mu and beta must be a list and a matrix of finite numbers")
+            mu = None
+        elif not (isinstance(decomposition, list) and all(map(_is_integral, decomposition))):
+            _err(diags, "coupling", "decomposition must be a list of integers")
+            mu = None
         if mu is not None:
             m = len(mu)
-            if beta.shape != (m, m):
+            square = len(rows) == m and all(len(r) == m for r in rows)
+            beta = np.array(rows, dtype=float).reshape(m, m) if square else None
+            decomposition = tuple(int(v) for v in decomposition)
+            if beta is None:
                 _err(diags, "coupling.beta", f"beta must be {m}x{m}")
             elif not np.array_equal(beta, beta.T):
                 _err(diags, "coupling.beta", "beta must be symmetric")
@@ -316,12 +334,12 @@ def parse_config(data):
         _err(diags, "reduction", "must be an object (eta, epsilon_grid, n_nodes)")
         reduction = {}
     eta = reduction.get("eta", 1e-3)
-    if not isinstance(eta, (int, float)) or not 0 < eta < 1:
+    if not _is_number(eta) or not 0 < eta < 1:
         _err(diags, "reduction.eta", "eta must lie in (0, 1)")
         eta = 1e-3
     grid = _parse_epsilon_grid(reduction.get("epsilon_grid"), diags)
     n_nodes = reduction.get("n_nodes", 2000)
-    if _is_number(n_nodes) and 100 <= n_nodes <= MAX_NODES and n_nodes == int(n_nodes):
+    if _is_integral(n_nodes) and 100 <= n_nodes <= MAX_NODES:
         n_nodes = int(n_nodes)
     else:
         _err(diags, "reduction.n_nodes", f"n_nodes must be an integer in [100, {MAX_NODES}]")

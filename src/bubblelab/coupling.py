@@ -216,32 +216,23 @@ class SpectrumReport:
 def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
     """(verdict, reason).  The reason names the first eigenvalue that meets
     the verdict's condition, in descending order after the structural 3,
-    numbered from lambda_2."""
+    numbered from lambda_2, or says that the structural 3 is missing."""
     lam = np.sort(np.asarray(lambdas))[::-1]
     near3 = np.abs(lam - 3.0) <= tol
-    others = lam[~_first_true_mask(near3)]
-    on_ladder = (np.abs(others - 3.0) <= tol) | (np.abs(others - 1.0) <= tol)
-    if np.any(near3) and np.any(on_ladder):
-        verdict, hits, note = "degenerate", on_ladder, ""
-    elif not np.any(near3) or np.any(others >= 3.0 + tol) or np.any(others <= -1.0 - tol):
-        # the structural eigenvalue 3 is missing (outside theory), or the
-        # verdict would need ladder entries beyond (1, 3), which are not computed
-        verdict, note = "inconclusive", " outside the certified ladder range"
-        hits = (others > 3.0 + tol) | (others < -1.0 - tol)
-    else:
-        return "nondegenerate", "nondegenerate"
+    if not np.any(near3):
+        # M c = 3c whenever c solves the amplitude system: outside theory
+        return "inconclusive", "inconclusive: the structural eigenvalue 3 is missing"
+    others = np.delete(lam, np.argmax(near3))
+    hits = (np.abs(others - 3.0) <= tol) | (np.abs(others - 1.0) <= tol)
+    verdict, note = "degenerate", ""
     if not np.any(hits):
-        return verdict, verdict
+        # the verdict would need ladder entries beyond (1, 3), which are not computed
+        hits = (others >= 3.0 + tol) | (others <= -1.0 - tol)
+        verdict, note = "inconclusive", " outside the certified ladder range"
+    if not np.any(hits):
+        return "nondegenerate", "nondegenerate"
     k = int(np.argmax(hits))
     return verdict, f"{verdict}: lambda_{k + 2} = {others[k]:.6g}{note}"
-
-
-def _first_true_mask(mask):
-    out = np.zeros_like(mask)
-    idx = np.argmax(mask)
-    if mask[idx]:
-        out[idx] = True
-    return out
 
 
 def build_spectrum(spec, cvec):

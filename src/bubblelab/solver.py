@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .asymptotics import Annulus, project_bubble_radial
 from .bubbles import BubbleParams
@@ -222,6 +221,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         ab[0, 1:] = up[:-1]
         ab[1, :] = diag_j
         ab[2, :-1] = lo[1:]
+        from scipy.linalg import solve_banded  # only radial solves load scipy
         du = solve_banded((1, 1), ab, -F)
         base = float(np.max(np.abs(F)))
         t = 1.0

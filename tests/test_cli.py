@@ -218,6 +218,31 @@ def _parse_with(path, value):
     (("reduction",), {"n_nodes": "2000"}, "reduction.n_nodes"),
     (("reduction",), {"n_nodes": float("nan")}, "reduction.n_nodes"),
     (("reduction",), {"n_nodes": 10**400}, "reduction.n_nodes"),
+    (("reduction",), {"epsilon_grid": ["1e-2", "1e-3"]}, "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": [True, 1e-3]}, "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": "0.01", "stop": 1e-4, "num": 8}},
+     "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": "8"}},
+     "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": 8.7}},
+     "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": True}},
+     "reduction.epsilon_grid"),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "num": 8}}, "reduction.epsilon_grid"),
+    (("reduction",), {"eta": True}, "reduction.eta"),
+    (("coupling", "decomposition"), [0, 1.7, 3], "coupling"),
+    (("coupling", "decomposition"), [0, True, 3], "coupling"),
+    (("coupling", "decomposition"), [0, "2", 3], "coupling"),
+    (("coupling", "mu"), ["1", "2", "1"], "coupling"),
+    (("coupling", "mu"), [True, 2.0, 1.0], "coupling"),
+    (("coupling", "mu"), 1.0, "coupling"),
+    (("coupling", "beta"), [[0.0, "-0.5", -0.1], [-0.5, 0.0, -0.1], [-0.1, -0.1, 0.0]],
+     "coupling"),
+    (("coupling", "beta"), [[0.0, -0.5], [-0.5, 0.0, -0.1], [-0.1, -0.1, 0.0]],
+     "coupling.beta"),
+    (("scaling",), {"single": [{"q": True}]}, "scaling.single[0]"),
+    (("scaling",), {"single": [{"q": "2"}]}, "scaling.single[0]"),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": "7"}]}, "scaling.pair[0]"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
@@ -233,6 +258,10 @@ def test_parse_reports_malformed_field(path, value, field_name):
     (("domain", "radius"), 2),
     (("domain", "center"), [0, 0, 0, 0]),
     (("domain", "holes", 0, "radius_coeff"), 2),
+    (("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": 8.0}}),
+    (("coupling", "decomposition"), [0.0, 2.0, 3]),
+    (("coupling", "mu"), [1, 2, 1]),
+    (("scaling",), {"single": [{"q": 1}], "pair": [{"q1": 2, "q2": 2, "n": 7.0}]}),
 ])
 def test_parse_accepts_limits(path, value):
     config, diags = _parse_with(path, value)

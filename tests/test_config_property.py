@@ -1,6 +1,6 @@
 """Property test: whatever JSON value sits in the reduction, its n_nodes,
-the coupling decomposition, the scaling field, the domain, its center or
-its holes, `parse_config` returns a config or diagnostics and never
+the coupling decomposition, mu or beta, the scaling field, the domain, its
+center or its holes, `parse_config` returns a config or diagnostics and never
 raises."""
 
 import pytest
@@ -26,7 +26,8 @@ JSON_VALUES = st.recursive(
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
     path=st.sampled_from([("reduction",), ("reduction", "n_nodes"),
-                          ("coupling", "decomposition"), ("scaling",), ("domain",),
+                          ("coupling", "decomposition"), ("coupling", "mu"),
+                          ("coupling", "beta"), ("scaling",), ("domain",),
                           ("domain", "center"), ("domain", "holes")]),
     value=JSON_VALUES,
 )

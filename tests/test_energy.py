@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -78,24 +79,38 @@ def gamma_radial_derivs(dims, s):
     return g1, g2
 
 
-def gamma_mc(dims, tau, n_samples=2_000_000, seed=0):
-    """Monte Carlo value of the N-dimensional Gamma integral (cross-check).
+def gamma_mc(dims, tau, n_samples=200_000, seed=0):
+    """Monte Carlo value of the N-dimensional Gamma integral (cross-check)
+    and its standard error.
 
-    Importance-samples the density proportional to (1+|y|^2)^(-(N+2)/2),
-    whose radial CDF inverts in closed form: u = q^(2/N), r = sqrt(u/(1-u)).
-    The normalization constant equals Gamma(0), so
-    Gamma(tau) = Gamma(0) * E[|y + tau|^(2-N)].
+    Gamma(tau) = int (1+|y|^2)^(-(N+2)/2) |y+tau|^(2-N) dy.  Half the samples
+    come from the density proportional to (1+|y|^2)^(-(N+2)/2), with radial
+    CDF u^(N/2), u = r^2/(1+r^2); half from the density centred at y = -tau
+    proportional to |z|^(2-N) (1+|z|^2)^(-2), z = y + tau, with radial CDF
+    r^2/(1+r^2).  Their normalizations are omega_{N-1}/N and omega_{N-1}/2.
+    Each sample is weighted by the integrand over the 50/50 mixture density;
+    the second density carries the singularity at y = -tau, so the weight
+    is bounded and the estimate has finite variance.
     """
-    N = dims.N
+    N, om = dims.N, dims.omegaNm1
+    tau = np.asarray(tau, float)
     rng = np.random.default_rng(seed)
+    half = n_samples // 2   # n_samples is even
     q = rng.random(n_samples)
-    u = q ** (2.0 / N)
-    r = np.sqrt(u / (1.0 - u))
+    u = q[:half] ** (2.0 / N)
+    r = np.sqrt(np.concatenate([u / (1.0 - u), q[half:] / (1.0 - q[half:])]))
     dirs = rng.normal(size=(n_samples, N))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     y = r[:, None] * dirs
-    dist = np.linalg.norm(y + np.asarray(tau, float), axis=1)
-    return gamma_quad(dims, np.zeros(N)) * float(np.mean(dist ** (2.0 - N)))
+    y[half:] -= tau
+    bubble = (1.0 + np.sum(y**2, axis=1)) ** (-(N + 2) / 2)
+    z2 = np.sum((y + tau) ** 2, axis=1)
+    newton = z2 ** ((2.0 - N) / 2)
+    density = 0.5 * bubble / (om / N) + 0.5 * newton / (1.0 + z2) ** 2 / (om / 2)
+    w = bubble * newton / density
+    # one stratum per density, of half the samples each
+    se = math.sqrt((np.var(w[:half]) + np.var(w[half:])) / (2 * n_samples))
+    return float(np.mean(w)), se
 
 
 def sigma_cross_quadrature_01(dims):
@@ -237,8 +252,9 @@ def test_gamma_monte_carlo_cross_validation():
         rng = np.random.default_rng(seed)
         for _ in range(5):
             tau = rng.normal(size=dims.N) * rng.uniform(0.2, 2.0)
-            mc = gamma_mc(dims, tau, n_samples=2_000_000, seed=seed)
+            mc, se = gamma_mc(dims, tau, seed=seed)
             exact = gamma_kernel(dims, tau)
+            assert se / mc < 0.0025   # so the 1% gate is at least 4 sigma
             assert abs(mc - exact) / exact < 0.01
 
 
@@ -667,14 +683,49 @@ def test_model_validation():
         psi_value(m, ReducedPoint(d=[1e-9], tau=np.zeros((1, 4))))  # outside X_eta
 
 
-def test_package_import_does_not_load_quadrature():
-    # every closed form is elementary: importing the CLI must not pull in
-    # scipy.integrate (which the oracles above use)
+# Fresh interpreter: after each step, which scipy modules are loaded and
+# what `main` returned.  Only a radial solve (solve_banded) needs scipy.
+STARTUP_SCRIPT = """
+import json, sys
+import bubblelab.cli
+def step(code=None):
+    return [code] + [m in sys.modules for m in ("scipy", "scipy.linalg", "scipy.integrate")]
+algebra, scaling, sweep, out = sys.argv[1:]
+steps = {"import": step()}
+steps["validate"] = step(bubblelab.cli.main(["validate", algebra]))
+for name, cfg in (("algebra", algebra), ("scaling", scaling), ("sweep", sweep)):
+    steps[name] = step(bubblelab.cli.main(["run", cfg, "--out", out + "/" + name]))
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_for_radial_solves(tmp_path):
+    # every closed form, amplitude system and spectrum is numpy alone: the
+    # CLI pulls in scipy.linalg only for a radial-sweep, and scipy.integrate
+    # (which the oracles above use) never
+    from test_cli import DEMO, SWEEP
+    configs = {
+        "algebra": DEMO,
+        "scaling": dict(SWEEP, tasks=["scaling-checks"]),
+        "sweep": dict(SWEEP, tasks=["radial-sweep"],
+                      reduction={"epsilon_grid": [1e-2, 5e-3], "n_nodes": 400}),
+    }
+    paths = []
+    for name, cfg in configs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
     src = os.path.dirname(os.path.dirname(bubblelab.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import bubblelab.cli, sys; assert 'scipy.integrate' not in sys.modules"],
-        env=env, check=True,
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, *map(str, paths), str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True,
     )
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    for name, (code, *_) in steps.items():
+        assert code in (None, 0, 2), (name, proc.stderr)   # not EXIT_ERROR
+    none = [False, False, False]
+    assert {name: loaded for name, (_, *loaded) in steps.items()} == {
+        "import": none, "validate": none, "algebra": none, "scaling": none,
+        "sweep": [True, True, False],
+    }
