@@ -8,11 +8,14 @@ exit status: 0 all tasks pass, 1 error, 2 degenerate or inconclusive.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +44,6 @@ from .solver import rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
 SUMMARY_SCHEMA = "bubblelab-summary/2"
-
-_PREREQUISITES = {
-    "spectrum": "c-vector",
-    "reduced-energy": "c-vector",
-    "critical-point": "reduced-energy",
-}
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
@@ -364,7 +361,7 @@ def parse_config(data):
         else:
             tasks.append(t)
     for t in tasks:
-        need = _PREREQUISITES.get(t)
+        need = _TASKS[t].prerequisite
         if need is not None and need not in tasks:
             _err(diags, "tasks", f"{t!r} requires {need!r} in the task list")
     if spec is not None and centers is not None:
@@ -414,11 +411,11 @@ def parse_config(data):
 def load_config(path):
     """Read and validate a config file; malformed JSON is a diagnostic."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:   # JSON text is UTF-8
             data = json.load(fh)
     except OSError as exc:
         return None, [Diagnostic("error", "<file>", f"cannot read config: {exc}")]
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad syntax or bytes, too deep
         return None, [Diagnostic("error", "<file>", f"malformed JSON: {exc}")]
     return parse_config(data)
 
@@ -441,6 +438,52 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
+
+
+def _encode(obj, out, indent):
+    """Append to the list `out` the text that json.dump(_jsonable(obj), fh,
+    indent=2, sort_keys=True) writes; `indent` is the newline and the
+    indentation of the line `obj` is on."""
+    kind = type(obj)
+    if kind is float:
+        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict or kind is list or kind is tuple:
+        inner = indent + "  "
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+        elif kind is dict:
+            if not all(type(key) is str for key in obj):
+                obj = {str(key): value for key, value in obj.items()}
+            head = "{" + inner
+            for key in sorted(obj):
+                out.append(head + encode_basestring_ascii(key) + ": ")
+                _encode(obj[key], out, inner)
+                head = "," + inner
+            out.append(indent + "}")
+        else:
+            try:    # float.__repr__ takes floats only; "n" is in nan and inf
+                text = ("," + inner).join(map(float.__repr__, obj))
+            except TypeError:
+                text = "n"
+            if "n" not in text:
+                out.append("[" + inner + text + indent + "]")
+                return
+            head = "[" + inner
+            for value in obj:
+                out.append(head)
+                _encode(value, out, inner)
+                head = "," + inner
+            out.append(indent + "]")
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif (plain := _jsonable(obj)) is not obj:   # numpy values, subclasses
+        _encode(plain, out, indent)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _num(value, module, operation):
@@ -825,15 +868,40 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 # ----------------------------------------------------------------------- run
 
 
-# task -> module and operation it is reported under, and its runner; tasks
-# run in this order
+def _coupling_inputs(cfg):
+    spec = cfg.coupling
+    return {"mu": _jsonable(spec.mu), "beta": _jsonable(spec.beta),
+            "decomposition": list(spec.decomposition)}
+
+
+def _domain_inputs(cfg):
+    return {"ball_radius": cfg.ball.radius, "hole_centers": _jsonable(cfg.hole_centers),
+            "hole_coeffs": _jsonable(cfg.hole_coeffs), "eta": cfg.eta}
+
+
+def _scaling_inputs(cfg):
+    return {"families": [{"kind": kind, **params} for kind, params in cfg.scaling]}
+
+
+def _sweep_inputs(cfg):
+    return {"ball_radius": cfg.ball.radius, "hole_coeff": float(cfg.hole_coeffs[0]),
+            "epsilon_grid": _jsonable(cfg.epsilon_grid), "n_nodes": cfg.n_nodes}
+
+
+# task -> module and operation it is reported under, the task it needs,
+# its inputs beside "dims", and its runner; tasks run in this order
+_Task = namedtuple("_Task", "module operation prerequisite inputs runner")
 _TASKS = {
-    "c-vector": ("coupling", "solve_c_vector", _task_c_vector),
-    "spectrum": ("coupling", "build_spectrum", _task_spectrum),
-    "reduced-energy": ("energy", "ReducedEnergyModel", _task_reduced_energy),
-    "critical-point": ("energy", "critical_point", _task_critical_point),
-    "scaling-checks": ("asymptotics", "scaling_law fits", _task_scaling),
-    "radial-sweep": ("solver", "rate_sweep", _task_radial_sweep),
+    "c-vector": _Task("coupling", "solve_c_vector", None, _coupling_inputs, _task_c_vector),
+    "spectrum": _Task("coupling", "build_spectrum", "c-vector", _coupling_inputs,
+                      _task_spectrum),
+    "reduced-energy": _Task("energy", "ReducedEnergyModel", "c-vector", _domain_inputs,
+                            _task_reduced_energy),
+    "critical-point": _Task("energy", "critical_point", "reduced-energy", _domain_inputs,
+                            _task_critical_point),
+    "scaling-checks": _Task("asymptotics", "scaling_law fits", None, _scaling_inputs,
+                            _task_scaling),
+    "radial-sweep": _Task("solver", "rate_sweep", None, _sweep_inputs, _task_radial_sweep),
 }
 TASK_ORDER = tuple(_TASKS)
 
@@ -848,22 +916,21 @@ def run(config, out_dir, seed=0):
     ctx = {}
     entries = []
     worst = "pass"
-    for task in TASK_ORDER:
+    for task, info in _TASKS.items():
         if task not in config.tasks:
             continue
-        module, operation, runner = _TASKS[task]
         t0 = time.perf_counter()
         try:
-            verdict, message, outputs = runner(config, ctx, rng, out)
+            verdict, message, outputs = info.runner(config, ctx, rng, out)
         except Exception as exc:   # numerical failures keep task attribution
             verdict, message, outputs = "error", f"{type(exc).__name__}: {exc}", {}
         elapsed = time.perf_counter() - t0
         entries.append(
             {
                 "task": task,
-                "module": module,
-                "operation": operation,
-                "inputs": _task_inputs(config, task),
+                "module": info.module,
+                "operation": info.operation,
+                "inputs": {"dims": config.dims.N, **info.inputs(config)},
                 "outputs": outputs,
                 "verdict": verdict,
                 "message": message,
@@ -886,52 +953,18 @@ def run(config, out_dir, seed=0):
         "verdict": worst,
         "exit_code": exit_code,
     }
+    text = []
+    _encode(summary, text, "\n")   # before the file opens: no partial file
+    text.append("\n")
     with open(out / "summary.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("".join(text))
     return exit_code, summary
-
-
-def _task_inputs(config, task):
-    spec = config.coupling
-    common = {"dims": config.dims.N}
-    if task in ("c-vector", "spectrum"):
-        common.update(
-            {
-                "mu": _jsonable(spec.mu),
-                "beta": _jsonable(spec.beta),
-                "decomposition": list(spec.decomposition),
-            }
-        )
-    elif task in ("reduced-energy", "critical-point"):
-        common.update(
-            {
-                "ball_radius": config.ball.radius,
-                "hole_centers": _jsonable(config.hole_centers),
-                "hole_coeffs": _jsonable(config.hole_coeffs),
-                "eta": config.eta,
-            }
-        )
-    elif task == "scaling-checks":
-        common["families"] = [
-            {"kind": kind, **{k: v for k, v in params.items()}}
-            for kind, params in config.scaling
-        ]
-    elif task == "radial-sweep":
-        common.update(
-            {
-                "ball_radius": config.ball.radius,
-                "hole_coeff": float(config.hole_coeffs[0]),
-                "epsilon_grid": _jsonable(config.epsilon_grid),
-                "n_nodes": config.n_nodes,
-            }
-        )
-    return common
 
 
 # ----------------------------------------------------------------------- cli
 
 
+@functools.cache   # built on the first call, not at import
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bubblelab",

@@ -1,7 +1,11 @@
 import copy
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +71,13 @@ SWEEP = {
         "radial-sweep",
     ],
 }
+
+
+def _env_with_src():
+    """The environment with this checkout's bubblelab first on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -157,6 +168,41 @@ def test_validate_rejects_schema_mismatch_and_malformed_file(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["validate", str(bad)]) == 1
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff\xfe{"dims": 4}',                     # UTF-16 byte order mark: not UTF-8
+    json.dumps(DEMO).encode("utf-16"),
+    b"[" * 100_000 + b"]" * 100_000,             # nested deeper than the decoder goes
+    b'{"dims": 4, "schema": ' * 2000 + b"0" + b"}" * 2000,
+    b'{"dims": ' + b"1" * 5000 + b"}",           # more digits than int() converts
+], ids=["ff-fe", "utf-16", "deep-list", "deep-object", "long-int"])
+def test_undecodable_config_is_a_diagnostic(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[<file>]: malformed JSON: "), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_is_read_as_utf8(tmp_path):
+    # the file is opened as UTF-8, not in the locale's encoding: reading it
+    # with the default encoding would raise the EncodingWarning made an error
+    cfg = dict(copy.deepcopy(DEMO), note="\u03b5 \u2192 0, \U0001d11e")
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+    script = ("import sys, bubblelab.cli as cli; "
+              "config, diags = cli.load_config(sys.argv[1]); "
+              "print(ascii(config.raw['note']))")
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, str(path)],
+        capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ascii(cfg["note"])
 
 
 def test_validate_rejects_hole_group_mismatch(tmp_path, capsys):
@@ -432,6 +478,160 @@ def test_kernel_formats_the_values_itself(case):
     assert left.mean() <= 1e-3, int(left.sum())
 
 
+# ---------------------------------------------------------------- summary.json
+
+
+def json_oracle(obj):
+    """The text the CLI wrote with the stdlib encoder."""
+    fh = io.StringIO()
+    json.dump(cli._jsonable(obj), fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def encoded(obj):
+    out = []
+    cli._encode(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+ENCODER_CASES = {
+    "nan": NAN,
+    "inf": INF,
+    "minus_inf": -INF,
+    "non_finite_in_float_list": [1.0, NAN, 2.0, INF, -INF],
+    "only_non_finite": [NAN, INF],
+    "non_finite_last": [0.5, -INF],
+    "nested_non_finite": {"a": [[1.0, NAN], [INF]], "b": NAN},
+    "minus_zero": -0.0,
+    "extremes": [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 2.2250738585072014e-308],
+    "extremes_alone": {"tiny": 5e-324, "max": 1.7976931348623157e308, "zero": -0.0},
+    "big_ints": [2**64, 2**64 + 1, -(2**70), 10**30, 2**63 - 1],
+    "big_int_alone": 2**100 + 7,
+    "bools_in_lists": [True, False, 1, 0, 0.5, None],
+    "bools_only": [True, False],
+    "bool_between_floats": [1.0, True, 2.0],
+    "int_between_floats": [1.0, 2, 3.0],
+    "empty_dict": {},
+    "empty_list": [],
+    "empty_tuple": (),
+    "nested_empty": {"a": {}, "b": [], "c": [[], {}, [[]], ({},)], "d": {"e": {}}},
+    "tuples": (1.0, (2, 3), ("x", (4.5,)), ()),
+    "float_tuple": (0.1, 0.2, 1e300),
+    "one_float": [0.1],
+    "scalars": [None, "s", 3, 2.5, False],
+    "non_ascii": ["\u00e9t\u00e9", "\u2603", "\U0001d11e", "\u03b5 \u2192 0"],
+    "quotes_backslashes": ['say "hi"', "back\\slash", "\\\"", "'"],
+    "control_characters": "".join(map(chr, range(32))) + "\x7f\u2028\u2029",
+    "awkward_keys": {"\u00e9": 1, '"q"': 2, "\\": 3, "\n": 4, "": 5, "A": 6, "a": 7,
+                     "\x00": 8, "\U0001d11e": 9},
+    "non_string_keys": {2: "two", 10: "ten", 1.5: [1.0], None: 0, True: 1},
+    "numpy_scalars": [np.float64(1.5), np.float32(0.1), np.float64(-0.0), np.int64(-7),
+                      np.uint64(2**64 - 1), np.int8(3), np.bool_(True), np.bool_(False),
+                      np.float64(np.nan), np.float32(np.inf), np.float16(0.3)],
+    "numpy_scalar_alone": np.float64(2.0) / 3,
+    "numpy_int_alone": np.int32(12),
+    "numpy_floats_in_list": [np.float64(0.1), 0.2, np.float64(1e-300)],
+    "numpy_arrays": {"v": np.array([1.0, np.nan, -0.0, np.inf]),
+                     "m": np.arange(6.0).reshape(2, 3), "i": np.arange(4),
+                     "b": np.array([True, False]), "e": np.array([], dtype=float),
+                     "f32": np.array([0.1, 0.2], dtype=np.float32)},
+    "numpy_array_alone": np.linspace(0.0, 1.0, 7),
+    "numpy_in_tuple": (np.float64(3.0), np.array([[1, 2]]), "x"),
+    "numpy_strings": {np.str_("k"): [np.str_("v\u00e9"), np.str_('"')]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+def test_encoder_matches_json_dump(case):
+    assert encoded(ENCODER_CASES[case]) == json_oracle(ENCODER_CASES[case])
+
+
+@pytest.mark.parametrize("value", [object(), {"a": [1.0, {1, 2}]}, [b"bytes"], 1j,
+                                   [np.complex128(1j)], np.array(1.0)])
+def test_encoder_rejects_what_json_dump_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        json_oracle(value)
+    with pytest.raises(TypeError) as got:
+        encoded(value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_encoder_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.floats() | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
+    leaves = st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | \
+        floats | st.text() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    values = st.recursive(
+        leaves,
+        lambda children: st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children) | st.lists(floats).map(np.array),
+        max_leaves=40,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert encoded(value) == json_oracle(value)
+
+    check()
+
+
+def _capture_run(monkeypatch):
+    """Make cli.run record the summaries it returns; returns that record."""
+    summaries = []
+    real_run = cli.run
+
+    def recording_run(*args, **kwargs):
+        code, summary = real_run(*args, **kwargs)
+        summaries.append(summary)
+        return code, summary
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    return summaries
+
+
+def _assert_plain(obj):
+    """Only the types json.dump takes as they are: no numpy value is left."""
+    if isinstance(obj, dict):
+        assert all(type(key) is str for key in obj)
+        for value in obj.values():
+            _assert_plain(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            _assert_plain(value)
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), type(obj)
+
+
+def test_demo_summary_json_is_the_oracle_encoding(tmp_path, monkeypatch):
+    summaries = _capture_run(monkeypatch)
+    out = tmp_path / "out"
+    cli.main(["run", write_config(tmp_path, DEMO), "--out", str(out), "--seed", "42"])
+    (summary,) = summaries
+    _assert_plain(summary)
+    assert (out / "summary.json").read_text() == json_oracle(summary)
+
+
+def test_sweep_summary_json_is_the_oracle_encoding(sweep_run):
+    _, out, summary = sweep_run
+    _assert_plain(summary)
+    assert (out / "summary.json").read_text() == json_oracle(summary)
+
+
+def test_unencodable_summary_leaves_no_file(tmp_path, monkeypatch):
+    task = cli._TASKS["c-vector"]
+    monkeypatch.setitem(cli._TASKS, "c-vector", task._replace(
+        runner=lambda *args: ("pass", "ok", {"x": [1.0, object()]})))
+    config, _ = cli.parse_config(PAIR)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.run(config, tmp_path / "out")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 # ----------------------------------------------------------------- pipeline
 
 
@@ -495,6 +695,55 @@ def test_empty_task_list_exits_zero(tmp_path):
     assert summary["verdict"] == "pass"
 
 
+def _outcomes(tmp_path, capsys, base):
+    """Exit code, stderr and summary (timings stripped) of a fixed sequence
+    of main calls, with outputs under tmp_path / base."""
+    cfg = write_config(tmp_path, DEMO)
+    calls = [
+        ["validate", cfg],
+        ["run", cfg, "--out", str(tmp_path / base / "a"), "--seed", "7"],
+        ["run", cfg, "--out", str(tmp_path / base / "b")],
+        ["run", cfg, "--out", str(tmp_path / base / "c"), "--seed", "-1"],
+        ["run", cfg, "--out", str(tmp_path / base / "d"), "--seed", "x"],
+        ["validate", cfg],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out = tmp_path / base / argv[3] if argv[0] == "run" else None
+        summary = strip_timings(load_summary(out)) if out and out.exists() else None
+        results.append((code, capsys.readouterr().err, summary))
+    return results
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    reused = _outcomes(tmp_path, capsys, "reused")
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _outcomes(tmp_path, capsys, "fresh")
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 2, 1, "SystemExit(2)", 0]
+    assert reused[1][2] != reused[2][2]   # the seed reaches the run
+    assert "error[--seed]" in reused[3][1] and "invalid int value" in reused[4][1]
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    assert "required: command" in capsys.readouterr().err
+
+
+def test_parser_is_not_built_at_import():
+    script = ("import bubblelab.cli as cli; "
+              "print(cli._build_parser.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, env=_env_with_src())
+    assert proc.stdout.split() == ["0"]
+
+
 def test_run_with_invalid_config_exits_one(tmp_path):
     cfg = copy.deepcopy(PAIR)
     cfg["coupling"]["mu"] = [1.0, -2.0]
@@ -511,13 +760,15 @@ def test_run_with_invalid_config_exits_one(tmp_path):
 def sweep_run(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("sweep")
     out = tmp_path / "out"
-    code = cli.main(["run", write_config(tmp_path, SWEEP), "--out", str(out),
-                     "--seed", "7"])
-    return code, out
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        summaries = _capture_run(monkeypatch)
+        code = cli.main(["run", write_config(tmp_path, SWEEP), "--out", str(out),
+                         "--seed", "7"])
+    return code, out, summaries[0]
 
 
 def test_full_run_passes_and_writes_artifacts(sweep_run):
-    code, out = sweep_run
+    code, out, _ = sweep_run
     assert code == 0
     summary = load_summary(out)
     assert [t["verdict"] for t in summary["tasks"]] == ["pass"] * 6
@@ -535,7 +786,7 @@ def test_full_run_passes_and_writes_artifacts(sweep_run):
 
 def test_profile_csv_reads_back_the_solution(sweep_run):
     # the first sweep solve starts from the bubble ansatz, as a fresh solve does
-    _, out = sweep_run
+    _, out, _ = sweep_run
     table = np.loadtxt(out / "profile_1.000e-02.csv", delimiter=",", skiprows=1)
     res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2)
     np.testing.assert_allclose(table[:, 0], res.grid.nodes, rtol=1e-12)
@@ -543,7 +794,7 @@ def test_profile_csv_reads_back_the_solution(sweep_run):
 
 
 def test_sweep_task_agrees_with_rate_prediction(sweep_run):
-    _, out = sweep_run
+    _, out, _ = sweep_run
     summary = load_summary(out)
     sweep = summary["tasks"][5]["outputs"]
     assert abs(sweep["slope"]["value"] - 0.5) < 0.05
@@ -555,7 +806,7 @@ def test_sweep_task_agrees_with_rate_prediction(sweep_run):
 
 
 def test_every_reported_numeric_carries_provenance(sweep_run):
-    _, out = sweep_run
+    _, out, _ = sweep_run
     summary = load_summary(out)
     assert summary["seed"] == 7
     for task in summary["tasks"]:

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as B
 
-import bubblelab
 from bubblelab import energy
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.energy import (
@@ -703,7 +701,7 @@ def test_scipy_loads_only_for_radial_solves(tmp_path):
     # every closed form, amplitude system and spectrum is numpy alone: the
     # CLI pulls in scipy.linalg only for a radial-sweep, and scipy.integrate
     # (which the oracles above use) never
-    from test_cli import DEMO, SWEEP
+    from test_cli import DEMO, SWEEP, _env_with_src
     configs = {
         "algebra": DEMO,
         "scaling": dict(SWEEP, tasks=["scaling-checks"]),
@@ -714,12 +712,9 @@ def test_scipy_loads_only_for_radial_solves(tmp_path):
     for name, cfg in configs.items():
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(cfg))
-    src = os.path.dirname(os.path.dirname(bubblelab.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_SCRIPT, *map(str, paths), str(tmp_path)],
-        env=env, check=True, capture_output=True, text=True,
+        env=_env_with_src(), check=True, capture_output=True, text=True,
     )
     steps = json.loads(proc.stdout.splitlines()[-1])
     for name, (code, *_) in steps.items():
