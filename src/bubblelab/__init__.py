@@ -38,7 +38,6 @@ from .coupling import (
     CVector,
     SpectrumReport,
     build_spectrum,
-    nondegeneracy_check,
     solve_c_vector,
 )
 from .energy import (
@@ -92,7 +91,6 @@ __all__ = [
     "kernel_regular_part",
     "kernel_robin",
     "linearized_residual",
-    "nondegeneracy_check",
     "project_bubble_radial",
     "psi_grad",
     "psi_value",

@@ -154,12 +154,6 @@ def project_bubble_radial(annulus, bubble):
     return RadialProjection(bubble=bubble, annulus=annulus, const_coeff=A, power_coeff=B)
 
 
-def tau_factor(dims, tau):
-    """Offset attenuation (1 + |tau|^2)^(-(N-2)/2); equals 1 at tau = 0."""
-    s2 = float(np.sum(np.asarray(tau, float) ** 2))
-    return (1.0 + s2) ** (-(dims.N - 2) / 2)
-
-
 @dataclass(frozen=True)
 class RemainderReport:
     """Pointwise comparison of the projection defect with its model.
@@ -181,7 +175,7 @@ class RemainderReport:
     n_grid: int
 
 
-def remainder_check(proj, eta, d, tau=0.0):
+def remainder_check(proj, eta, d):
     """Evaluate the defect model on a log-spaced radial grid.
 
     The hole scale eps and the hole coefficient are recovered from
@@ -193,9 +187,6 @@ def remainder_check(proj, eta, d, tau=0.0):
         raise ValueError("eta must lie in (0, 1)")
     if not eta < d < 1.0 / eta:
         raise ValueError("rate d must lie in (eta, 1/eta)")
-    tau = np.atleast_1d(np.asarray(tau, float))
-    if float(np.linalg.norm(tau)) > 0:
-        raise ValueError("only the radial case tau = 0 is supported")
     delta = proj.bubble.delta
     eps = (delta / d) ** 2
     r_coeff = proj.annulus.inner / eps
@@ -212,10 +203,7 @@ def remainder_check(proj, eta, d, tau=0.0):
         proj.value(s)
         - proj.bubble_value(s)
         + dims.alphaN * delta ** ((N - 2) / 2) * H
-        + dims.alphaN
-        * delta ** (-(N - 2) / 2)
-        * tau_factor(dims, tau)
-        * (r_coeff * eps / s) ** (N - 2)
+        + dims.alphaN * delta ** (-(N - 2) / 2) * (r_coeff * eps / s) ** (N - 2)
     )
     bound = delta ** ((N - 2) / 2) * (
         eps ** (N - 2) * (1 + eps * delta ** (1 - N)) / s ** (N - 2)

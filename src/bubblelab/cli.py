@@ -94,6 +94,14 @@ class ExperimentConfig:
     raw: dict = field(default=None, repr=False)
 
 
+# scaling family kind -> its parameters and their defaults (None: required)
+_SCALING_PARAMS = {
+    "single": {"q": None},
+    "weighted": {"q": None, "nu1": 0.0, "nu2": 0.0},
+    "pair": {"q1": None, "q2": None, "separation": 0.5, "n": 7.0},
+}
+
+
 def _scaling_defaults(N):
     top = 2.0 * N / (N - 2.0)
     return (
@@ -111,7 +119,7 @@ def _parse_scaling(raw, N, diags):
         return ()
     dims = dims_for(N)
     families = []
-    for kind in ("single", "weighted", "pair"):
+    for kind, table in _SCALING_PARAMS.items():
         entries = raw.get(kind, [])
         if not isinstance(entries, list):
             _err(diags, f"scaling.{kind}", "must be a list of objects")
@@ -121,29 +129,30 @@ def _parse_scaling(raw, N, diags):
             if not isinstance(entry, dict):
                 _err(diags, where, "must be an object")
                 continue
+            problems = [f"unknown parameter {key!r}" for key in entry if key not in table]
+            problems += [f"missing parameter {key!r}" for key, default in table.items()
+                         if default is None and key not in entry]
+            for problem in problems:
+                _err(diags, where, problem)
+            if problems:
+                continue
             if not all(_is_finite(v) for v in entry.values()):
                 _err(diags, where, "parameters must be finite numbers")
                 continue
-            params = {key: float(v) for key, v in entry.items()}
+            params = {key: float(entry.get(key, default)) for key, default in table.items()}
             try:
                 if kind == "single":
                     single_exponent(dims, params["q"])
                 elif kind == "weighted":
-                    weighted_exponent(
-                        dims, params["q"], params.get("nu1", 0.0), params.get("nu2", 0.0)
-                    )
+                    weighted_exponent(dims, params["q"], params["nu1"], params["nu2"])
                 else:
-                    if params.get("q1", -1) < 0 or params.get("q2", -1) < 0:
+                    if params["q1"] < 0 or params["q2"] < 0:
                         raise ValueError("q1 and q2 must be nonnegative")
-                    sep = params.get("separation", 0.5)
-                    if not 0 < sep < 4.0 / 3.0:
+                    if not 0 < params["separation"] < 4.0 / 3.0:
                         raise ValueError("separation must lie in (0, 4/3) of the radius")
-                    n, (lo, hi) = params.get("n", 7.0), PAIR_DELTAS
+                    n, (lo, hi) = params["n"], PAIR_DELTAS
                     if not (n.is_integer() and lo <= n <= hi):
                         raise ValueError(f"n must be an integer in [{lo}, {hi}]")
-            except KeyError as exc:
-                _err(diags, where, f"missing parameter {exc}")
-                continue
             except ValueError as exc:
                 _err(diags, where, str(exc))
                 continue
@@ -385,7 +394,14 @@ def parse_config(data):
         else ()
     )
 
-    out_dir = data.get("output", {}).get("dir") if isinstance(data.get("output"), dict) else None
+    output = data.get("output")
+    out_dir = None
+    if output is not None and not isinstance(output, dict):
+        _err(diags, "output", "must be an object (dir)")
+    elif output is not None:
+        out_dir = output.get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            _err(diags, "output.dir", "dir must be a string")
 
     if any(d.level == "error" for d in diags):
         return None, diags
@@ -423,72 +439,52 @@ def load_config(path):
 # ------------------------------------------------------------------- reports
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _encode(obj, out, indent):
-    """Append to the list `out` the text that json.dump(_jsonable(obj), fh,
-    indent=2, sort_keys=True) writes; `indent` is the newline and the
-    indentation of the line `obj` is on."""
+    """Append to the list `out` the JSON text of `obj`, as json.dump(obj,
+    fh, indent=2, sort_keys=True) writes it, with non-finite floats as
+    null; `indent` is the newline and the indentation of the line `obj` is
+    on.  `obj` is built of dicts with str keys, lists, str, int, float,
+    bool and None; anything else, numpy values and tuples too, is a
+    TypeError."""
     kind = type(obj)
     if kind is float:
         out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
+    elif kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
         out.append(int.__repr__(obj))
-    elif kind is dict or kind is list or kind is tuple:
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is dict or kind is list:
         inner = indent + "  "
         if not obj:
             out.append("{}" if kind is dict else "[]")
         elif kind is dict:
-            if not all(type(key) is str for key in obj):
-                obj = {str(key): value for key, value in obj.items()}
+            for key in obj:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = "{" + inner
             for key in sorted(obj):
                 out.append(head + encode_basestring_ascii(key) + ": ")
                 _encode(obj[key], out, inner)
                 head = "," + inner
             out.append(indent + "}")
+        elif all(type(v) is float and math.isfinite(v) for v in obj):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + indent + "]")
         else:
-            try:    # float.__repr__ takes floats only; "n" is in nan and inf
-                text = ("," + inner).join(map(float.__repr__, obj))
-            except TypeError:
-                text = "n"
-            if "n" not in text:
-                out.append("[" + inner + text + indent + "]")
-                return
             head = "[" + inner
             for value in obj:
                 out.append(head)
                 _encode(value, out, inner)
                 head = "," + inner
             out.append(indent + "]")
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif (plain := _jsonable(obj)) is not obj:   # numpy values, subclasses
-        _encode(plain, out, indent)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _num(value, module, operation):
     """Report numeric payload tagged with the producing module/operation."""
-    return {"value": _jsonable(value), "module": module, "operation": operation}
+    return {"value": value, "module": module, "operation": operation}
 
 
 def _e12_scales(dtype):
@@ -634,9 +630,9 @@ def _task_c_vector(cfg, ctx, rng, out):
             {
                 "group": h,
                 "components": list(spec.group_indices(h)),
-                "c": cv.c,
-                "c_squared": cv.c**2,
-                "system_residual_sup": res,
+                "c": cv.c.tolist(),
+                "c_squared": (cv.c**2).tolist(),
+                "system_residual_sup": float(res),
                 "boundary": cv.boundary,
             }
         )
@@ -660,9 +656,9 @@ def _task_spectrum(cfg, ctx, rng, out):
         groups.append(
             {
                 "group": h,
-                "lambdas": report.lambdas,
-                "thetas": report.thetas,
-                "det_identity_gap": report.det_identity_gap,
+                "lambdas": report.lambdas.tolist(),
+                "thetas": report.thetas.tolist(),
+                "det_identity_gap": float(report.det_identity_gap),
                 "verdict": report.verdict,
                 "message": report.reason,
             }
@@ -696,13 +692,13 @@ def _task_reduced_energy(cfg, ctx, rng, out):
     verdict = "pass" if gap < 1e-5 else "inconclusive"
     message = f"analytic vs finite-difference gradient gap {gap:.3e}"
     return verdict, message, {
-        "weights": _num(weights, "coupling", "solve_c_vector"),
-        "robin": _num(robin, "greens", "kernel_robin"),
-        "hole_r": _num(cfg.hole_coeffs, "cli", "config"),
+        "weights": _num(weights.tolist(), "coupling", "solve_c_vector"),
+        "robin": _num(robin.tolist(), "greens", "kernel_robin"),
+        "hole_r": _num(cfg.hole_coeffs.tolist(), "cli", "config"),
         "b1": _num(model.b1, "energy", "constant_b1"),
         "b2": _num(model.b2, "energy", "constant_b2"),
         "grad_fd_gap": _num(gap, "energy", "psi_grad"),
-        "probe_d": _num(d_probe, "cli", "rng"),
+        "probe_d": _num(d_probe.tolist(), "cli", "rng"),
     }
 
 
@@ -726,11 +722,11 @@ def _task_critical_point(cfg, ctx, rng, out):
             "min-max signature confirmed"
         )
     return verdict, message, {
-        "d_tilde": _num(rep.point.d, "energy", "critical_point"),
+        "d_tilde": _num(rep.point.d.tolist(), "energy", "critical_point"),
         "psi_value": _num(psi_min, "energy", "psi_value"),
         "grad_norm": _num(rep.grad_norm, "energy", "psi_grad"),
-        "hess_d_block": _num(rep.hess_d, "energy", "psi_hessian_at_flat"),
-        "hess_tau_block": _num(rep.hess_tau, "energy", "psi_hessian_at_flat"),
+        "hess_d_block": _num(rep.hess_d.tolist(), "energy", "psi_hessian_at_flat"),
+        "hess_tau_block": _num(rep.hess_tau.tolist(), "energy", "psi_hessian_at_flat"),
         "signature_ok": _num(rep.signature_ok, "energy", "critical_point"),
     }
 
@@ -739,10 +735,7 @@ def _family_name(kind, params):
     if kind == "single":
         return f"single_q{params['q']:g}"
     if kind == "weighted":
-        return (
-            f"weighted_q{params['q']:g}"
-            f"_nu{params.get('nu1', 0.0):g}_{params.get('nu2', 0.0):g}"
-        )
+        return f"weighted_q{params['q']:g}_nu{params['nu1']:g}_{params['nu2']:g}"
     return f"pair_q{params['q1']:g}_{params['q2']:g}"
 
 
@@ -751,18 +744,14 @@ def _run_family(dims, domain_radius, kind, params):
         return scaling_law_single(params["q"], dims, domain_radius=domain_radius)
     if kind == "weighted":
         return scaling_law_weighted(
-            params["q"],
-            params.get("nu1", 0.0),
-            params.get("nu2", 0.0),
-            dims,
-            domain_radius=domain_radius,
+            params["q"], params["nu1"], params["nu2"], dims, domain_radius=domain_radius
         )
     return scaling_law_pair(
         params["q1"],
         params["q2"],
         dims,
-        delta_grid=default_delta_grid(n=int(params.get("n", 7))),
-        separation=params.get("separation", 0.5),
+        delta_grid=default_delta_grid(n=int(params["n"])),
+        separation=params["separation"],
         domain_radius=domain_radius,
     )
 
@@ -841,9 +830,9 @@ def _task_radial_sweep(cfg, ctx, rng, out):
         "slope": _num(sweep.slope, "solver", "rate_sweep"),
         "d_final": _num(sweep.d_final, "solver", "rate_sweep"),
         "d_tilde": _num(sweep.d_tilde, "energy", "critical_point"),
-        "epsilons": _num(sweep.epsilons, "solver", "rate_sweep"),
-        "delta_ests": _num(sweep.delta_ests, "solver", "rate_sweep"),
-        "d_ests": _num(sweep.d_ests, "solver", "rate_sweep"),
+        "epsilons": _num(sweep.epsilons.tolist(), "solver", "rate_sweep"),
+        "delta_ests": _num(sweep.delta_ests.tolist(), "solver", "rate_sweep"),
+        "d_ests": _num(sweep.d_ests.tolist(), "solver", "rate_sweep"),
     }
     if sweep.aborted:
         return "error", f"sweep aborted: {sweep.message}", outputs
@@ -870,13 +859,13 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 
 def _coupling_inputs(cfg):
     spec = cfg.coupling
-    return {"mu": _jsonable(spec.mu), "beta": _jsonable(spec.beta),
+    return {"mu": spec.mu.tolist(), "beta": spec.beta.tolist(),
             "decomposition": list(spec.decomposition)}
 
 
 def _domain_inputs(cfg):
-    return {"ball_radius": cfg.ball.radius, "hole_centers": _jsonable(cfg.hole_centers),
-            "hole_coeffs": _jsonable(cfg.hole_coeffs), "eta": cfg.eta}
+    return {"ball_radius": cfg.ball.radius, "hole_centers": cfg.hole_centers.tolist(),
+            "hole_coeffs": cfg.hole_coeffs.tolist(), "eta": cfg.eta}
 
 
 def _scaling_inputs(cfg):
@@ -885,7 +874,7 @@ def _scaling_inputs(cfg):
 
 def _sweep_inputs(cfg):
     return {"ball_radius": cfg.ball.radius, "hole_coeff": float(cfg.hole_coeffs[0]),
-            "epsilon_grid": _jsonable(cfg.epsilon_grid), "n_nodes": cfg.n_nodes}
+            "epsilon_grid": cfg.epsilon_grid.tolist(), "n_nodes": cfg.n_nodes}
 
 
 # task -> module and operation it is reported under, the task it needs,

@@ -31,6 +31,7 @@ import numpy as np
 
 DEGENERACY_TOL = 1e-8
 _BOUNDARY_TOL = 1e-12
+_LADDER = (1.0, 3.0)   # known prefix (nu_1, nu_2) of the eigenvalue ladder
 
 
 class NoPositiveSolution(ValueError):
@@ -197,7 +198,7 @@ def solve_c_vector(spec, group):
 def eigenvalue_ladder():
     """Known prefix (nu_1, nu_2) = (1, 3) of the linearization eigenvalue
     ladder around the bubble; higher entries are not computed here."""
-    return (1.0, 3.0)
+    return _LADDER
 
 
 @dataclass(frozen=True)
@@ -217,17 +218,18 @@ def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
     """(verdict, reason).  The reason names the first eigenvalue that meets
     the verdict's condition, in descending order after the structural 3,
     numbered from lambda_2, or says that the structural 3 is missing."""
+    nu1, nu2 = _LADDER
     lam = np.sort(np.asarray(lambdas))[::-1]
-    near3 = np.abs(lam - 3.0) <= tol
+    near3 = np.abs(lam - nu2) <= tol
     if not np.any(near3):
         # M c = 3c whenever c solves the amplitude system: outside theory
         return "inconclusive", "inconclusive: the structural eigenvalue 3 is missing"
     others = np.delete(lam, np.argmax(near3))
-    hits = (np.abs(others - 3.0) <= tol) | (np.abs(others - 1.0) <= tol)
+    hits = (np.abs(others - nu2) <= tol) | (np.abs(others - nu1) <= tol)
     verdict, note = "degenerate", ""
     if not np.any(hits):
         # the verdict would need ladder entries beyond (1, 3), which are not computed
-        hits = (others >= 3.0 + tol) | (others <= -1.0 - tol)
+        hits = (others >= nu2 + tol) | (others <= -1.0 - tol)
         verdict, note = "inconclusive", " outside the certified ladder range"
     if not np.any(hits):
         return "nondegenerate", "nondegenerate"
@@ -301,8 +303,3 @@ def build_spectrum(spec, cvec):
         m2_closed_form=closed,
         det_identity_gap=det_gap / scale,
     )
-
-
-def nondegeneracy_check(report):
-    """Re-derive the verdict from a report's eigenvalues (pure function)."""
-    return _verdict_from_lambdas(report.lambdas)[0]

@@ -91,12 +91,6 @@ def test_projection_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_tau_factor_unit_at_zero():
-    assert asy.tau_factor(DIMS4, np.zeros(4)) == 1.0
-    assert asy.tau_factor(DIMS3, np.zeros(3)) == 1.0
-    assert asy.tau_factor(DIMS4, np.array([1.0, 0, 0, 0])) == pytest.approx(0.5)
-
-
 def test_remainder_ratio_bounded_as_hole_shrinks():
     # four decades of eps; the pointwise defect/bound ratio must not grow
     eps_grid = np.geomspace(1e-2, 1e-5, 10)
@@ -128,8 +122,6 @@ def test_remainder_check_validation():
     proj = make_projection(DIMS3, inner=1e-3, outer=1.0, delta=math.sqrt(1e-3))
     with pytest.raises(ValueError):
         asy.remainder_check(proj, eta=1e-3, d=2e3)  # d outside (eta, 1/eta)
-    with pytest.raises(ValueError):
-        asy.remainder_check(proj, eta=1e-3, d=1.0, tau=np.array([0.5, 0, 0]))
     with pytest.raises(ValueError):
         asy.remainder_check(proj, eta=1.5, d=1.0)
 

@@ -86,6 +86,11 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+def _variant(base, **blocks):
+    """A deep copy of the config `base` with its top-level `blocks` replaced."""
+    return copy.deepcopy(dict(base, **blocks))
+
+
 def load_summary(out_dir):
     with open(out_dir / "summary.json") as fh:
         return json.load(fh)
@@ -289,6 +294,8 @@ def _parse_with(path, value):
     (("scaling",), {"single": [{"q": True}]}, "scaling.single[0]"),
     (("scaling",), {"single": [{"q": "2"}]}, "scaling.single[0]"),
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": "7"}]}, "scaling.pair[0]"),
+    (("scaling",), {"pair": [{"q1": 2}]}, "scaling.pair[0]"),
+    (("scaling",), {"weighted": [{"q": 4, "nu3": 1}]}, "scaling.weighted[0]"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
@@ -312,6 +319,47 @@ def test_parse_reports_malformed_field(path, value, field_name):
 def test_parse_accepts_limits(path, value):
     config, diags = _parse_with(path, value)
     assert config is not None, diags
+
+
+def test_scaling_family_rejects_parameters_of_other_kinds():
+    config, diags = _parse_with(("scaling",), {"single": [{"q": 1, "nu1": 2, "bogus": 3}]})
+    assert config is None
+    assert [str(d) for d in diags if d.level == "error"] == [
+        "error[scaling.single[0]]: unknown parameter 'nu1'",
+        "error[scaling.single[0]]: unknown parameter 'bogus'",
+        "error[scaling]: no valid scaling families given",
+    ]
+
+
+def test_scaling_family_defaults_are_filled_once():
+    config, diags = _parse_with(("scaling",), {"weighted": [{"q": 4, "nu2": 2}],
+                                               "pair": [{"q1": 2, "q2": 1}]})
+    assert config is not None, diags
+    assert config.scaling == (
+        ("weighted", {"q": 4.0, "nu1": 0.0, "nu2": 2.0}),
+        ("pair", {"q1": 2.0, "q2": 1.0, "separation": 0.5, "n": 7.0}),
+    )
+    assert [cli._family_name(*family) for family in config.scaling] == [
+        "weighted_q4_nu0_2", "pair_q2_1"]
+
+
+@pytest.mark.parametrize("output, field_name", [
+    (5, "output"), ({"dir": 5}, "output.dir"), ({"dir": ["out"]}, "output.dir"),
+    ({"dir": None}, None)])
+def test_output_dir_is_checked_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, output, field_name):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, _variant(PAIR, output=output))
+    for argv in (["validate", path], ["run", path]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if field_name is None:   # no dir given: the default output directory
+            assert code != 1 and err == ""
+        else:
+            assert code == 1 and err.startswith(f"error[{field_name}]: ")
+            assert err.count("\n") == 1
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert made == ["bubblelab_out", "config.json"] if field_name is None else ["config.json"]
 
 
 def test_parse_stores_integral_float_n_nodes_as_int():
@@ -481,10 +529,21 @@ def test_kernel_formats_the_values_itself(case):
 # ---------------------------------------------------------------- summary.json
 
 
+def _finite_or_none(obj):
+    """`obj` with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def json_oracle(obj):
-    """The text the CLI wrote with the stdlib encoder."""
+    """The stdlib encoding of `obj` with non-finite floats as null."""
     fh = io.StringIO()
-    json.dump(cli._jsonable(obj), fh, indent=2, sort_keys=True)
+    json.dump(_finite_or_none(obj), fh, indent=2, sort_keys=True)
     fh.write("\n")
     return fh.getvalue()
 
@@ -496,6 +555,47 @@ def encoded(obj):
 
 
 NAN, INF = float("nan"), float("inf")
+NUMPY_SCALARS = [np.float64(1.5), np.float32(0.1), np.float64(-0.0), np.int64(-7),
+                 np.uint64(2**64 - 1), np.int8(3), np.bool_(True), np.bool_(False),
+                 np.float64(np.nan), np.float32(np.inf), np.float16(0.3)]
+NUMPY_ARRAYS = {"v": np.array([1.0, np.nan, -0.0, np.inf]), "m": np.arange(6.0).reshape(2, 3),
+                "i": np.arange(4), "b": np.array([True, False]), "e": np.array([], dtype=float),
+                "f32": np.array([0.1, 0.2], dtype=np.float32)}
+
+NOT_JSON = "Object of type %s is not JSON serializable"
+
+# name -> (a value of a type that run never builds, the TypeError it gives,
+# the plain value a task builds in its place with .tolist(), .item(), a
+# list or a str key)
+UNBUILT_CASES = {
+    "empty_tuple": ((), NOT_JSON % "tuple", []),
+    "nested_empty": ({"a": {}, "b": [], "c": [[], {}, [[]], ({},)], "d": {"e": {}}},
+                     NOT_JSON % "tuple",
+                     {"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": {"e": {}}}),
+    "tuples": ((1.0, (2, 3), ("x", (4.5,)), ()), NOT_JSON % "tuple",
+               [1.0, [2, 3], ["x", [4.5]], []]),
+    "float_tuple": ((0.1, 0.2, 1e300), NOT_JSON % "tuple", [0.1, 0.2, 1e300]),
+    "non_string_keys": ({2: "two", 10: "ten", 1.5: [1.0], None: 0, True: 1},
+                        "keys must be str, not int",
+                        {"2": "two", "10": "ten", "1.5": [1.0], "None": 0, "True": 1}),
+    "numpy_scalars": (NUMPY_SCALARS, NOT_JSON % "float64",
+                      [v.item() for v in NUMPY_SCALARS]),
+    "numpy_scalar_alone": (np.float64(2.0) / 3, NOT_JSON % "float64",
+                           (np.float64(2.0) / 3).item()),
+    "numpy_int_alone": (np.int32(12), NOT_JSON % "int32", 12),
+    "numpy_floats_in_list": ([np.float64(0.1), 0.2, np.float64(1e-300)],
+                             NOT_JSON % "float64", [0.1, 0.2, 1e-300]),
+    "numpy_arrays": (NUMPY_ARRAYS, NOT_JSON % "ndarray",
+                     {key: value.tolist() for key, value in NUMPY_ARRAYS.items()}),
+    "numpy_array_alone": (np.linspace(0.0, 1.0, 7), NOT_JSON % "ndarray",
+                          np.linspace(0.0, 1.0, 7).tolist()),
+    "numpy_in_tuple": ((np.float64(3.0), np.array([[1, 2]]), "x"), NOT_JSON % "tuple",
+                       [3.0, [[1, 2]], "x"]),
+    "numpy_strings": ({"k": [np.str_("v\u00e9"), np.str_('"')]}, NOT_JSON % "str_",
+                      {"k": ["v\u00e9", '"']}),
+    "numpy_string_key": ({np.str_("k"): 1}, "keys must be str, not str_", {"k": 1}),
+}
+
 ENCODER_CASES = {
     "nan": NAN,
     "inf": INF,
@@ -516,10 +616,6 @@ ENCODER_CASES = {
     "int_between_floats": [1.0, 2, 3.0],
     "empty_dict": {},
     "empty_list": [],
-    "empty_tuple": (),
-    "nested_empty": {"a": {}, "b": [], "c": [[], {}, [[]], ({},)], "d": {"e": {}}},
-    "tuples": (1.0, (2, 3), ("x", (4.5,)), ()),
-    "float_tuple": (0.1, 0.2, 1e300),
     "one_float": [0.1],
     "scalars": [None, "s", 3, 2.5, False],
     "non_ascii": ["\u00e9t\u00e9", "\u2603", "\U0001d11e", "\u03b5 \u2192 0"],
@@ -527,20 +623,7 @@ ENCODER_CASES = {
     "control_characters": "".join(map(chr, range(32))) + "\x7f\u2028\u2029",
     "awkward_keys": {"\u00e9": 1, '"q"': 2, "\\": 3, "\n": 4, "": 5, "A": 6, "a": 7,
                      "\x00": 8, "\U0001d11e": 9},
-    "non_string_keys": {2: "two", 10: "ten", 1.5: [1.0], None: 0, True: 1},
-    "numpy_scalars": [np.float64(1.5), np.float32(0.1), np.float64(-0.0), np.int64(-7),
-                      np.uint64(2**64 - 1), np.int8(3), np.bool_(True), np.bool_(False),
-                      np.float64(np.nan), np.float32(np.inf), np.float16(0.3)],
-    "numpy_scalar_alone": np.float64(2.0) / 3,
-    "numpy_int_alone": np.int32(12),
-    "numpy_floats_in_list": [np.float64(0.1), 0.2, np.float64(1e-300)],
-    "numpy_arrays": {"v": np.array([1.0, np.nan, -0.0, np.inf]),
-                     "m": np.arange(6.0).reshape(2, 3), "i": np.arange(4),
-                     "b": np.array([True, False]), "e": np.array([], dtype=float),
-                     "f32": np.array([0.1, 0.2], dtype=np.float32)},
-    "numpy_array_alone": np.linspace(0.0, 1.0, 7),
-    "numpy_in_tuple": (np.float64(3.0), np.array([[1, 2]]), "x"),
-    "numpy_strings": {np.str_("k"): [np.str_("v\u00e9"), np.str_('"')]},
+    **{name: plain for name, (_, _, plain) in UNBUILT_CASES.items()},
 }
 
 
@@ -559,16 +642,25 @@ def test_encoder_rejects_what_json_dump_rejects(value):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("case", sorted(UNBUILT_CASES))
+def test_encoder_rejects_types_run_never_builds(case):
+    # json.dump would take these (a tuple as a list, a float64 as a float,
+    # an int key as a string): the summary holds none of them
+    value, message, _ = UNBUILT_CASES[case]
+    with pytest.raises(TypeError) as got:
+        encoded(value)
+    assert str(got.value) == message
+
+
 def test_encoder_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    floats = st.floats() | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
     leaves = st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | \
-        floats | st.text() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+        st.floats() | st.text()
     values = st.recursive(
         leaves,
-        lambda children: st.lists(children) | st.lists(children).map(tuple)
-        | st.dictionaries(st.text(), children) | st.lists(floats).map(np.array),
+        lambda children: st.lists(children) | st.lists(st.floats())
+        | st.dictionaries(st.text(), children),
         max_leaves=40,
     )
 
@@ -595,7 +687,7 @@ def _capture_run(monkeypatch):
 
 
 def _assert_plain(obj):
-    """Only the types json.dump takes as they are: no numpy value is left."""
+    """Only the types cli._encode takes: no numpy value or tuple is left."""
     if isinstance(obj, dict):
         assert all(type(key) is str for key in obj)
         for value in obj.values():
@@ -605,6 +697,22 @@ def _assert_plain(obj):
             _assert_plain(value)
     else:
         assert type(obj) in (str, int, float, bool, type(None)), type(obj)
+
+
+@pytest.fixture(autouse=True)
+def _every_summary_is_plain(monkeypatch):
+    """Every summary cli.run returns in these tests holds plain values only,
+    and the file it wrote is their stdlib encoding."""
+    real_run = cli.run
+
+    def checked_run(config, out_dir, seed=0):
+        code, summary = real_run(config, out_dir, seed)
+        _assert_plain(summary)
+        with open(os.path.join(out_dir, "summary.json")) as fh:
+            assert fh.read() == json_oracle(summary)
+        return code, summary
+
+    monkeypatch.setattr(cli, "run", checked_run)
 
 
 def test_demo_summary_json_is_the_oracle_encoding(tmp_path, monkeypatch):
@@ -620,6 +728,109 @@ def test_sweep_summary_json_is_the_oracle_encoding(sweep_run):
     _, out, summary = sweep_run
     _assert_plain(summary)
     assert (out / "summary.json").read_text() == json_oracle(summary)
+
+
+N3_SWEEP = {   # the default epsilon grid: the first solve falls into the trivial branch
+    "schema": "bubblelab-config/1",
+    "dims": 3,
+    "coupling": {"mu": [1.0], "beta": [[0.0]], "decomposition": [0, 1]},
+    "domain": {"radius": 1.0, "holes": [{"center": [0.0, 0.0, 0.0], "radius_coeff": 1.0}]},
+    "tasks": ["radial-sweep"],
+}
+
+
+def _outputs(summary, task):
+    (entry,) = [t for t in summary["tasks"] if t["task"] == task]
+    return {key: payload["value"] for key, payload in entry["outputs"].items()}
+
+
+def _check_partial_groups(summary, written):
+    # group 1 has no positive solution: the groups before it are reported
+    assert [g["group"] for g in _outputs(summary, "c-vector")["groups"]] == [0]
+    assert summary["tasks"][0]["message"].startswith("degenerate: group 1: ")
+
+
+def _check_boundary(summary, written):
+    (group,) = _outputs(summary, "c-vector")["groups"]
+    assert group["boundary"] is True
+    assert "lambda_2 = 1" in summary["tasks"][1]["message"]
+
+
+def _check_outside_box(summary, written):
+    # psi_value raises outside the admissible box, before the in-box verdict
+    assert summary["tasks"][3]["message"] == "ValueError: point outside the box X_eta"
+    assert summary["tasks"][3]["outputs"] == {}
+
+
+def _check_families(summary, written):
+    families = _outputs(summary, "scaling-checks")["families"]
+    assert [f["kind"] for f in families] == ["single", "weighted", "pair"]
+    (entry,) = written["tasks"]
+    assert entry["inputs"]["families"] == [
+        {"kind": "single", "q": 1.0},
+        {"kind": "weighted", "q": 4.0, "nu1": 0.0, "nu2": 2.0},
+        {"kind": "pair", "q1": 2.0, "q2": 2.0, "separation": 0.5, "n": 4.0},
+    ]
+
+
+def _check_aborted_sweep(summary, written):
+    assert summary["tasks"][0]["message"].startswith("sweep aborted: ")
+    returned, on_disk = _outputs(summary, "radial-sweep"), _outputs(written, "radial-sweep")
+    for key in ("slope", "d_final"):
+        assert math.isnan(returned[key]) and on_disk[key] is None, key
+    assert returned["epsilons"] == on_disk["epsilons"] == []
+
+
+# output path -> (config, verdict of each task, what the path reports)
+OUTPUT_PATHS = {
+    "no_positive_solution": (
+        _variant(DEMO, tasks=["c-vector"], coupling={
+            "mu": [1.0, 1.0, 2.0], "decomposition": [0, 1, 3],
+            "beta": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 1.5, 0.0]]}),
+        ["degenerate"], _check_partial_groups),
+    "boundary_amplitude": (
+        _variant(PAIR, coupling=dict(PAIR["coupling"], beta=[[0.0, 1.0], [1.0, 0.0]])),
+        ["degenerate", "degenerate"], _check_boundary),
+    "inconclusive_spectrum": (PAIR, ["pass", "inconclusive"], None),
+    "critical_point_outside_box": (
+        _variant(DEMO, reduction={"eta": 0.99}),
+        ["pass", "inconclusive", "error", "error"], _check_outside_box),
+    "scaling_all_kinds": (
+        _variant(PAIR, tasks=["scaling-checks"], scaling={
+            "single": [{"q": 1}], "weighted": [{"q": 4, "nu2": 2}],
+            "pair": [{"q1": 2, "q2": 2, "n": 4}]}),
+        ["inconclusive"], _check_families),
+    "aborted_n3_sweep": (N3_SWEEP, ["error"], _check_aborted_sweep),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_PATHS))
+def test_summary_on_every_output_path_is_the_oracle_encoding(tmp_path, name):
+    data, verdicts, check = OUTPUT_PATHS[name]
+    config, diags = cli.parse_config(data)
+    assert config is not None, diags
+    _, summary = cli.run(config, tmp_path)
+    assert [t["verdict"] for t in summary["tasks"]] == verdicts
+    _assert_plain(summary)
+    text = (tmp_path / "summary.json").read_text()
+    assert text == json_oracle(summary)
+    if check is not None:
+        check(summary, json.loads(text))
+
+
+def test_failed_task_summary_is_the_oracle_encoding(tmp_path, monkeypatch):
+    def fails(*args):
+        raise FloatingPointError("overflow in a runner")
+
+    monkeypatch.setitem(cli._TASKS, "spectrum", cli._TASKS["spectrum"]._replace(runner=fails))
+    config, _ = cli.parse_config(PAIR)
+    code, summary = cli.run(config, tmp_path)
+    assert code == 1
+    entry = summary["tasks"][1]
+    assert (entry["verdict"], entry["message"], entry["outputs"]) == (
+        "error", "FloatingPointError: overflow in a runner", {})
+    _assert_plain(summary)
+    assert (tmp_path / "summary.json").read_text() == json_oracle(summary)
 
 
 def test_unencodable_summary_leaves_no_file(tmp_path, monkeypatch):

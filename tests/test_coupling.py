@@ -9,7 +9,6 @@ from bubblelab.coupling import (
     admissible_beta_range,
     build_spectrum,
     eigenvalue_ladder,
-    nondegeneracy_check,
     solve_c_vector,
     system_residual,
     _verdict_from_lambdas,
@@ -154,7 +153,6 @@ def test_spectrum_cooperative_case_nondegenerate():
     assert rep.verdict == "nondegenerate"
     others = np.sort(rep.lambdas)[:-1]
     assert np.all((others > -1) & (others < 3)) and np.all(np.abs(others - 1) > 1e-8)
-    assert nondegeneracy_check(rep) == rep.verdict
 
 
 def test_degenerate_boundary_lambda2_equals_1():
