@@ -433,27 +433,35 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     |x - xi1|^(nu1 - nu2), weight pole at the first center) over the ball
     of radius domain_radius, centers at -/+ separation/2 on the first axis.
 
-    The domain splits into a ball of radius separation/4 around each
-    center (spherical quadrature there, the off-peak factor entering
-    through a smooth polar integral) plus the remainder in cylinder
-    coordinates with the two ball cross-sections excluded.
+    delta1 and delta2 are scalars (a scalar is returned) or equal-length
+    1-D arrays (one value per pair of scales).  The domain splits into a
+    ball of radius separation/4 around each center (spherical quadrature
+    there, the off-peak factor entering through a smooth polar integral)
+    plus the remainder in cylinder coordinates with the two ball
+    cross-sections excluded.  Only the peak-piece radial rules and the
+    profile powers depend on the scales; the cylinder nodes, distances and
+    weights are built once per call.
     """
     N = dims.N
     if not 0 < separation < 4.0 / 3.0 * domain_radius:
         raise ValueError("centers too close to each other or to the boundary")
+    deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)
+    if deltas1.ndim > 1 or deltas1.shape != deltas2.shape:
+        raise ValueError("delta1 and delta2 must be scalars or 1-D arrays of equal length")
     rho = separation / 4.0
     z1, z2 = -separation / 2.0, separation / 2.0
     L = separation
     weighted = (nu1 != 0.0) or (nu2 != 0.0)
     theta, w_theta = _panel_rule([0.0, math.pi / 2, math.pi])
     w_theta = w_theta * np.sin(theta) ** (N - 2)
+    cos_theta = np.cos(theta)
 
     def peak_piece(delta_near, q_near, delta_far, q_far, near_is_pole):
         anchors = [delta_near * 10.0**k for k in range(-2, 17)]   # up to rho
         r, w_r = _panel_rule(_segments(0.0, rho, anchors))
         # far factor (and the weight when the far center is the pole) over
         # the directions around the near center
-        dist2 = r[:, None] ** 2 + L * L - 2 * L * r[:, None] * np.cos(theta)
+        dist2 = r[:, None] ** 2 + L * L - 2 * L * r[:, None] * cos_theta
         far = radial_profile(dims, delta_far, np.sqrt(dist2)) ** q_far
         if weighted and not near_is_pole:
             far *= dist2 ** ((nu1 - nu2) / 2)
@@ -462,9 +470,6 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         if weighted and near_is_pole:
             f *= r ** (nu1 - nu2)
         return w_r @ f
-
-    piece1 = peak_piece(delta1, q1, delta2, q2, near_is_pole=True)
-    piece2 = peak_piece(delta2, q2, delta1, q1, near_is_pole=False)
 
     # cylinder remainder: axial coordinate z, distance u to the axis
     z_breaks = _segments(
@@ -479,16 +484,20 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     frac, w_frac = _panel_rule([0.0, 0.05, 0.2, 0.5, 1.0])
     u = u_lo[:, None] + width * frac
     z = z[:, None]
-    s1 = np.hypot(z - z1, u)
-    g = (
-        u ** (N - 2)
-        * radial_profile(dims, delta1, s1) ** q1
-        * radial_profile(dims, delta2, np.hypot(z - z2, u)) ** q2
-    )
-    if weighted:
-        g *= s1 ** (nu1 - nu2)
-    rest = w_z @ ((g * width) @ w_frac)
-    return _slice_area(dims) * (piece1 + piece2 + rest)
+    s1, s2 = np.hypot(z - z1, u), np.hypot(z - z2, u)
+    u_power = u ** (N - 2)
+    weight = s1 ** (nu1 - nu2) if weighted else None
+
+    values = []
+    for d1, d2 in zip(deltas1.ravel().tolist(), deltas2.ravel().tolist()):
+        piece1 = peak_piece(d1, q1, d2, q2, near_is_pole=True)
+        piece2 = peak_piece(d2, q2, d1, q1, near_is_pole=False)
+        g = u_power * radial_profile(dims, d1, s1) ** q1 * radial_profile(dims, d2, s2) ** q2
+        if weighted:
+            g *= weight
+        rest = w_z @ ((g * width) @ w_frac)
+        values.append(piece1 + piece2 + rest)
+    return _slice_area(dims) * np.reshape(values, deltas1.shape)
 
 
 def _pair_bound(dims, delta, q1, q2, domain_radius, nu1, nu2):
@@ -519,13 +528,8 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
         raise ValueError("powers must be nonnegative")
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
     N = dims.N
-    values = np.array(
-        [
-            pair_product_integral(
-                dims, d, d, q1, q2, separation, domain_radius, nu1, nu2
-            )
-            for d in grid
-        ]
+    values = pair_product_integral(
+        dims, grid, grid, q1, q2, separation, domain_radius, nu1, nu2
     )
     bounds = np.array(
         [_pair_bound(dims, d, q1, q2, domain_radius, nu1, nu2) for d in grid]

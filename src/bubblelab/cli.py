@@ -38,7 +38,14 @@ from .coupling import (
     solve_c_vector,
     system_residual,
 )
-from .energy import ReducedEnergyModel, ReducedPoint, critical_point, gradient_check, psi_value
+from .energy import (
+    GRAD_CHECK_STEP,
+    ReducedEnergyModel,
+    ReducedPoint,
+    critical_point,
+    gradient_check,
+    psi_value,
+)
 from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
 from .solver import rate_sweep
 
@@ -621,7 +628,7 @@ def _task_c_vector(cfg, ctx, rng, out):
         try:
             cv = solve_c_vector(spec, h)
         except NoPositiveSolution as exc:
-            return "degenerate", f"degenerate: group {h}: {exc}", {
+            return "degenerate", f"degenerate: {exc}", {
                 "groups": _num(groups, "coupling", "solve_c_vector")
             }
         cvecs.append(cv)
@@ -639,7 +646,7 @@ def _task_c_vector(cfg, ctx, rng, out):
         if cv.boundary:
             worst = "degenerate"
             message = f"degenerate: group {h} amplitude hits the existence boundary"
-    ctx["cvecs"] = cvecs
+    ctx["c-vector"] = cvecs
     return worst, message, {"groups": _num(groups, "coupling", "solve_c_vector")}
 
 
@@ -651,7 +658,7 @@ def _task_spectrum(cfg, ctx, rng, out):
     groups = []
     worst = "pass"
     messages = []
-    for h, cv in enumerate(ctx["cvecs"]):
+    for h, cv in enumerate(ctx["c-vector"]):
         report = build_spectrum(spec, cv)
         groups.append(
             {
@@ -675,37 +682,47 @@ def _task_spectrum(cfg, ctx, rng, out):
 
 
 def _task_reduced_energy(cfg, ctx, rng, out):
-    weights = np.array([float(np.sum(cv.c**2)) for cv in ctx["cvecs"]])
+    weights = np.array([float(np.sum(cv.c**2)) for cv in ctx["c-vector"]])
     robin = np.array(
         [kernel_robin(cfg.ball, a) for a in cfg.hole_centers]
     )
     model = ReducedEnergyModel(
         dims=cfg.dims, weights=weights, robin=robin, hole_r=cfg.hole_coeffs
     )
-    ctx["model"] = model
-
-    # seeded spot check: analytic gradient vs central differences at a
-    # random interior point of the box
-    d_probe = np.exp(rng.uniform(-0.5, 0.5, model.n_peaks))
-    tau_probe = rng.uniform(-0.2, 0.2, (model.n_peaks, cfg.dims.N))
-    gap = gradient_check(model, ReducedPoint(d=d_probe, tau=tau_probe, eta=cfg.eta))
-    verdict = "pass" if gap < 1e-5 else "inconclusive"
-    message = f"analytic vs finite-difference gradient gap {gap:.3e}"
-    return verdict, message, {
+    ctx["reduced-energy"] = model
+    outputs = {
         "weights": _num(weights.tolist(), "coupling", "solve_c_vector"),
         "robin": _num(robin.tolist(), "greens", "kernel_robin"),
         "hole_r": _num(cfg.hole_coeffs.tolist(), "cli", "config"),
         "b1": _num(model.b1, "energy", "constant_b1"),
         "b2": _num(model.b2, "energy", "constant_b2"),
-        "grad_fd_gap": _num(gap, "energy", "psi_grad"),
-        "probe_d": _num(d_probe.tolist(), "cli", "rng"),
     }
+
+    # seeded spot check: analytic gradient vs central differences at a
+    # random point of the box, exp(U(-1/2, 1/2)) for the rates cut to keep
+    # every shifted point at least a step inside X_eta
+    margin = 2 * GRAD_CHECK_STEP
+    lo = max(-0.5, math.log(cfg.eta + margin))
+    hi = min(0.5, math.log(1.0 / cfg.eta - margin))
+    if not lo < hi:
+        return "inconclusive", (
+            f"inconclusive: the box X_eta at eta = {cfg.eta!r} is too narrow "
+            "for the finite-difference gradient check"
+        ), outputs
+    d_probe = np.exp(rng.uniform(lo, hi, model.n_peaks))
+    tau_probe = rng.uniform(-0.2, 0.2, (model.n_peaks, cfg.dims.N))
+    gap = gradient_check(model, ReducedPoint(d=d_probe, tau=tau_probe, eta=cfg.eta))
+    verdict = "pass" if gap < 1e-5 else "inconclusive"
+    message = f"analytic vs finite-difference gradient gap {gap:.3e}"
+    outputs["grad_fd_gap"] = _num(gap, "energy", "psi_grad")
+    outputs["probe_d"] = _num(d_probe.tolist(), "cli", "rng")
+    return verdict, message, outputs
 
 
 def _task_critical_point(cfg, ctx, rng, out):
-    model = ctx["model"]
+    model = ctx["reduced-energy"]
     rep = critical_point(model, eta=cfg.eta)
-    psi_min = psi_value(model, rep.point)
+    psi_min = psi_value(model, rep.point) if rep.in_box else None   # Psi lives on X_eta
     if not rep.in_box:
         verdict = "inconclusive"
         message = "inconclusive: critical point leaves the admissible box"
@@ -878,7 +895,9 @@ def _sweep_inputs(cfg):
 
 
 # task -> module and operation it is reported under, the task it needs,
-# its inputs beside "dims", and its runner; tasks run in this order
+# its inputs beside "dims", and its runner; tasks run in this order.  A
+# runner leaves what later tasks build on in ctx under its own task name;
+# a task whose prerequisite left nothing there is skipped as degenerate.
 _Task = namedtuple("_Task", "module operation prerequisite inputs runner")
 _TASKS = {
     "c-vector": _Task("coupling", "solve_c_vector", None, _coupling_inputs, _task_c_vector),
@@ -909,10 +928,14 @@ def run(config, out_dir, seed=0):
         if task not in config.tasks:
             continue
         t0 = time.perf_counter()
-        try:
-            verdict, message, outputs = info.runner(config, ctx, rng, out)
-        except Exception as exc:   # numerical failures keep task attribution
-            verdict, message, outputs = "error", f"{type(exc).__name__}: {exc}", {}
+        need = info.prerequisite
+        if need is not None and need not in ctx:
+            verdict, message, outputs = "degenerate", f"skipped: {need} left no result", {}
+        else:
+            try:
+                verdict, message, outputs = info.runner(config, ctx, rng, out)
+            except Exception as exc:   # numerical failures keep task attribution
+                verdict, message, outputs = "error", f"{type(exc).__name__}: {exc}", {}
         elapsed = time.perf_counter() - t0
         entries.append(
             {

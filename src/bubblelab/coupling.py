@@ -35,7 +35,8 @@ _LADDER = (1.0, 3.0)   # known prefix (nu_1, nu_2) of the eigenvalue ladder
 
 
 class NoPositiveSolution(ValueError):
-    """The group's amplitude system has no positive solution."""
+    """The group's amplitude system has no positive solution; the message
+    begins "group h: "."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def solve_c_vector(spec, group):
     try:
         s = np.linalg.solve(block, ones)  # s_j = c_j^((p+1)/2 - ... ) power vector
     except np.linalg.LinAlgError as exc:
-        raise NoPositiveSolution(f"singular coupling block in group {group}") from exc
+        raise NoPositiveSolution(f"group {group}: singular coupling block") from exc
 
     if np.any(s < -_BOUNDARY_TOL):
         raise NoPositiveSolution(
@@ -234,7 +235,11 @@ def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
     if not np.any(hits):
         return "nondegenerate", "nondegenerate"
     k = int(np.argmax(hits))
-    return verdict, f"{verdict}: lambda_{k + 2} = {others[k]:.6g}{note}"
+    value = float(others[k])
+    text = f"{value:.6g}"
+    if float(text) in (-1.0, nu1, nu2) and float(text) != value:
+        text = repr(value)   # not shown as the ladder value or edge it only lies near
+    return verdict, f"{verdict}: lambda_{k + 2} = {text}{note}"
 
 
 def build_spectrum(spec, cvec):

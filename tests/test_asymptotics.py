@@ -416,6 +416,69 @@ def test_pair_dominance_weighted():
     assert fit.exponent_measured == pytest.approx(2.0, abs=0.1)
 
 
+BATCH_CASES = [
+    # (dims, q1, q2, nu1, nu2)
+    (DIMS3, 1.0, 3.0, 0.0, 0.0),
+    (DIMS3, 3.0, 1.5, 0.5, 1.0),
+    (DIMS4, 2.0, 1.0, 0.0, 0.0),
+    (DIMS4, 4.0, 2.0, 0.5, 2.0),
+]
+
+
+@pytest.mark.parametrize("n", [4, 27])
+@pytest.mark.parametrize("dims, q1, q2, nu1, nu2", BATCH_CASES)
+def test_pair_array_call_equals_scalar_calls(dims, q1, q2, nu1, nu2, n):
+    d1 = asy.default_delta_grid(n=n)
+    d2 = 0.7 * d1[::-1]
+    args = (q1, q2, 0.5, 1.0, nu1, nu2)
+    got = asy.pair_product_integral(dims, d1, d2, *args)
+    assert got.shape == (n,)
+    scalars = [asy.pair_product_integral(dims, a, b, *args) for a, b in zip(d1, d2)]
+    assert all(np.ndim(v) == 0 for v in scalars)
+    assert got.tolist() == [float(v) for v in scalars]
+
+
+def test_pair_array_call_shares_no_mutable_geometry():
+    # the geometry built once per call is not changed by any scale's pass
+    d1 = asy.default_delta_grid(n=6)
+    d2 = 0.3 * d1
+    args = (DIMS4, 4.0, 2.0, 0.5, 1.0, 0.5, 2.0)
+    first = asy.pair_product_integral(args[0], d1, d2, *args[1:])
+    again = asy.pair_product_integral(args[0], d1, d2, *args[1:])
+    reversed_ = asy.pair_product_integral(args[0], d1[::-1], d2[::-1], *args[1:])
+    assert again.tolist() == first.tolist()
+    assert reversed_.tolist() == first[::-1].tolist()
+
+
+@pytest.mark.parametrize("d1, d2", [
+    ([1e-2, 1e-3], [1e-2]),
+    ([1e-2], 1e-2),   # a scalar is not a 1-element array
+    (1e-2, [1e-2, 1e-3]),
+    ([[1e-2, 1e-3]], [[1e-2, 1e-3]]),
+])
+def test_pair_rejects_scales_of_different_shapes(d1, d2):
+    with pytest.raises(ValueError, match="equal length"):
+        asy.pair_product_integral(DIMS4, d1, d2, 2.0, 2.0, 0.5)
+
+
+def test_scaling_law_pair_integrates_each_family_in_one_call(monkeypatch):
+    calls = []
+    real = asy.pair_product_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asy, "pair_product_integral", counting)
+    grid = asy.default_delta_grid(n=7)
+    fits = [asy.scaling_law_pair(2.0, 2.0, DIMS4, delta_grid=grid),
+            asy.scaling_law_pair(2.0, 2.0, DIMS4, delta_grid=grid, nu2=2.0)]
+    assert len(calls) == 2
+    assert all(np.array_equal(deltas, grid) for deltas in calls)
+    assert fits[0].values.tolist() == [
+        float(real(DIMS4, d, d, 2.0, 2.0, 0.5)) for d in grid]
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         asy.pair_product_integral(DIMS4, 1e-2, 1e-2, 2.0, 2.0, separation=1.5)

@@ -744,10 +744,28 @@ def _outputs(summary, task):
     return {key: payload["value"] for key, payload in entry["outputs"].items()}
 
 
+NO_POSITIVE_SOLUTION = _variant(DEMO, coupling={   # group 1 has no positive solution
+    "mu": [1.0, 1.0, 2.0], "decomposition": [0, 1, 3],
+    "beta": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 1.5, 0.0]]})
+
+
 def _check_partial_groups(summary, written):
-    # group 1 has no positive solution: the groups before it are reported
+    # the groups before group 1 are reported, and group 1 is named once
     assert [g["group"] for g in _outputs(summary, "c-vector")["groups"]] == [0]
-    assert summary["tasks"][0]["message"].startswith("degenerate: group 1: ")
+    assert summary["tasks"][0]["message"] == (
+        "degenerate: group 1: linear solve gives negative power vector [-2.  2.]")
+
+
+def _check_skipped(summary, written):
+    _check_partial_groups(summary, written)
+    assert summary["exit_code"] == 2
+    messages = {t["task"]: t["message"] for t in summary["tasks"][1:]}
+    assert messages == {
+        "spectrum": "skipped: c-vector left no result",
+        "reduced-energy": "skipped: c-vector left no result",
+        "critical-point": "skipped: reduced-energy left no result",
+    }
+    assert all(t["outputs"] == {} for t in summary["tasks"][1:])
 
 
 def _check_boundary(summary, written):
@@ -757,9 +775,21 @@ def _check_boundary(summary, written):
 
 
 def _check_outside_box(summary, written):
-    # psi_value raises outside the admissible box, before the in-box verdict
-    assert summary["tasks"][3]["message"] == "ValueError: point outside the box X_eta"
-    assert summary["tasks"][3]["outputs"] == {}
+    # Psi is not evaluated outside the box X_eta, and the probe stays a
+    # finite-difference step inside it
+    assert summary["tasks"][3]["message"] == (
+        "inconclusive: critical point leaves the admissible box")
+    assert _outputs(summary, "critical-point")["psi_value"] is None
+    assert _outputs(written, "critical-point")["psi_value"] is None
+    probe = np.array(_outputs(summary, "reduced-energy")["probe_d"])
+    assert np.all((probe - 1e-6 > 0.99) & (probe + 1e-6 < 1 / 0.99))
+
+
+def _check_narrow_box(summary, written):
+    entry = summary["tasks"][2]
+    assert entry["message"] == ("inconclusive: the box X_eta at eta = 0.9999995 is too "
+                                "narrow for the finite-difference gradient check")
+    assert "probe_d" not in entry["outputs"] and "b1" in entry["outputs"]
 
 
 def _check_families(summary, written):
@@ -784,17 +814,20 @@ def _check_aborted_sweep(summary, written):
 # output path -> (config, verdict of each task, what the path reports)
 OUTPUT_PATHS = {
     "no_positive_solution": (
-        _variant(DEMO, tasks=["c-vector"], coupling={
-            "mu": [1.0, 1.0, 2.0], "decomposition": [0, 1, 3],
-            "beta": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 1.5, 0.0]]}),
+        _variant(NO_POSITIVE_SOLUTION, tasks=["c-vector"]),
         ["degenerate"], _check_partial_groups),
+    "no_positive_solution_skips_dependents": (
+        NO_POSITIVE_SOLUTION, ["degenerate"] * 4, _check_skipped),
     "boundary_amplitude": (
         _variant(PAIR, coupling=dict(PAIR["coupling"], beta=[[0.0, 1.0], [1.0, 0.0]])),
         ["degenerate", "degenerate"], _check_boundary),
     "inconclusive_spectrum": (PAIR, ["pass", "inconclusive"], None),
     "critical_point_outside_box": (
         _variant(DEMO, reduction={"eta": 0.99}),
-        ["pass", "inconclusive", "error", "error"], _check_outside_box),
+        ["pass", "inconclusive", "pass", "inconclusive"], _check_outside_box),
+    "reduced_energy_box_too_narrow": (
+        _variant(DEMO, reduction={"eta": 0.9999995}),
+        ["pass", "inconclusive", "inconclusive", "inconclusive"], _check_narrow_box),
     "scaling_all_kinds": (
         _variant(PAIR, tasks=["scaling-checks"], scaling={
             "single": [{"q": 1}], "weighted": [{"q": 4, "nu2": 2}],
@@ -816,6 +849,14 @@ def test_summary_on_every_output_path_is_the_oracle_encoding(tmp_path, name):
     assert text == json_oracle(summary)
     if check is not None:
         check(summary, json.loads(text))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.6])
+def test_probe_draws_unchanged_where_the_box_holds_them(tmp_path, eta):
+    config, _ = cli.parse_config(_variant(DEMO, reduction={"eta": eta}))
+    _, summary = cli.run(config, tmp_path, seed=5)
+    want = np.exp(np.random.default_rng(5).uniform(-0.5, 0.5, 2))
+    assert _outputs(summary, "reduced-energy")["probe_d"] == want.tolist()
 
 
 def test_failed_task_summary_is_the_oracle_encoding(tmp_path, monkeypatch):

@@ -163,10 +163,19 @@ def test_degenerate_boundary_lambda2_equals_1():
     assert rep.verdict == "degenerate"
 
 
+def named(value):
+    """An eigenvalue as a reason writes it: .6g, but repr where the .6g text
+    reads as the ladder value or edge -1, 1 or 3 and the value is not it."""
+    text = f"{value:.6g}"
+    if text in ("-1", "1", "3") and value != float(text):
+        return repr(float(value))
+    return text
+
+
 def spectrum_message(verdict, lambdas):
     """The CLI's former message for a spectrum verdict, worked out again
     from the eigenvalues: the first one, in descending order after the
-    structural 3, that meets the verdict's condition."""
+    structural 3, that meets the verdict's condition, written by named."""
     lam = np.sort(lambdas)[::-1]
     if verdict == "nondegenerate":
         return "nondegenerate"
@@ -178,10 +187,10 @@ def spectrum_message(verdict, lambdas):
         others = lam
     for k, v in enumerate(others):
         if verdict == "degenerate" and (abs(v - 1.0) <= 1e-8 or abs(v - 3.0) <= 1e-8):
-            return f"degenerate: lambda_{k + 2} = {v:.6g}"
+            return f"degenerate: lambda_{k + 2} = {named(v)}"
         if verdict == "inconclusive" and (v > 3.0 + 1e-8 or v < -1.0 - 1e-8):
             return (
-                f"inconclusive: lambda_{k + 2} = {v:.6g} outside the certified "
+                f"inconclusive: lambda_{k + 2} = {named(v)} outside the certified "
                 "ladder range"
             )
     return verdict
@@ -196,7 +205,8 @@ PINNED_REASONS = {
     (4.0, 2.5, -3.0): MISSING_3,
     (3.0 + DEGENERACY_TOL, 3.0, 0.0): ("degenerate", "degenerate: lambda_2 = 3"),
     (3.0, -1.0 - DEGENERACY_TOL, 0.5): (
-        "inconclusive", "inconclusive: lambda_3 = -1 outside the certified ladder range"),
+        "inconclusive",
+        "inconclusive: lambda_3 = -1.00000001 outside the certified ladder range"),
 }
 
 
@@ -225,6 +235,25 @@ def test_spectrum_reason_matches_former_message(lambdas):
         assert reason == spectrum_message(verdict, np.array(lambdas))
     else:
         assert (verdict, reason) == pinned
+
+
+@pytest.mark.parametrize("lambdas, reason", [
+    ([3.0, -1.0 - 1e-8, 0.5],
+     "inconclusive: lambda_3 = -1.00000001 outside the certified ladder range"),
+    ([3.0, 3.0 + 2e-8, 0.0],
+     "inconclusive: lambda_2 = 3.00000002 outside the certified ladder range"),
+    ([3.0, 1.0 + 5e-9, 0.0], "degenerate: lambda_2 = 1.000000005"),
+    ([3.0, 3.0 - 5e-9, 0.0], "degenerate: lambda_2 = 2.999999995"),
+    # values the .6g text shows as they are keep their bytes
+    ([3.0, 3.0, 0.0], "degenerate: lambda_2 = 3"),
+    ([3.0, 1.0, 0.0], "degenerate: lambda_2 = 1"),
+    ([5.0, 3.0, 0.0], "inconclusive: lambda_2 = 5 outside the certified ladder range"),
+    ([3.0, -1.5, 0.0], "inconclusive: lambda_3 = -1.5 outside the certified ladder range"),
+    ([3.0, 37.0 / 7.0],
+     "inconclusive: lambda_2 = 5.28571 outside the certified ladder range"),
+])
+def test_spectrum_reason_never_shows_a_value_as_the_ladder_edge(lambdas, reason):
+    assert _verdict_from_lambdas(np.array(lambdas))[1] == reason
 
 
 def test_random_spectrum_reasons_match_former_message():
