@@ -5,10 +5,8 @@ Two groups of tools:
 * `project_bubble_radial` builds the exact projection of a centered bubble
   onto an annulus: the correction h(s) = A + B s^(2-N) is harmonic, so the
   two Dirichlet conditions PU(inner) = PU(outer) = 0 determine (A, B) by a
-  2x2 linear solve and PU = U + h solves the same PDE as U.
-  `remainder_check` then measures how well h is approximated by the sum of
-  a boundary term (plain-kernel regular part of the ambient ball) and a
-  hole term, relative to a three-piece model bound.
+  2x2 linear solve and PU = U + h solves the same PDE as U.  The radial
+  solver starts from it.
 
 * `scaling_law_single` / `scaling_law_weighted` / `scaling_law_pair`
   integrate powers of one or two bubbles (optionally with power weights
@@ -41,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bubbles import BubbleParams, bubble_residual
-from .greens import Ball, kernel_regular_part
+from .bubbles import BubbleParams
 
 NODES_PER_PANEL = 24
 
@@ -85,7 +82,7 @@ def _panel_rule(breaks, smooth=False):
 
 
 # ---------------------------------------------------------------------------
-# exact radial projection and its defect
+# exact radial projection
 # ---------------------------------------------------------------------------
 
 
@@ -122,17 +119,6 @@ class RadialProjection:
         """PU(s) = U(s) + A + B s^(2-N)."""
         return self.bubble_value(s) + self.correction(s)
 
-    def pde_residual(self, s):
-        """-Δ(PU) - U^p with the Laplacian taken analytically.
-
-        The correction is harmonic in closed form, so the residual reduces
-        to the bubble's own certified residual, taken at the points s e_1.
-        """
-        s = np.asarray(s, float)
-        x = np.zeros(s.shape + (self.bubble.dims.N,))
-        x[..., 0] = s
-        return bubble_residual(self.bubble, x)
-
 
 def project_bubble_radial(annulus, bubble):
     """Solve the 2x2 boundary system for the harmonic correction.
@@ -152,90 +138,6 @@ def project_bubble_radial(annulus, bubble):
     B = (u1 - u0) / (p_in - p_out)
     A = -u1 - B * p_out
     return RadialProjection(bubble=bubble, annulus=annulus, const_coeff=A, power_coeff=B)
-
-
-@dataclass(frozen=True)
-class RemainderReport:
-    """Pointwise comparison of the projection defect with its model.
-
-    The defect model subtracts a boundary term alpha_N delta^((N-2)/2) H
-    (H = plain-kernel regular part of the ambient ball) and a hole term
-    alpha_N delta^(-(N-2)/2) (r eps / s)^(N-2); what is left over is divided
-    pointwise by the bound
-        delta^((N-2)/2) [ eps^(N-2)(1 + eps delta^(1-N)) / s^(N-2)
-                          + delta^2 + (eps/delta)^(N-2) ].
-    """
-
-    epsilon: float
-    d: float
-    radius_coeff: float
-    delta: float
-    sup_abs: float
-    sup_ratio: float
-    n_grid: int
-
-
-def remainder_check(proj, eta, d):
-    """Evaluate the defect model on a log-spaced radial grid.
-
-    The hole scale eps and the hole coefficient are recovered from
-    delta = d sqrt(eps) and inner = coeff * eps.
-    """
-    dims = proj.bubble.dims
-    N = dims.N
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if not eta < d < 1.0 / eta:
-        raise ValueError("rate d must lie in (eta, 1/eta)")
-    delta = proj.bubble.delta
-    eps = (delta / d) ** 2
-    r_coeff = proj.annulus.inner / eps
-    ball = Ball(radius=proj.annulus.outer, center=np.zeros(N), dims=dims)
-    s = np.geomspace(proj.annulus.inner, proj.annulus.outer, 4000)
-    probe = np.zeros((16, N))
-    probe[:, 0] = np.geomspace(proj.annulus.inner, 0.99 * proj.annulus.outer, 16)
-    h_vals = kernel_regular_part(ball, probe, np.zeros(N))
-    # the regular part at a centered pole is constant; verify then broadcast
-    if np.ptp(h_vals) > 1e-12 * abs(h_vals[0]):
-        raise AssertionError("centered regular part expected constant")
-    H = float(h_vals[0])
-    defect = (
-        proj.value(s)
-        - proj.bubble_value(s)
-        + dims.alphaN * delta ** ((N - 2) / 2) * H
-        + dims.alphaN * delta ** (-(N - 2) / 2) * (r_coeff * eps / s) ** (N - 2)
-    )
-    bound = delta ** ((N - 2) / 2) * (
-        eps ** (N - 2) * (1 + eps * delta ** (1 - N)) / s ** (N - 2)
-        + delta**2
-        + (eps / delta) ** (N - 2)
-    )
-    ratio = np.abs(defect) / bound
-    return RemainderReport(
-        epsilon=eps,
-        d=d,
-        radius_coeff=r_coeff,
-        delta=delta,
-        sup_abs=float(np.max(np.abs(defect))),
-        sup_ratio=float(np.max(ratio)),
-        n_grid=len(s),
-    )
-
-
-def remainder_trend(dims, outer_radius, radius_coeff, d, eps_grid, eta=1e-3):
-    """Run remainder_check over a decreasing eps grid; return the reports
-    and the slope of log(sup ratio) against log(eps).  A slope >= -0.1
-    certifies the ratio does not blow up as the hole shrinks."""
-    reports = []
-    for eps in np.sort(np.asarray(eps_grid, float))[::-1]:
-        delta = d * math.sqrt(eps)
-        ann = Annulus(inner=radius_coeff * eps, outer=outer_radius)
-        bub = BubbleParams(delta=delta, xi=np.zeros(dims.N), dims=dims)
-        reports.append(remainder_check(project_bubble_radial(ann, bub), eta, d))
-    x = np.log([r.epsilon for r in reports])
-    y = np.log([r.sup_ratio for r in reports])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return reports, slope
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +160,6 @@ class ScalingFit:
     log_power: float = None
     bound_values: np.ndarray = None
     ratios: np.ndarray = None
-    special_ratios: np.ndarray = None
 
     def __post_init__(self):
         g = np.asarray(self.delta_grid, float)
@@ -520,9 +421,7 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
 
     The shared-scale family (delta1 = delta2 = delta over the grid) is
     compared pointwise with the three-term bound; the fitted slope is
-    reported against the bound's dominating exponent.  When both powers
-    sit at the critical value N/(N-2) the family also gets the
-    special-case normalization values^(2/N) / (delta^2 |log delta|^(2/N)).
+    reported against the bound's dominating exponent.
     """
     if q1 < 0 or q2 < 0:
         raise ValueError("powers must be nonnegative")
@@ -550,11 +449,6 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
     near = [t for t in terms if t[0] < e_min + 1e-12]
     has_log = any(t[1] for t in near)
     slope, r2, logpow = _fit_loglog(grid, values, has_log)
-
-    special = None
-    q_low = N / (N - 2)
-    if abs(q1 - q_low) < 1e-12 and abs(q2 - q_low) < 1e-12:
-        special = values ** (2.0 / N) / (grid**2 * np.abs(np.log(grid)) ** (2.0 / N))
     return ScalingFit(
         delta_grid=grid,
         values=values,
@@ -565,5 +459,4 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
         log_power=logpow,
         bound_values=bounds,
         ratios=values / bounds,
-        special_ratios=special,
     )

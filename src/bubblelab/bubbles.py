@@ -1,12 +1,12 @@
-"""Standard bubble family and its derivative kernels.
+"""Standard bubble family and the dimension constants.
 
 The bubble U_{delta,xi}(x) = alpha_N (delta / (delta^2 + |x-xi|^2))^((N-2)/2)
 is the extremal profile of the critical problem -ΔU = U^p on R^N, with
-p = (N+2)/(N-2).  The normalization alpha_N = (N(N-2))^((N-2)/4) is not
-assumed: it is certified by `bubble_residual`, which evaluates -ΔU - U^p
-from the analytic Laplacian of the radial profile.
+p = (N+2)/(N-2) and alpha_N = (N(N-2))^((N-2)/4).  The tests certify that
+normalization from the analytic Laplacian of the profile, and the
+derivative kernels of the linearized equation, in `tests/oracles.py`.
 
-Everything here is a pure function of its inputs and vectorized over the
+`bubble_eval` is a pure function of its inputs and vectorized over the
 trailing point axis.
 """
 
@@ -77,97 +77,8 @@ class BubbleParams:
         object.__setattr__(self, "xi", xi)
 
 
-def _r2(b, x):
-    """Squared distance |x - xi|^2, broadcasting over leading axes of x."""
-    x = np.asarray(x, dtype=float)
-    return np.sum((x - b.xi) ** 2, axis=-1)
-
-
 def bubble_eval(b, x):
     """Evaluate U_{delta,xi}(x).  x may be a point or an array of points."""
     k = (b.dims.N - 2) / 2
-    return b.dims.alphaN * (b.delta / (b.delta**2 + _r2(b, x))) ** k
-
-
-def bubble_deriv(b, h, x):
-    """Derivative kernel psi^h of the bubble.
-
-    h = 0 is the dilation kernel dU/ddelta; h = 1..N are the translation
-    kernels dU/dxi_h.  These span the kernel of the linearized operator
-    -Δ - p U^(p-1).
-    """
-    N, alpha = b.dims.N, b.dims.alphaN
-    if not 0 <= h <= N:
-        raise IndexError(f"kernel index must be in 0..{N}, got {h}")
-    d = b.delta
-    r2 = _r2(b, x)
-    den = (d**2 + r2) ** (N / 2)
-    if h == 0:
-        return alpha * (N - 2) / 2 * d ** ((N - 4) / 2) * (r2 - d**2) / den
-    x = np.asarray(x, dtype=float)
-    return alpha * (N - 2) * d ** ((N - 2) / 2) * (x[..., h - 1] - b.xi[h - 1]) / den
-
-
-def bubble_laplacian(b, x):
-    """Analytic Laplacian of the bubble.
-
-    For the radial profile u(r) = A (delta^2 + r^2)^(-k) with k = (N-2)/2 and
-    A = alpha_N delta^k, a direct computation gives
-    Δu = -A N(N-2) delta^2 (delta^2 + r^2)^(-(N+2)/2).
-    """
-    N, alpha = b.dims.N, b.dims.alphaN
-    d = b.delta
-    A = alpha * d ** ((N - 2) / 2)
-    return -A * N * (N - 2) * d**2 * (d**2 + _r2(b, x)) ** (-(N + 2) / 2)
-
-
-def bubble_residual(b, x, alpha_override=None):
-    """Residual -ΔU - U^p at x; certifies the normalization alpha_N.
-
-    With `alpha_override`, both U and its Laplacian are evaluated with the
-    perturbed constant, so a wrong normalization shows up as a nonzero
-    residual (utility for the certification test).
-    """
-    if alpha_override is None:
-        u = bubble_eval(b, x)
-        lap = bubble_laplacian(b, x)
-    else:
-        scale = alpha_override / b.dims.alphaN
-        u = scale * bubble_eval(b, x)
-        lap = scale * bubble_laplacian(b, x)
-    return -lap - u ** b.dims.p
-
-
-def _fd_laplacian(f, x, step):
-    """Second-order central finite-difference Laplacian of f at points x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[-1]
-    lap = np.zeros(x.shape[0])
-    f0 = f(x)
-    for h in range(n):
-        e = np.zeros(n)
-        e[h] = step
-        lap += (f(x + e) - 2.0 * f0 + f(x - e)) / step**2
-    return lap
-
-
-def linearized_residual(b, h, sample_grid=None, step_rel=1e-4):
-    """Sup over a sample grid of |-Δpsi^h - p U^(p-1) psi^h| (FD Laplacian).
-
-    The kernels solve the linearized equation exactly; the returned value is
-    the finite-difference noise floor, which certifies the closed forms.  The
-    default step 1e-4 (relative to delta) balances truncation against
-    round-off near the 1e-6 target.
-    """
-    N = b.dims.N
-    if sample_grid is None:
-        # radii spanning the core and the tail, a few directions each
-        radii = np.array([0.3, 0.7, 1.0, 1.5, 3.0]) * b.delta
-        dirs = np.vstack([np.eye(N), -np.eye(N), np.ones((1, N)) / math.sqrt(N)])
-        sample_grid = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, N) + b.xi
-    x = np.asarray(sample_grid, dtype=float)
-    psi = lambda pts: bubble_deriv(b, h, pts)
-    lap = _fd_laplacian(psi, x, step_rel * b.delta)
-    u = bubble_eval(b, x)
-    res = -lap - b.dims.p * u ** (b.dims.p - 1) * psi(x)
-    return float(np.max(np.abs(res)))
+    r2 = np.sum((np.asarray(x, dtype=float) - b.xi) ** 2, axis=-1)
+    return b.dims.alphaN * (b.delta / (b.delta**2 + r2)) ** k

@@ -126,6 +126,7 @@ def _parse_scaling(raw, N, diags):
         return ()
     dims = dims_for(N)
     families = []
+    taken = {}   # family name -> the entry that has it; names key the CSV files
     for kind, table in _SCALING_PARAMS.items():
         entries = raw.get(kind, [])
         if not isinstance(entries, list):
@@ -163,6 +164,11 @@ def _parse_scaling(raw, N, diags):
             except ValueError as exc:
                 _err(diags, where, str(exc))
                 continue
+            name = _family_name(kind, params)
+            if name in taken:
+                _err(diags, where, f"family name {name!r} is already taken by {taken[name]}")
+                continue
+            taken[name] = where
             families.append((kind, params))
     if not families:
         _err(diags, "scaling", "no valid scaling families given")
@@ -193,9 +199,20 @@ def _parse_epsilon_grid(raw, diags):
         if len(grid) < 2 or not np.all(grid > 0):
             _err(diags, where, "need at least two positive finite values")
             return None
+        if len(grid) > MAX_EPSILONS:
+            _err(diags, where, f"at most {MAX_EPSILONS} values")
+            return None
     else:
         _err(diags, where, "must be a list or a start/stop/num object")
         return None
+    seen = set()
+    for eps in grid.tolist():
+        name = f"{eps:.3e}"   # as in the profile_<eps>.csv file names
+        if name in seen:
+            _err(diags, where, f"values must be distinct at %.3e, the precision of the "
+                               f"profile file names; {name} repeats")
+            return None
+        seen.add(name)
     if np.max(grid) > 0.1:
         _warn(diags, where, "epsilon above 0.1 is outside the asymptotic regime")
     return grid

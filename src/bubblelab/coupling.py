@@ -25,7 +25,7 @@ The spectral analysis is dimension-4 specific and refuses N=3 input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,22 +196,13 @@ def solve_c_vector(spec, group):
     return CVector(c=c, group=group)
 
 
-def eigenvalue_ladder():
-    """Known prefix (nu_1, nu_2) = (1, 3) of the linearization eigenvalue
-    ladder around the bubble; higher entries are not computed here."""
-    return _LADDER
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     matC: np.ndarray
-    matM: np.ndarray
     thetas: np.ndarray          # eigenvalues of C, descending
-    lambdas: np.ndarray         # 1 + 2*thetas
-    principal_eigvec: np.ndarray
+    lambdas: np.ndarray         # eigenvalues 1 + 2*thetas of M = Id + 2C
     verdict: str
     reason: str                 # the verdict and the eigenvalue that decided it
-    m2_closed_form: tuple | None = None
     det_identity_gap: float = 0.0   # |det C - prod(c^2) det(beta)| / scale
 
 
@@ -243,7 +234,8 @@ def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
 
 
 def build_spectrum(spec, cvec):
-    """Assemble C_ij = beta_ij c_i c_j and M = Id + 2C; eigen-decompose.
+    """Assemble C_ij = beta_ij c_i c_j; its eigenvalues Theta give those of
+    M = Id + 2C as Lambda = 1 + 2 Theta.
 
     Verifies the structural facts: Lambda = 3 appears with eigenvector c,
     and det C = (prod c_i^2) det(beta block).  N=4 only — the ladder data
@@ -257,8 +249,6 @@ def build_spectrum(spec, cvec):
         raise ValueError("amplitude vector does not match the group block")
 
     matC = block * np.outer(c, c)
-    k = len(c)
-    matM = np.eye(k) + 2.0 * matC
 
     # structural identity C c = c (equivalently M c = 3c) holds whenever c
     # solves the amplitude system, boundary cases included
@@ -275,36 +265,15 @@ def build_spectrum(spec, cvec):
     thetas = np.sort(thetas.real)[::-1]
     lambdas = 1.0 + 2.0 * thetas
 
-    # principal eigenvector: eigenvalue of largest modulus, sign-normalized
-    w, V = np.linalg.eigh(0.5 * (matC + matC.T))
-    j = int(np.argmax(np.abs(w)))
-    vec = V[:, j]
-    nz = np.flatnonzero(np.abs(vec) > 1e-12)
-    if len(nz) and vec[nz[0]] < 0:
-        vec = -vec
-
     det_gap = abs(np.linalg.det(matC) - np.prod(c**2) * np.linalg.det(block))
     scale = max(abs(np.linalg.det(matC)), 1e-300)
-
-    closed = None
-    if k == 2:
-        mu1, mu2 = block[0, 0], block[1, 1]
-        b12 = block[0, 1]
-        a11 = 3 * mu1 * c[0] ** 2 + b12 * c[1] ** 2
-        a22 = 3 * mu2 * c[1] ** 2 + b12 * c[0] ** 2
-        a12 = 2 * b12 * c[0] * c[1]
-        disc = np.sqrt((a11 - a22) ** 2 + 4 * a12**2)
-        closed = ((a11 + a22 + disc) / 2, (a11 + a22 - disc) / 2)
 
     verdict, reason = _verdict_from_lambdas(lambdas)
     return SpectrumReport(
         matC=matC,
-        matM=matM,
         thetas=thetas,
         lambdas=lambdas,
-        principal_eigvec=vec,
         verdict=verdict,
         reason=reason,
-        m2_closed_form=closed,
         det_identity_gap=det_gap / scale,
     )

@@ -251,23 +251,3 @@ def energy_expansion(model, epsilon):
     return float(np.sum(model.weights)) * model.b1 + psi_value(model, rep.point) * epsilon ** (
         (model.dims.N - 2) / 2
     )
-
-
-def sigma_constant(dims, l, k=None):
-    """Limiting weighted norms sigma_lk of the derivative kernels.
-
-    sigma_lk = 0 for l != k (odd symmetry);
-    sigma_00 = p alpha^(p+1) ((N-2)/2)^2 int (|y|^2-1)^2 (1+|y|^2)^-(N+2) dy;
-    sigma_ll = p alpha^(p+1) (N-2)^2   int y_l^2    (1+|y|^2)^-(N+2) dy.
-    With (r^2-1)^2 = (1+r^2)^2 - 4r^2 both are beta functions.
-    """
-    N = dims.N
-    if not (0 <= l <= N) or (k is not None and not (0 <= k <= N)):
-        raise IndexError("kernel index out of range")
-    if k is not None and k != l:
-        return 0.0
-    pref = dims.p * dims.alphaN ** (dims.p + 1)
-    if l == 0:
-        radial = _radial_moment(N, N) - 4 * _radial_moment(N + 2, N + 2)
-        return pref * ((N - 2) / 2) ** 2 * dims.omegaNm1 * radial
-    return pref * (N - 2) ** 2 * dims.omegaNm1 / N * _radial_moment(N + 2, N + 2)

@@ -270,11 +270,6 @@ def _metrics(grid, epsilon, mu):
     )
 
 
-def profile_is_positive(grid, tol=1e-10):
-    interior = grid.values[1:-1]
-    return bool(np.all(interior > -tol * max(1.0, float(np.max(np.abs(interior))))))
-
-
 @dataclass(frozen=True)
 class RateSweepReport:
     """Continuation sweep results: per-eps concentration scales, the

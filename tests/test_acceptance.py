@@ -12,19 +12,11 @@ from scipy.special import beta as beta_fn
 from bubblelab.asymptotics import (
     Annulus,
     project_bubble_radial,
-    remainder_trend,
     scaling_law_pair,
     scaling_law_single,
     scaling_law_weighted,
 )
-from bubblelab.bubbles import (
-    DIMS3,
-    DIMS4,
-    BubbleParams,
-    bubble_eval,
-    bubble_residual,
-    linearized_residual,
-)
+from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams
 from bubblelab.coupling import (
     CouplingSpec,
     NoPositiveSolution,
@@ -42,6 +34,7 @@ from bubblelab.energy import (
     psi_grad,
 )
 from bubblelab.solver import compose_group_solution, rate_sweep, solve_radial
+from oracles import bubble_residual, linearized_residual, remainder_trend
 
 RNG = np.random.default_rng(20260815)
 

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from bubblelab.bubbles import (
-    DIMS3,
-    DIMS4,
-    BubbleParams,
-    bubble_deriv,
-    bubble_eval,
-    bubble_residual,
-    dims_for,
-    linearized_residual,
-)
+from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, bubble_eval, dims_for
+from oracles import bubble_deriv, bubble_residual, linearized_residual
 
 RNG = np.random.default_rng(20260815)
 

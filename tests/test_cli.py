@@ -296,6 +296,24 @@ def _parse_with(path, value):
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": "7"}]}, "scaling.pair[0]"),
     (("scaling",), {"pair": [{"q1": 2}]}, "scaling.pair[0]"),
     (("scaling",), {"weighted": [{"q": 4, "nu3": 1}]}, "scaling.weighted[0]"),
+    # a list grid is capped like a start/stop/num one
+    pytest.param(("reduction",), {"epsilon_grid": [1e-2 * 0.999**k for k in range(5000)]},
+                 "reduction.epsilon_grid", id="eps-list-5000"),
+    pytest.param(("reduction",), {"epsilon_grid": [1e-2 * 0.99**k for k in range(1001)]},
+                 "reduction.epsilon_grid", id="eps-list-1001"),
+    # values that one profile file name would hold twice
+    pytest.param(("reduction",), {"epsilon_grid": [1e-3, 1e-3]},
+                 "reduction.epsilon_grid", id="eps-list-repeat"),
+    pytest.param(("reduction",), {"epsilon_grid": {"start": 1e-3, "stop": 1e-3, "num": 3}},
+                 "reduction.epsilon_grid", id="eps-range-repeat"),
+    pytest.param(("reduction",), {"epsilon_grid": [1e-3, 1.0001e-3, 5e-4]},
+                 "reduction.epsilon_grid", id="eps-list-same-name"),
+    # two families that one scaling CSV would hold
+    pytest.param(("scaling",), {"single": [{"q": 1}, {"q": 1.0000001}]},
+                 "scaling.single[1]", id="single-same-name"),
+    pytest.param(("scaling",), {"pair": [{"q1": 1, "q2": 1},
+                                         {"q1": 1, "q2": 1, "separation": 0.3}]},
+                 "scaling.pair[1]", id="pair-same-name"),
 ])
 def test_parse_reports_malformed_field(path, value, field_name):
     config, diags = _parse_with(path, value)
@@ -315,6 +333,11 @@ def test_parse_reports_malformed_field(path, value, field_name):
     (("coupling", "decomposition"), [0.0, 2.0, 3]),
     (("coupling", "mu"), [1, 2, 1]),
     (("scaling",), {"single": [{"q": 1}], "pair": [{"q1": 2, "q2": 2, "n": 7.0}]}),
+    pytest.param(("reduction",), {"epsilon_grid": [1e-2 * 0.99**k for k in range(1000)]},
+                 id="eps-list-1000"),
+    # 1000 values a factor 1.0023 apart stay distinct at %.3e
+    pytest.param(("reduction",), {"epsilon_grid": {"start": 1e-2, "stop": 1e-3, "num": 1000}},
+                 id="eps-range-fine"),
 ])
 def test_parse_accepts_limits(path, value):
     config, diags = _parse_with(path, value)
@@ -328,6 +351,21 @@ def test_scaling_family_rejects_parameters_of_other_kinds():
         "error[scaling.single[0]]: unknown parameter 'nu1'",
         "error[scaling.single[0]]: unknown parameter 'bogus'",
         "error[scaling]: no valid scaling families given",
+    ]
+
+
+def test_repeated_names_are_reported_with_the_earlier_entry():
+    config, diags = _parse_with(("scaling",), {"pair": [{"q1": 1, "q2": 1},
+                                                        {"q1": 1, "q2": 1, "separation": 0.3}]})
+    assert config is None
+    assert [str(d) for d in diags if d.level == "error"] == [
+        "error[scaling.pair[1]]: family name 'pair_q1_1' is already taken by scaling.pair[0]",
+    ]
+    config, diags = _parse_with(("reduction",), {"epsilon_grid": [1e-3, 1.0001e-3, 5e-4]})
+    assert config is None
+    assert [str(d) for d in diags if d.level == "error"] == [
+        "error[reduction.epsilon_grid]: values must be distinct at %.3e, the precision "
+        "of the profile file names; 1.000e-03 repeats",
     ]
 
 

@@ -8,9 +8,9 @@ from bubblelab.coupling import (
     NoPositiveSolution,
     admissible_beta_range,
     build_spectrum,
-    eigenvalue_ladder,
     solve_c_vector,
     system_residual,
+    _LADDER,
     _verdict_from_lambdas,
 )
 
@@ -134,14 +134,23 @@ def test_spectrum_reference_case():
     # Lambda = 3 present with eigenvector c; Theta ladder relation exact
     assert np.min(np.abs(rep.lambdas - 3.0)) < 1e-10
     np.testing.assert_allclose(rep.lambdas, 1 + 2 * rep.thetas, atol=1e-12)
-    np.testing.assert_allclose(rep.matM @ cv.c, 3 * cv.c, atol=1e-12)
+    matM = np.eye(2) + 2.0 * rep.matC
+    np.testing.assert_allclose(matM @ cv.c, 3 * cv.c, atol=1e-12)
     # the competitive branch pushes the second eigenvalue above 3:
     # Lambda_2 = 3 - 2*beta*(c1^2+c2^2) = 37/7
     assert np.max(rep.lambdas) == pytest.approx(37 / 7, rel=1e-12)
     assert rep.verdict == "inconclusive"
-    # closed form matches the dense eigensolve
-    assert rep.m2_closed_form is not None
-    np.testing.assert_allclose(sorted(rep.m2_closed_form), np.sort(rep.lambdas), rtol=1e-12)
+    # the 2x2 closed form of M's eigenvalues (entries of M = Id + 2C
+    # rewritten with the amplitude system) matches the dense eigensolve
+    (mu1, b12), (_, mu2) = spec.group_block(0)
+    c1, c2 = cv.c
+    a11 = 3 * mu1 * c1**2 + b12 * c2**2
+    a22 = 3 * mu2 * c2**2 + b12 * c1**2
+    a12 = 2 * b12 * c1 * c2
+    np.testing.assert_allclose(matM, [[a11, a12], [a12, a22]], rtol=1e-12)
+    disc = np.sqrt((a11 - a22) ** 2 + 4 * a12**2)
+    closed = ((a11 + a22 + disc) / 2, (a11 + a22 - disc) / 2)
+    np.testing.assert_allclose(sorted(closed), np.sort(rep.lambdas), rtol=1e-12)
     # det identity
     assert rep.det_identity_gap < 1e-10
 
@@ -306,17 +315,20 @@ def test_perron_frobenius_on_random_positive_blocks():
         assert abs(np.max(rep.lambdas) - 3.0) < 1e-10
         assert np.sum(np.abs(rep.lambdas - 3.0) < 1e-8) == 1  # simple
         assert np.all(np.abs(rep.thetas) < 1.0 + 1e-12)
-        assert np.all(rep.principal_eigvec > 0)
-        np.testing.assert_allclose(
-            rep.principal_eigvec, cv.c / np.linalg.norm(cv.c), rtol=1e-8
-        )
+        # principal eigenvector: eigenvalue of largest modulus, sign-normalized
+        w, V = np.linalg.eigh(0.5 * (rep.matC + rep.matC.T))
+        vec = V[:, int(np.argmax(np.abs(w)))]
+        vec = -vec if vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]] < 0 else vec
+        assert np.all(vec > 0)
+        np.testing.assert_allclose(vec, cv.c / np.linalg.norm(cv.c), rtol=1e-8)
         # det C = prod(c^2) det(beta)
         assert rep.det_identity_gap < 1e-10
         # trace/determinant consistency for k=2
         if k == 2:
             lam = rep.lambdas
-            assert lam.sum() == pytest.approx(np.trace(rep.matM), rel=1e-10)
-            assert lam.prod() == pytest.approx(np.linalg.det(rep.matM), rel=1e-10)
+            matM = np.eye(2) + 2.0 * rep.matC
+            assert lam.sum() == pytest.approx(np.trace(matM), rel=1e-10)
+            assert lam.prod() == pytest.approx(np.linalg.det(matM), rel=1e-10)
 
 
 def test_alternative_lambda_formula_k2():
@@ -338,7 +350,7 @@ def test_spectrum_refuses_n3():
 
 
 def test_ladder_prefix():
-    lad = eigenvalue_ladder()
+    lad = _LADDER
     assert lad == (1.0, 3.0)
     assert list(lad) == sorted(lad)
     assert len(lad) == 2

@@ -24,9 +24,9 @@ from bubblelab.energy import (
     psi_grad,
     psi_hessian_at_flat,
     psi_value,
-    sigma_constant,
     _fd_grad,
 )
+from oracles import sigma_constant
 
 RNG = np.random.default_rng(1234)
 

@@ -13,7 +13,6 @@ from bubblelab.solver import (
     compose_group_solution,
     energy_of_solution,
     graded_mesh,
-    profile_is_positive,
     rate_sweep,
     solve_radial,
 )
@@ -21,6 +20,12 @@ from bubblelab.solver import (
 SPEC_SCALAR = CouplingSpec(
     N=4, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]), decomposition=(0, 1)
 )
+
+
+def profile_is_positive(grid, tol=1e-10):
+    """Interior values above -tol times the largest interior magnitude."""
+    interior = grid.values[1:-1]
+    return bool(np.all(interior > -tol * max(1.0, float(np.max(np.abs(interior))))))
 
 
 def profile_is_unimodal(grid, rel_tol=1e-8):
