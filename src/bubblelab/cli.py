@@ -522,14 +522,6 @@ def _e12_scales(dtype):
     return scales
 
 
-def _words(strings, nbytes):
-    """ASCII strings as rows of nbytes // 4 uint32 words, zero-padded."""
-    text = np.array(strings, dtype="S")
-    if text.itemsize > nbytes:
-        raise ValueError(f"{max(strings, key=len)!r} is longer than {nbytes} bytes")
-    return text.astype(f"S{nbytes}").view(np.uint32).reshape(len(strings), -1)
-
-
 # The %.12e kernel.  A normal double x is m * 10^(e-12) with 13 significant
 # digits m in [10^12, 10^13).  |x| * 10^(12-e) is formed in the precision of
 # the scale table (np.longdouble).  Two roundings, of the scale and of the
@@ -540,28 +532,35 @@ def _words(strings, nbytes):
 # values.  Where np.longdouble is a plain double that margin is 0.25:
 # still exact, but half of the values fall back.
 #
-# A field is spelled into five uint32 words, "-d.d" "dddd" "dddd" "ddde"
-# "-ddd", each zero-padded; the zero bytes are dropped when the block is
-# written.
-_E12_WORDS = 5                         # 20 bytes = len("-d.dddddddddddde-ddd")
+# "%.12e" % x is then the 18 bytes "d.dddddddddddde+dd", after a "-" for a
+# negative x and with a third exponent digit for |e| >= 100.  _csv_block
+# spells them as four uint32 words "d.dd" "dddd" "dddd" "dde+" and one
+# uint16 "dd", in place in each row of the block.
 _E12_MIN_VALUES = 256                  # smaller blocks go to `%` whole
 _E12_EXPONENTS = np.arange(-309, 310)  # decimal exponents of normal doubles, +-1
 _E12_SCALES = _e12_scales(np.longdouble)
 _E12_TIE_MARGIN = 64 * float(np.finfo(np.longdouble).eps) * 2.0**44
 _DOUBLE = np.finfo(np.float64)
-_HEADS = _words([f"{sign}{k // 10}.{k % 10}" for sign in ("", "-") for k in range(100)], 4)
+_FIELD = 18                            # len("d.dddddddddddde+dd")
 _DIGITS2 = np.array([f"{k:02d}" for k in range(100)], dtype="S2").view(np.uint16)
 _DIGITS4 = np.stack(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=-1).view(
-    np.uint32).reshape(10**4, 1)                # "%04d" % k from two "%02d" halves
-_TAILS = _words([f"{k:03d}e" for k in range(1000)], 4)
-_EXPONENTS = _words([f"{e:+03d}" for e in _E12_EXPONENTS], 4)
-_SEPARATORS = _words([",", "\r\n"], 4)[:, 0]
+    np.uint32).ravel()                                                   # "%04d" % k
+_CHARS = _DIGITS4.view(np.uint8).reshape(-1, 4)                          # b"%04d" % k
+_LEADS = np.insert(_CHARS[:1000, 1:], 1, ord("."), axis=1).view(np.uint32)[:, 0]  # "d.dd"
+_TAILS = np.concatenate([np.insert(_CHARS[:100, 2:], [2, 2], [ord("e"), sign], axis=1)
+                         for sign in b"+-"]).view(np.uint32)[:, 0]       # "dde+", "dde-"
+# by exponent index: the offset into _TAILS, the last two digits and the
+# third digit (a zero byte below 100)
+_EXP_TAILS = np.where(_E12_EXPONENTS < 0, 100, 0)
+_EXP_DIGITS = _DIGITS2[np.abs(_E12_EXPONENTS) % 100]
+_EXP_HUNDREDS = np.where(np.abs(_E12_EXPONENTS) >= 100, _CHARS[np.abs(_E12_EXPONENTS), 1], 0)
 
 
-def _e12_kernel(x, out):
-    """Spell ``"%.12e" % v`` for each v of the float64 array `x` into the
-    rows of the uint32 array `out`, shape (len(x), _E12_WORDS).  Returns
-    the mask of the values it left to `%`."""
+def _e12_kernel(x):
+    """Round each v of the float64 array `x` to the digits of
+    ``"%.12e" % v``.  Returns (m, ei, left): the 13 significant digits as
+    an integer, the exponent's index in _E12_EXPONENTS, and the mask of the
+    values it left to `%`."""
     a = np.abs(x)
     ok = (a >= _DOUBLE.smallest_normal) & (a <= _DOUBLE.max)
     a[~ok] = 1.0
@@ -580,43 +579,52 @@ def _e12_kernel(x, out):
     carry = m == 10**13
     m[carry] = 10**12
     ei[carry] += 1
-
-    rest, tail = np.divmod(m, 1000)
-    rest, g2 = np.divmod(rest, 10**4)
-    head, g1 = np.divmod(rest, 10**4)
-    out[:, 0] = _HEADS[head + 100 * np.signbit(x), 0]
-    out[:, 1] = _DIGITS4[g1, 0]
-    out[:, 2] = _DIGITS4[g2, 0]
-    out[:, 3] = _TAILS[tail, 0]
-    out[:, 4] = _EXPONENTS[ei, 0]
-    return ~ok
+    return m, ei, ~ok
 
 
-def _csv_block(columns, fmts):
-    """CSV bytes of equal-length columns: each field is spelled into a
-    zero-padded slot, then the zero bytes are dropped."""
-    rows = len(columns[0])
-    buf = np.zeros((rows, len(columns), _E12_WORDS + 1), np.uint32)  # slot, separator
-    buf[:, :, -1] = _SEPARATORS[[0] * (len(columns) - 1) + [1]]
-    for j, (col, fmt) in enumerate(zip(columns, fmts)):
-        todo = (
-            _e12_kernel(col.astype(np.float64), buf[:, j, :-1])
-            if fmt == "%.12e"
-            else np.ones(rows, bool)
-        )
-        idx = np.flatnonzero(todo)
-        if len(idx):
-            fields = [fmt % v for v in col[idx].tolist()]
-            buf[idx, j, :-1] = _words(fields, 4 * _E12_WORDS)
-    text = buf.view(np.uint8)
-    return text[text != 0].tobytes()
+def _csv_block(columns):
+    """The CSV lines of equal-length float columns as a uint8 array.  Each
+    field is spelled in place at a fixed width.  If every field of the
+    block has 18 bytes, the (rows, row_bytes) block is returned as it
+    stands.  Otherwise each field gets 20 bytes, with room for a "-" and a
+    third exponent digit, and the block's zero bytes are dropped."""
+    rounded = [(x, *_e12_kernel(x)) for x in [c.astype(np.float64) for c in columns]]
+    texts = [["%.12e" % v for v in x[left].tolist()] for x, _, _, left in rounded]
+    wide = any(
+        np.signbit(x).any() or _EXP_HUNDREDS[[ei.min(), ei.max()]].any()
+        or any(len(text) != _FIELD for text in column)
+        for (x, _, ei, _), column in zip(rounded, texts))
+    width = _FIELD + 2 * wide
+    block = np.empty((len(columns[0]), len(columns) * (width + 1) + 1), np.uint8)
+    for j, ((x, m, ei, left), column) in enumerate(zip(rounded, texts)):
+        o = j * (width + 1)           # the field's first byte, its "-" if wide
+        hi = m // 100                 # m is "d dd dddd dddd dd"
+        mid = hi // 10**4
+        lead = mid // 10**4
+        # rows left to `%` may hold any index; "clip" also lets take write
+        # straight into the strided, unaligned views
+        words = block[:, o + wide:o + wide + 16].view(np.uint32)
+        np.take(_LEADS, lead, out=words[:, 0], mode="clip")
+        np.take(_DIGITS4, mid - 10**4 * lead, out=words[:, 1], mode="clip")
+        np.take(_DIGITS4, hi - 10**4 * mid, out=words[:, 2], mode="clip")
+        np.take(_TAILS, m - 100 * hi + _EXP_TAILS[ei], out=words[:, 3], mode="clip")
+        digits = block[:, o + width - 2:o + width].view(np.uint16)[:, 0]   # "dd"
+        np.take(_EXP_DIGITS, ei, out=digits, mode="clip")
+        if wide:
+            block[:, o] = np.signbit(x) * ord("-")
+            np.take(_EXP_HUNDREDS, ei, out=block[:, o + 17], mode="clip")
+        block[left, o:o + width] = np.array(column, f"S{width}").view(np.uint8).reshape(-1, width)
+        block[:, o + width] = ord(",")
+    block[:, -2] = ord("\r")
+    block[:, -1] = ord("\n")
+    return block[block != 0] if wide else block
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV with CRLF line ends: ``%d`` for
     integer columns, ``%.12e`` for the rest, each formatted from its own
-    values.  Tables with a float column are formatted by _csv_block,
-    CSV_BLOCK_ROWS rows at a time; integer tables and blocks of fewer than
+    values.  Float tables are formatted by _csv_block, CSV_BLOCK_ROWS rows
+    at a time; tables with an integer column and blocks of fewer than
     _E12_MIN_VALUES values by a single ``%`` call each."""
     columns = [np.asarray(c) for c in columns]
     fmts = ["%d" if c.dtype.kind in "iu" else "%.12e" for c in columns]
@@ -625,8 +633,8 @@ def _write_csv(path, header, columns):
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            if "%.12e" in fmts and len(block[0]) * len(block) >= _E12_MIN_VALUES:
-                fh.write(_csv_block(block, fmts))
+            if "%d" not in fmts and len(block[0]) * len(block) >= _E12_MIN_VALUES:
+                fh.write(_csv_block(block))
             else:
                 values = [v for row in zip(*(c.tolist() for c in block)) for v in row]
                 fh.write(((line * len(block[0])) % tuple(values)).encode())

@@ -139,18 +139,19 @@ def _fprime(u, p):
 
 def _residual(bands, u, mu, p):
     """Difference-form residual: weight * (-Lap u - mu f(u)) inside,
-    u itself on the Dirichlet rows."""
+    u itself on the Dirichlet rows.  Returns it and the largest scaled
+    potential weight * mu f(u), from the same f(u)."""
+    pot = bands[3] * mu * _f(u, p)
     F = _apply_bands(bands, u)
-    F[1:-1] -= bands[3][1:-1] * mu * _f(u[1:-1], p)
-    return F
+    F[1:-1] -= pot[1:-1]
+    return F, float(np.max(pot))
 
 
-def _residual_norm(bands, u, F, mu, p):
+def _residual_norm(u, F, pot_max):
     """Scale-invariant convergence measure: the difference-form residual
-    is already in solution units, so normalize by 1 + |u| + the scaled
-    potential."""
-    pot = float(np.max(bands[3] * mu * _f(u, p)))
-    return float(np.max(np.abs(F))) / (1.0 + float(np.max(np.abs(u))) + pot)
+    is already in solution units, so normalize by 1 + |u| + the largest
+    scaled potential."""
+    return float(np.max(np.abs(F))) / (1.0 + float(np.max(np.abs(u))) + pot_max)
 
 
 def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
@@ -208,8 +209,8 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     converged = False
     message = "newton iteration limit reached"
     for it in range(max_iter):
-        F = _residual(bands, u, mu, p)
-        res = _residual_norm(bands, u, F, mu, p)
+        F, pot_max = _residual(bands, u, mu, p)
+        res = _residual_norm(u, F, pot_max)
         history.append(res)
         if res < tol:
             converged = True
@@ -227,7 +228,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         t = 1.0
         for _ in range(30):
             trial = u + t * du
-            if float(np.max(np.abs(_residual(bands, trial, mu, p)))) <= (1 - 1e-4 * t) * base:
+            if float(np.max(np.abs(_residual(bands, trial, mu, p)[0]))) <= (1 - 1e-4 * t) * base:
                 break
             t *= 0.5
         else:
@@ -370,7 +371,7 @@ def compose_group_solution(spec, cvec, w):
     p = spec.p
     e1, e2 = (p - 1) / 2, (p + 1) / 2
     bands = _operator_bands(w.nodes, w.dims)
-    r_scalar = _residual(bands, w.values, 1.0, p)
+    r_scalar, _ = _residual(bands, w.values, 1.0, p)
     grids = tuple(
         RadialGrid(nodes=w.nodes, values=c_i * w.values, dims=w.dims)
         for c_i in cvec.c

@@ -486,8 +486,8 @@ CSV_CASES = {
                        [np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324]),
                         np.array([1.7976931348623157e308, -1e-300, 0.0, 1.0, -np.inf,
                                   np.nan])]),
-    # integers above 2^53 next to a float column, below and above the
-    # _E12_MIN_VALUES cutoff
+    # integers above 2^53 next to a float column, in a small table and in
+    # one of 900 values: tables with an integer column go through `%` whole
     "big_ints_small_table": (["x", "n"], [np.array([0.5, -1.5]),
                                           np.array([2**53 + 1, 2**63 - 1])]),
     "big_ints_one_block": (["x", "n", "y"],
@@ -507,6 +507,67 @@ def _assert_same_bytes(tmp_path, header, columns):
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_write_csv_matches_csv_writer_bytes(tmp_path, case):
     _assert_same_bytes(tmp_path, *CSV_CASES[case])
+
+
+def _two_digit_floats(rows, seed):
+    """Two columns of positive values with two-digit exponents: every
+    field is the 18 bytes of "d.dddddddddddde+dd"."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(1e-3, 1.0, rows) * 10.0 ** rng.integers(-96, 97, rows)
+            for _ in range(2)]
+
+
+LAYOUT_CASES = {   # values put into the last row of the first block
+    "all_18_bytes": [],
+    "one_negative": [(0, -0.75)],
+    "three_digit_exponent": [(1, 2.5e-120)],
+    "nan_and_zero": [(0, np.nan), (1, 0.0)],
+}
+
+
+@pytest.mark.parametrize("rows", [_B - 1, _B, _B + 1])
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_write_csv_layouts_at_block_edges(tmp_path, monkeypatch, case, rows):
+    # a block whose fields are all 18 bytes is written as laid out; any
+    # other field widens the block's slots, whose zero bytes are dropped
+    columns = _two_digit_floats(rows, rows)
+    for j, value in LAYOUT_CASES[case]:
+        columns[j][min(rows, _B) - 1] = value
+    csv_block, dims = cli._csv_block, []
+
+    def spy(block_columns):   # a compacted block comes back flat
+        text = csv_block(block_columns)
+        dims.append(text.ndim)
+        return text
+
+    monkeypatch.setattr(cli, "_csv_block", spy)
+    _assert_same_bytes(tmp_path, ["x", "y"], columns)
+    assert dims == [2 if case == "all_18_bytes" else 1]
+
+
+@pytest.mark.parametrize("config", ["n4_nodes20k", "n3_nodes2k"])
+def test_sweep_profiles_match_csv_writer_bytes(tmp_path, monkeypatch, config):
+    # the profiles of real solves, not only synthetic values, byte for byte
+    if config == "n4_nodes20k":
+        cfg = _variant(SWEEP, tasks=["radial-sweep"], reduction={"n_nodes": 20_000})
+    else:
+        cfg = _variant(N3_SWEEP, reduction={
+            "n_nodes": 2000, "epsilon_grid": {"start": 3e-3, "stop": 1e-4, "num": 8}})
+    tables = {}
+    write_csv = cli._write_csv
+
+    def spy(path, header, columns):
+        tables[os.path.basename(path)] = (header, columns)
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    profiles = sorted(p.name for p in out.glob("profile_*.csv"))
+    assert len(profiles) == 8 and profiles == sorted(n for n in tables if n != "sweep_rate.csv")
+    for name in profiles:
+        _csv_writer_oracle(tmp_path / "oracle.csv", *tables[name])
+        assert (out / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes(), name
 
 
 def test_write_csv_exact_with_double_precision_scales(tmp_path, monkeypatch):
@@ -559,8 +620,7 @@ def test_kernel_formats_the_values_itself(case):
         values = np.concatenate([res.grid.nodes, res.grid.values])
     else:
         values = KERNEL_VALUES[case]
-    out = np.zeros((len(values), cli._E12_WORDS), np.uint32)
-    left = cli._e12_kernel(values, out)
+    _, _, left = cli._e12_kernel(values)
     assert left.mean() <= 1e-3, int(left.sum())
 
 
