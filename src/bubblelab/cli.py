@@ -852,17 +852,29 @@ def _task_scaling(cfg, ctx, rng, out):
 
 
 def _task_radial_sweep(cfg, ctx, rng, out):
-    sweep = rate_sweep(
-        cfg.dims,
-        cfg.ball.radius,
-        float(cfg.hole_coeffs[0]),
-        cfg.epsilon_grid,
-        n_nodes=cfg.n_nodes,
-    )
-    for eps, res in zip(sweep.epsilons, sweep.results):
-        _write_csv(
-            out / f"profile_{eps:.3e}.csv", ["radius", "value"], [res.grid.nodes, res.grid.values]
+    # one writer thread writes each profile while the next eps solves; it
+    # calls only private helpers, never a public (traced) function.  The
+    # import stays here: concurrent.futures costs start-up time
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        writes = []
+
+        def write_profile(eps, res):
+            writes.append(writer.submit(
+                _write_csv, out / f"profile_{eps:.3e}.csv", ["radius", "value"],
+                [res.grid.nodes, res.grid.values]))
+
+        sweep = rate_sweep(
+            cfg.dims,
+            cfg.ball.radius,
+            float(cfg.hole_coeffs[0]),
+            cfg.epsilon_grid,
+            n_nodes=cfg.n_nodes,
+            on_result=write_profile,
         )
+        for write in writes:
+            write.result()   # the first writer exception is the task's error
     keys = ("delta_est", "d_est", "umax", "rpeak", "energy")
     columns = [[getattr(res.metrics, key) for res in sweep.results] for key in keys]
     iterations = [res.report.iterations for res in sweep.results]

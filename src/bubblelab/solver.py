@@ -208,8 +208,8 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     history = []
     converged = False
     message = "newton iteration limit reached"
+    F, pot_max = _residual(bands, u, mu, p)
     for it in range(max_iter):
-        F, pot_max = _residual(bands, u, mu, p)
         res = _residual_norm(u, F, pot_max)
         history.append(res)
         if res < tol:
@@ -224,18 +224,19 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         ab[2, :-1] = lo[1:]
         from scipy.linalg import solve_banded  # only radial solves load scipy
         du = solve_banded((1, 1), ab, -F)
+        du[0] = du[-1] = 0.0   # every trial keeps the Dirichlet zeros
         base = float(np.max(np.abs(F)))
         t = 1.0
         for _ in range(30):
             trial = u + t * du
-            if float(np.max(np.abs(_residual(bands, trial, mu, p)[0]))) <= (1 - 1e-4 * t) * base:
+            F_trial, pot_trial = _residual(bands, trial, mu, p)
+            if float(np.max(np.abs(F_trial))) <= (1 - 1e-4 * t) * base:
                 break
             t *= 0.5
         else:
             message = "line search stalled"
             break
-        u = u + t * du
-        u[0] = u[-1] = 0.0
+        u, F, pot_max = trial, F_trial, pot_trial   # the accepted trial is the next iterate
 
     grid = RadialGrid(nodes=nodes, values=u, dims=dims)
     trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
@@ -289,8 +290,14 @@ class RateSweepReport:
 
 
 def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
-               n_nodes=DEFAULT_NODES):
-    """Solve down a decreasing eps grid with rescaled-profile continuation."""
+               n_nodes=DEFAULT_NODES, on_result=None):
+    """Solve down a decreasing eps grid with rescaled-profile continuation.
+
+    ``on_result(eps, res)``, if given, is called once for each converged,
+    nontrivial solve, from the largest eps down, right after ``res`` joins
+    ``results`` and before the next eps is solved; an exception it raises
+    ends the sweep.
+    """
     eps_desc = np.sort(np.asarray(epsilon_grid, float))[::-1]
     if len(eps_desc) < 2:
         raise ValueError("sweep needs at least two eps values")
@@ -320,6 +327,8 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
             message = f"solve failed at eps={eps:.3e}: {res.report.message}"
             break
         results.append(res)
+        if on_result is not None:
+            on_result(eps, res)
         deltas.append(res.metrics.delta_est)
         used.append(eps)
         prev = (eps, res.grid)

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from bubblelab import cli
+import bubblelab
+from bubblelab import cli, solver
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS4
 from bubblelab.solver import solve_radial
@@ -568,6 +570,83 @@ def test_sweep_profiles_match_csv_writer_bytes(tmp_path, monkeypatch, config):
     for name in profiles:
         _csv_writer_oracle(tmp_path / "oracle.csv", *tables[name])
         assert (out / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes(), name
+
+
+# the N=4 sweep on the default eps grid at 2k nodes: 8 profiles, exit 0
+SMALL_SWEEP = _variant(SWEEP, tasks=["radial-sweep"], reduction={"n_nodes": 2000})
+
+
+def test_writer_exception_is_the_sweep_error(tmp_path, monkeypatch):
+    write_csv = cli._write_csv
+    profiles = []
+
+    def fails_on_third_profile(path, header, columns):
+        if os.path.basename(path).startswith("profile_"):
+            profiles.append(path)
+            if len(profiles) == 3:
+                raise OSError("no space left for the third profile")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", fails_on_third_profile)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 1
+    (entry,) = load_summary(out)["tasks"]
+    assert (entry["verdict"], entry["message"]) == (
+        "error", "OSError: no space left for the third profile")
+    assert not (out / "sweep_rate.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_profiles_solved_before_a_failing_solve_are_on_disk(tmp_path, monkeypatch):
+    config = write_config(tmp_path, SMALL_SWEEP)
+    normal = tmp_path / "normal"
+    assert cli.main(["run", config, "--out", str(normal)]) == 0
+    solve = solver.solve_radial
+    solved = []
+
+    def fails_at_fourth_eps(annulus, dims, eps, **kwargs):
+        if len(solved) == 3:
+            raise FloatingPointError("overflow at the fourth eps")
+        solved.append(eps)
+        return solve(annulus, dims, eps, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_radial", fails_at_fourth_eps)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out)]) == 1
+    (entry,) = load_summary(out)["tasks"]
+    assert (entry["verdict"], entry["message"]) == (
+        "error", "FloatingPointError: overflow at the fourth eps")
+    names = [f"profile_{eps:.3e}.csv" for eps in solved]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (normal / name).read_bytes(), name
+    assert threading.active_count() == threads
+
+
+def test_writer_thread_calls_no_traced_function(tmp_path):
+    # the benchmark's span tracer keeps one call stack and wraps public
+    # functions: off the main thread only private cli helpers may run
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    threading.setprofile(record)
+    try:
+        code = cli.main(["run", write_config(tmp_path, SMALL_SWEEP), "--out",
+                         str(tmp_path / "out")])
+    finally:
+        threading.setprofile(None)
+    assert code == 0
+    ours = {(module, name) for module, name in called
+            if (module or "").split(".")[0] == "bubblelab"}
+    assert ("bubblelab.cli", "_write_csv") in ours
+    for module, name in ours:   # private helpers and their comprehensions
+        assert module == "bubblelab.cli" and name.startswith(("_", "<")), (module, name)
+        assert name not in bubblelab.__all__
 
 
 def test_write_csv_exact_with_double_precision_scales(tmp_path, monkeypatch):

@@ -681,13 +681,15 @@ def test_model_validation():
         psi_value(m, ReducedPoint(d=[1e-9], tau=np.zeros((1, 4))))  # outside X_eta
 
 
-# Fresh interpreter: after each step, which scipy modules are loaded and
-# what `main` returned.  Only a radial solve (solve_banded) needs scipy.
+# Fresh interpreter: after each step, which scipy modules (and the
+# sweep's writer pool) are loaded and what `main` returned.  Only a radial
+# solve (solve_banded) needs scipy.
 STARTUP_SCRIPT = """
 import json, sys
 import bubblelab.cli
 def step(code=None):
-    return [code] + [m in sys.modules for m in ("scipy", "scipy.linalg", "scipy.integrate")]
+    return [code] + [m in sys.modules for m in ("scipy", "scipy.linalg", "scipy.integrate",
+                                                "concurrent.futures")]
 algebra, scaling, sweep, out = sys.argv[1:]
 steps = {"import": step()}
 steps["validate"] = step(bubblelab.cli.main(["validate", algebra]))
@@ -700,7 +702,8 @@ print(json.dumps(steps))
 def test_scipy_loads_only_for_radial_solves(tmp_path):
     # every closed form, amplitude system and spectrum is numpy alone: the
     # CLI pulls in scipy.linalg only for a radial-sweep, and scipy.integrate
-    # (which the oracles above use) never
+    # (which the oracles above use) never; concurrent.futures, too, waits
+    # for the sweep
     from test_cli import DEMO, SWEEP, _env_with_src
     configs = {
         "algebra": DEMO,
@@ -719,8 +722,8 @@ def test_scipy_loads_only_for_radial_solves(tmp_path):
     steps = json.loads(proc.stdout.splitlines()[-1])
     for name, (code, *_) in steps.items():
         assert code in (None, 0, 2), (name, proc.stderr)   # not EXIT_ERROR
-    none = [False, False, False]
+    none = [False, False, False, False]
     assert {name: loaded for name, (_, *loaded) in steps.items()} == {
         "import": none, "validate": none, "algebra": none, "scaling": none,
-        "sweep": [True, True, False],
+        "sweep": [True, True, False, True],
     }

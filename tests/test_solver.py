@@ -45,8 +45,16 @@ def solve_1e3():
 
 
 @pytest.fixture(scope="module")
-def sweep_r1():
-    return rate_sweep(DIMS4, 1.0, 1.0, np.geomspace(1e-2, 1e-4, 8))
+def sweep_r1_calls():
+    calls = []
+    sweep = rate_sweep(DIMS4, 1.0, 1.0, np.geomspace(1e-2, 1e-4, 8),
+                       on_result=lambda eps, res: calls.append((eps, res)))
+    return sweep, calls
+
+
+@pytest.fixture(scope="module")
+def sweep_r1(sweep_r1_calls):
+    return sweep_r1_calls[0]
 
 
 # ------------------------------------------------------------- basic solves
@@ -96,10 +104,13 @@ def test_n3_default_grid_sweep_aborts_on_trivial_branch():
     # at eps = 1e-2 the 20k-node solve converges to a profile with no
     # positive peak (max u = 0, max|u| ~ 1.5e-3); it must be flagged trivial
     # instead of reaching the concentration metrics
-    sweep = rate_sweep(DIMS3, 1.0, 1.0, np.geomspace(1e-2, 1e-4, 8), n_nodes=20000)
+    calls = []
+    sweep = rate_sweep(DIMS3, 1.0, 1.0, np.geomspace(1e-2, 1e-4, 8), n_nodes=20000,
+                       on_result=lambda eps, res: calls.append(eps))
     assert sweep.aborted
     assert "trivial branch" in sweep.message
     assert sweep.results == ()
+    assert calls == []
 
 
 def test_iteration_limit_reported():
@@ -185,6 +196,13 @@ def test_rate_sweep_slope_and_amplitude(sweep_r1):
     assert (last3.max() - last3.min()) / last3[-1] < 0.10
     assert sw.d_tilde == pytest.approx(1.0, rel=1e-8)
     assert abs(sw.d_final / sw.d_tilde - 1.0) < 0.20
+
+
+def test_on_result_sees_each_result_in_order(sweep_r1_calls):
+    sweep, calls = sweep_r1_calls
+    assert [eps for eps, _ in calls] == sweep.epsilons.tolist()
+    assert len(calls) == len(sweep.results)
+    assert all(res is kept for (_, res), kept in zip(calls, sweep.results))
 
 
 def test_rate_sweep_hole_coefficient_invariance(sweep_r1):
