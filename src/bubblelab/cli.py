@@ -56,7 +56,11 @@ EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 MAX_NODES = 10**6     # mesh nodes of one radial solve
 PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
-CSV_BLOCK_ROWS = 8192  # rows formatted at a time by _write_csv; bounds its buffers
+# rows formatted at a time by _write_csv; bounds its buffers (a peak of
+# 4.2 MB on a two-column table).  Large, since a sweep writes on a thread
+# that shares the GIL with the solves: each numpy call of the writer is one
+# more point where one thread waits for the other
+CSV_BLOCK_ROWS = 32768
 
 
 # --------------------------------------------------------------- diagnostics
@@ -876,8 +880,8 @@ def _task_radial_sweep(cfg, ctx, rng, out):
         for write in writes:
             write.result()   # the first writer exception is the task's error
     keys = ("delta_est", "d_est", "umax", "rpeak", "energy")
-    columns = [[getattr(res.metrics, key) for res in sweep.results] for key in keys]
-    iterations = [res.report.iterations for res in sweep.results]
+    columns = [[getattr(m, key) for m in sweep.metrics] for key in keys]
+    iterations = [report.iterations for report in sweep.reports]
     header = ["epsilon", *keys, "iterations"]
     _write_csv(out / "sweep_rate.csv", header, [sweep.epsilons, *columns, iterations])
     outputs = {

@@ -276,7 +276,10 @@ def _metrics(grid, epsilon, mu):
 class RateSweepReport:
     """Continuation sweep results: per-eps concentration scales, the
     fitted log-log slope (1/2 predicted), and the cross-module comparison
-    of the limiting amplitude with the reduced-energy rate."""
+    of the limiting amplitude with the reduced-energy rate.  ``metrics``
+    and ``reports`` hold each accepted solve's ConcentrationMetrics and
+    NewtonReport, one per entry of ``epsilons``; the grids are not kept
+    (``rate_sweep``'s ``on_result`` sees each one)."""
 
     epsilons: np.ndarray
     delta_ests: np.ndarray
@@ -284,7 +287,8 @@ class RateSweepReport:
     slope: float
     d_final: float
     d_tilde: float
-    results: tuple
+    metrics: tuple
+    reports: tuple
     aborted: bool
     message: str
 
@@ -294,15 +298,17 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
     """Solve down a decreasing eps grid with rescaled-profile continuation.
 
     ``on_result(eps, res)``, if given, is called once for each converged,
-    nontrivial solve, from the largest eps down, right after ``res`` joins
-    ``results`` and before the next eps is solved; an exception it raises
-    ends the sweep.
+    nontrivial solve, from the largest eps down, before the next eps is
+    solved; an exception it raises ends the sweep.  Only ``on_result``
+    sees the solved grids: the sweep keeps just the latest one, to seed
+    the next solve, so a grid outlives the next ``on_result`` call only if
+    the callback keeps it.
     """
     eps_desc = np.sort(np.asarray(epsilon_grid, float))[::-1]
     if len(eps_desc) < 2:
         raise ValueError("sweep needs at least two eps values")
-    results = []
-    deltas = []
+    metrics = []
+    reports = []
     used = []
     aborted = False
     message = "completed"
@@ -326,14 +332,14 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
             aborted = True
             message = f"solve failed at eps={eps:.3e}: {res.report.message}"
             break
-        results.append(res)
+        metrics.append(res.metrics)
+        reports.append(res.report)
         if on_result is not None:
             on_result(eps, res)
-        deltas.append(res.metrics.delta_est)
         used.append(eps)
         prev = (eps, res.grid)
     used = np.asarray(used)
-    deltas = np.asarray(deltas)
+    deltas = np.asarray([m.delta_est for m in metrics])
     if len(used) >= 2:
         slope = float(np.polyfit(np.log(used), np.log(deltas), 1)[0])
     else:
@@ -346,7 +352,8 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
         slope=slope,
         d_final=float(d_ests[-1]) if len(d_ests) else float("nan"),
         d_tilde=float(d_tilde) if d_tilde is not None else float("nan"),
-        results=tuple(results),
+        metrics=tuple(metrics),
+        reports=tuple(reports),
         aborted=aborted,
         message=message,
     )

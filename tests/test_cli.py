@@ -527,7 +527,8 @@ LAYOUT_CASES = {   # values put into the last row of the first block
 }
 
 
-@pytest.mark.parametrize("rows", [_B - 1, _B, _B + 1])
+@pytest.mark.parametrize("rows", [_B - 1, _B, _B + 1],
+                         ids=["block_minus_one", "one_block", "block_plus_one"])
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_write_csv_layouts_at_block_edges(tmp_path, monkeypatch, case, rows):
     # a block whose fields are all 18 bytes is written as laid out; any
@@ -570,6 +571,22 @@ def test_sweep_profiles_match_csv_writer_bytes(tmp_path, monkeypatch, config):
     for name in profiles:
         _csv_writer_oracle(tmp_path / "oracle.csv", *tables[name])
         assert (out / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes(), name
+
+
+def test_profile_of_several_blocks_matches_csv_writer_bytes(tmp_path):
+    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=40_000)
+    assert res.report.converged and len(res.grid.nodes) > _B
+    _assert_same_bytes(tmp_path, ["radius", "value"], [res.grid.nodes, res.grid.values])
+
+
+def test_large_profile_takes_few_blocks(tmp_path, monkeypatch):
+    # the sweep's writer shares the GIL with the solves, so a 100k-node
+    # profile must take few, large blocks: 4 at 32768 rows
+    calls = []
+    monkeypatch.setattr(cli, "_csv_block", lambda block: calls.append(block) or b"")
+    cli._write_csv(tmp_path / "profile.csv", ["radius", "value"],
+                   _two_digit_floats(100_000, 5))
+    assert len(calls) == -(-100_000 // cli.CSV_BLOCK_ROWS) == 4
 
 
 # the N=4 sweep on the default eps grid at 2k nodes: 8 profiles, exit 0

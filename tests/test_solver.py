@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_n3_default_grid_sweep_aborts_on_trivial_branch():
                        on_result=lambda eps, res: calls.append(eps))
     assert sweep.aborted
     assert "trivial branch" in sweep.message
-    assert sweep.results == ()
+    assert sweep.metrics == sweep.reports == ()
     assert calls == []
 
 
@@ -201,8 +202,26 @@ def test_rate_sweep_slope_and_amplitude(sweep_r1):
 def test_on_result_sees_each_result_in_order(sweep_r1_calls):
     sweep, calls = sweep_r1_calls
     assert [eps for eps, _ in calls] == sweep.epsilons.tolist()
-    assert len(calls) == len(sweep.results)
-    assert all(res is kept for (_, res), kept in zip(calls, sweep.results))
+    assert len(calls) == len(sweep.metrics) == len(sweep.reports)
+    assert all(res.metrics is m and res.report is r
+               for (_, res), m, r in zip(calls, sweep.metrics, sweep.reports))
+
+
+def test_rate_sweep_keeps_no_finished_grid():
+    # at the call for the k-th eps only grids k-1 (the continuation seed)
+    # and k may be alive; none once the sweep is over and its caller has
+    # dropped its references
+    refs, dead = [], []
+
+    def on_result(eps, res):
+        dead.append([ref() is None for ref in refs])
+        refs.append(weakref.ref(res.grid))
+
+    sweep = rate_sweep(DIMS4, 1.0, 1.0, np.geomspace(1e-2, 1e-3, 8), n_nodes=500,
+                       on_result=on_result)
+    assert not sweep.aborted and len(refs) == 8
+    assert [flags[:-1] for flags in dead] == [[True] * max(k - 1, 0) for k in range(8)]
+    assert [ref() is None for ref in refs] == [True] * 8
 
 
 def test_rate_sweep_hole_coefficient_invariance(sweep_r1):
@@ -309,12 +328,12 @@ def test_energy_gap_converged_vs_ansatz(solve_1e3):
     assert abs(j_conv - j_seed) < 100 * 1e-3
 
 
-def test_energy_tracks_expansion_over_sweep(sweep_r1):
+def test_energy_tracks_expansion_over_sweep(sweep_r1_calls):
     model = ReducedEnergyModel(dims=DIMS4, weights=[1.0], robin=[1.0], hole_r=[1.0])
     assert critical_point(model).point.d[0] == pytest.approx(1.0, rel=1e-10)
     power = (DIMS4.N - 2) / 2.0
     gaps = []
-    for eps, res in zip(sweep_r1.epsilons, sweep_r1.results):
+    for eps, res in sweep_r1_calls[1]:
         j = energy_of_solution([res.grid], SPEC_SCALAR)
         gaps.append(abs(j - energy_expansion(model, eps)) / eps**power)
     # boundedness test: the ratio stays well below the Psi coefficient (~316)
