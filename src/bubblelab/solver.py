@@ -7,10 +7,12 @@ The scalar problem
 is discretized with three-point finite differences on a log-uniform mesh
 (the solutions of interest have a peak of width ~ sqrt(eps), which a
 geometric mesh resolves at every scale).  Newton with a backtracking line
-search and a banded Jacobian solve converges from the projected-bubble
-ansatz; a continuation sweep over a shrinking geometric grid of hole
-scales recovers the concentration rate delta ~ d sqrt(eps) and the limit
-amplitude d, which cross-checks the minimizer of the reduced energy.
+search converges from the projected-bubble ansatz; each solve works in one
+preallocated workspace, and LAPACK dgtsv, called by C pointer, solves the
+tridiagonal Jacobian without holding the GIL.  A continuation sweep over a
+shrinking geometric grid of hole scales recovers the concentration rate
+delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
+minimizer of the reduced energy.
 
 Multi-component solutions sharing a single peak are composed algebraically
 as u_i = c_i w from a converged scalar profile w and an amplitude vector.
@@ -18,6 +20,8 @@ as u_i = c_i w from a converged scalar profile w and an amplitude vector.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,61 +101,57 @@ def _operator_bands(nodes, dims):
     entries are O(1); this keeps the floating-point floor of the residual
     near machine precision relative to |u| instead of blowing up like
     1/h^2 on fine meshes.  The weights are returned so that source terms
-    can be scaled consistently.  Boundary rows are identities.
+    can be scaled consistently.  Boundary rows are identities.  The four
+    bands are the rows of one (4, n) block, each built in place.
     """
-    N = dims.N
-    M = len(nodes)
-    lo = np.zeros(M)
-    di = np.ones(M)
-    up = np.zeros(M)
-    weight = np.ones(M)
+    bands = np.zeros((4, len(nodes)))
+    bands[1, [0, -1]] = bands[3, [0, -1]] = 1.0
+    lo, di, up, w = bands[:, 1:-1]
     s = nodes[1:-1]
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
+    hm = s - nodes[:-2]
+    hp = nodes[2:] - s
     tot = hm + hp
-    drift = (N - 1) / s
-    w = hm * hp / 2.0
-    weight[1:-1] = w
-    lo[1:-1] = -(2.0 - drift * hp) / (hm * tot) * w
-    di[1:-1] = (2.0 - drift * (hp - hm)) / (hm * hp) * w
-    up[1:-1] = -(2.0 + drift * hm) / (hp * tot) * w
-    return lo, di, up, weight
+    drift = (dims.N - 1) / s
+    np.multiply(hm, hp, out=di)   # h_m h_p, in the weight and in di's denominator
+    np.divide(di, 2.0, out=w)
+    # lo = -(2 - drift h_p) / (h_m tot) w, di = (2 - drift (h_p - h_m)) / (h_m h_p) w,
+    # up = -(2 + drift h_m) / (h_p tot) w
+    np.negative(np.subtract(2.0, np.multiply(drift, hp, out=lo), out=lo), out=lo)
+    lo /= np.multiply(hm, tot, out=up)
+    lo *= w
+    np.subtract(2.0, np.multiply(drift, np.subtract(hp, hm, out=up), out=up), out=up)
+    np.divide(up, di, out=di)
+    di *= w
+    np.negative(np.add(np.multiply(drift, hm, out=up), 2.0, out=up), out=up)
+    up /= np.multiply(tot, hp, out=tot)
+    up *= w
+    return bands
 
 
-def _apply_bands(bands, u):
+def _apply_bands(bands, u, out=None, tmp=None):
+    """The stencil product, into ``out``; ``tmp`` is scratch of u's length
+    (both fresh when not given)."""
     lo, di, up, _ = bands
-    out = di * u
-    out[1:] += lo[1:] * u[:-1]
-    out[:-1] += up[:-1] * u[1:]
+    out = np.multiply(di, u, out=out)
+    tmp = np.empty_like(out) if tmp is None else tmp
+    out[1:] += np.multiply(lo[1:], u[:-1], out=tmp[1:])
+    out[:-1] += np.multiply(up[:-1], u[1:], out=tmp[:-1])
     # boundary rows are pure identity; strip neighbor contributions
     out[0] = u[0]
     out[-1] = u[-1]
     return out
 
 
-def _f(u, p):
-    return np.maximum(u, 0.0) ** p
-
-
-def _fprime(u, p):
-    return p * np.maximum(u, 0.0) ** (p - 1)
-
-
-def _residual(bands, u, mu, p):
-    """Difference-form residual: weight * (-Lap u - mu f(u)) inside,
-    u itself on the Dirichlet rows.  Returns it and the largest scaled
-    potential weight * mu f(u), from the same f(u)."""
-    pot = bands[3] * mu * _f(u, p)
-    F = _apply_bands(bands, u)
+def _residual(bands, u, p, out=None, tmp=None):
+    """Difference-form residual into ``out``: weight * (-Lap u - mu f(u))
+    inside (mu is in the weight row), u itself on the Dirichlet rows.  Also
+    returns the largest scaled potential weight * mu f(u), left in ``tmp``."""
+    F = _apply_bands(bands, u, out, tmp)
+    pot = np.maximum(u, 0.0, out=tmp)
+    pot **= p
+    pot *= bands[3]
     F[1:-1] -= pot[1:-1]
     return F, float(np.max(pot))
-
-
-def _residual_norm(u, F, pot_max):
-    """Scale-invariant convergence measure: the difference-form residual
-    is already in solution units, so normalize by 1 + |u| + the largest
-    scaled potential."""
-    return float(np.max(np.abs(F))) / (1.0 + float(np.max(np.abs(u))) + pot_max)
 
 
 def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
@@ -178,6 +178,51 @@ def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
     return RadialGrid(nodes=nodes, values=vals, dims=dims), d_t
 
 
+# LAPACK dgtsv as scipy.linalg.cython_lapack exports it; d is Cython's double
+_DGTSV_SIGNATURE = b"void (int *, int *, d *, d *, d *, d *, int *, int *)".replace(
+    b"d *", b"__pyx_t_5scipy_6linalg_13cython_lapack_d *")
+
+
+@functools.cache   # resolved on the first radial solve, not at import
+def _lapack_dgtsv():
+    """The dgtsv behind ``scipy.linalg.solve_banded((1, 1), ...)``, called
+    through the C pointer scipy exports for Cython.  A ctypes foreign call
+    releases the GIL for its whole length; scipy's f2py wrapper holds it."""
+    from scipy.linalg.cython_lapack import __pyx_capi__   # only radial solves load scipy
+    capsule = __pyx_capi__["dgtsv"]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    if capsule_name != _DGTSV_SIGNATURE:
+        raise RuntimeError(f"scipy's dgtsv has the C signature {capsule_name!r}, "
+                           f"expected {_DGTSV_SIGNATURE!r}")
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return ctypes.CFUNCTYPE(None, int_p, int_p, *[ctypes.c_void_p] * 4, int_p, int_p)(pointer)
+
+
+def _check_finite(*arrays):
+    for a in arrays:   # min and max propagate NaN, and need no temporaries
+        if not (math.isfinite(np.min(a)) and math.isfinite(np.max(a))):
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system for b in place, overwriting dl, d and du
+    (contiguous float64, n - 1 of dl and du used), with solve_banded's
+    errors for a non-finite d or b (dl, du: the caller's) and singularity."""
+    for a, size in ((dl, len(d) - 1), (d, len(d)), (du, len(d) - 1), (b, len(d))):
+        if a.dtype != np.float64 or not a.flags.c_contiguous or a.size < size:
+            raise ValueError("dgtsv takes contiguous float64 arrays of the system's size")
+    _check_finite(d, b)
+    n, info = ctypes.c_int(len(d)), ctypes.c_int(0)
+    _lapack_dgtsv()(n, ctypes.c_int(1), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+                    b.ctypes.data, n, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return b
+
+
 def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
                  n_nodes=DEFAULT_NODES, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
     """Newton solve from a grid or from the projected-bubble ansatz.
@@ -187,58 +232,72 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     max|F| / (1 + max|u| + max scaled potential) < tol.  A converged
     profile whose peak max u is below 1e-8 max(1, max|u|) is flagged as the
     trivial branch and carries no concentration metrics.
+
+    The Newton loop allocates no n-length array: every step and line-search
+    trial reuses the rows of one (7, n) workspace.  LAPACK dgtsv solves for the
+    step through a ctypes call that releases the GIL, so another thread (the
+    CLI's profile writer) runs meanwhile.  The bits are those of
+    ``solve_banded((1, 1), ...)`` on fresh arrays.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     p = dims.p
     if isinstance(initial, RadialGrid):
-        nodes = initial.nodes
-        u = initial.values.copy()
+        seed = initial
     elif initial == "bubble-ansatz":
         seed, _ = bubble_ansatz(annulus, dims, epsilon, mu,
                                 graded_mesh(annulus.inner, annulus.outer, n_nodes))
-        nodes = seed.nodes
-        u = seed.values.copy()
     else:
         raise ValueError("initial must be a RadialGrid or 'bubble-ansatz'")
-    u[0] = u[-1] = 0.0
+    nodes = seed.nodes
     bands = _operator_bands(nodes, dims)
-    lo, di, up, _ = bands
+    lo, di, up, wmu = bands
+    wmu *= mu   # (w mu) f(u) has the bits of w * mu * f(u)
+    u, trial, F, F_trial, tmp, diag, du = np.empty((7, len(nodes)))
+    u[:] = seed.values
+    u[0] = u[-1] = 0.0
 
     history = []
     converged = False
     message = "newton iteration limit reached"
-    F, pot_max = _residual(bands, u, mu, p)
+    F, pot_max = _residual(bands, u, p, F, tmp)
     for it in range(max_iter):
-        res = _residual_norm(u, F, pot_max)
+        # scale-invariant convergence measure: the residual is in solution units
+        base = float(np.max(np.abs(F, out=tmp)))
+        res = base / (1.0 + float(np.max(np.abs(u, out=tmp))) + pot_max)
         history.append(res)
         if res < tol:
             converged = True
             message = "converged"
             break
-        diag_j = di.copy()
-        diag_j[1:-1] -= bands[3][1:-1] * mu * _fprime(u[1:-1], p)
-        ab = np.zeros((3, len(nodes)))
-        ab[0, 1:] = up[:-1]
-        ab[1, :] = diag_j
-        ab[2, :-1] = lo[1:]
-        from scipy.linalg import solve_banded  # only radial solves load scipy
-        du = solve_banded((1, 1), ab, -F)
+        if it == 0:
+            _check_finite(lo, up)
+        g = np.maximum(u[1:-1], 0.0, out=diag[1:-1])   # di - (w mu) p (u^+)^(p-1)
+        g **= p - 1
+        g *= p
+        g *= wmu[1:-1]
+        np.subtract(di[1:-1], g, out=g)
+        diag[0], diag[-1] = di[0], di[-1]
+        # dgtsv overwrites its bands: copy them into rows free until the line search
+        np.copyto(tmp[:-1], lo[1:])
+        np.copyto(trial[:-1], up[:-1])
+        _gtsv(tmp, diag, trial, np.negative(F, out=du))
         du[0] = du[-1] = 0.0   # every trial keeps the Dirichlet zeros
-        base = float(np.max(np.abs(F)))
         t = 1.0
         for _ in range(30):
-            trial = u + t * du
-            F_trial, pot_trial = _residual(bands, trial, mu, p)
-            if float(np.max(np.abs(F_trial))) <= (1 - 1e-4 * t) * base:
+            np.multiply(du, t, out=trial)
+            trial += u
+            F_trial, pot_trial = _residual(bands, trial, p, F_trial, tmp)
+            if float(np.max(np.abs(F_trial, out=tmp))) <= (1 - 1e-4 * t) * base:
                 break
             t *= 0.5
         else:
             message = "line search stalled"
             break
-        u, F, pot_max = trial, F_trial, pot_trial   # the accepted trial is the next iterate
+        # the accepted trial is the next iterate: swap the rows by name
+        u, trial, F, F_trial, pot_max = trial, u, F_trial, F, pot_trial
 
-    grid = RadialGrid(nodes=nodes, values=u, dims=dims)
+    grid = RadialGrid(nodes=nodes, values=u.copy(), dims=dims)   # not a view of the workspace
     trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
     metrics = None
     if converged and not trivial:
@@ -387,7 +446,7 @@ def compose_group_solution(spec, cvec, w):
     p = spec.p
     e1, e2 = (p - 1) / 2, (p + 1) / 2
     bands = _operator_bands(w.nodes, w.dims)
-    r_scalar, _ = _residual(bands, w.values, 1.0, p)
+    r_scalar, _ = _residual(bands, w.values, p)   # mu = 1
     grids = tuple(
         RadialGrid(nodes=w.nodes, values=c_i * w.values, dims=w.dims)
         for c_i in cvec.c
@@ -415,7 +474,11 @@ def compose_group_solution(spec, cvec, w):
 
 def energy_of_solution(grids, spec):
     """Discrete action: sum of single-component Dirichlet/potential terms
-    minus the pairwise coupling term, in the radial measure."""
+    minus the pairwise coupling term, in the radial measure.
+
+    u' and the integrals have the bits of np.gradient (second order inside,
+    first order at the ends) and np.trapezoid; the gradient's coefficients
+    are formed once for all components, the integrands in place."""
     if len(grids) != spec.m:
         raise ValueError("need one grid per component")
     nodes = grids[0].nodes
@@ -423,15 +486,42 @@ def energy_of_solution(grids, spec):
     for g in grids[1:]:
         if not np.array_equal(g.nodes, nodes):
             raise ValueError("grids must share nodes")
+    if len(nodes) < 2:
+        raise ValueError("energy needs at least two nodes")
     p = spec.p
     s_pow = nodes ** (dims.N - 1)
+    dx = np.diff(nodes)
+    uniform = bool(np.all(dx == dx[0]))   # np.gradient's constant-spacing case
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    du, tmp = np.empty((2, len(nodes)))
+    inner = du[1:-1]
     total = 0.0
     for i, g in enumerate(grids):
-        du = np.gradient(g.values, nodes)
-        uplus = np.maximum(g.values, 0.0)
-        total += np.trapezoid(
-            s_pow * (0.5 * du**2 - spec.mu[i] * uplus ** (p + 1) / (p + 1)), nodes
-        )
+        u = g.values
+        if uniform:
+            np.subtract(u[2:], u[:-2], out=inner)
+            inner /= 2.0 * dx[0]
+        else:
+            np.multiply(a, u[:-2], out=inner)
+            inner += np.multiply(b, u[1:-1], out=tmp[1:-1])
+            inner += np.multiply(c, u[2:], out=tmp[1:-1])
+        du[0] = (u[1] - u[0]) / dx[0]
+        du[-1] = (u[-1] - u[-2]) / dx[-1]
+        du **= 2                     # 0.5 u'^2 - mu_i (u^+)^(p+1) / (p+1)
+        du *= 0.5
+        pot = np.maximum(u, 0.0, out=tmp)
+        pot **= p + 1
+        pot *= spec.mu[i]
+        pot /= p + 1
+        du -= pot
+        du *= s_pow
+        terms = np.add(du[1:], du[:-1], out=tmp[:-1])   # np.trapezoid(du, nodes)
+        terms *= dx
+        terms /= 2.0
+        total += terms.sum()
     for i in range(spec.m):
         for j in range(i + 1, spec.m):
             prod = np.abs(grids[i].values * grids[j].values) ** ((p + 1) / 2)

@@ -9,6 +9,11 @@ runs, kept beside the tests that use them.
 * `remainder_check`, `remainder_trend`: the projection defect of
   `asymptotics.project_bubble_radial` against its three-piece model bound.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
+* `reference_solve_radial`, `reference_energy_of_solution`: the radial
+  Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
+  action through `np.gradient` and `np.trapezoid`, whose bits
+  `solver.solve_radial` and `solver.energy_of_solution` keep;
+  `reference_newton_system`, the Jacobian and right-hand side of a step.
 """
 
 import math
@@ -18,8 +23,19 @@ import numpy as np
 
 from bubblelab.asymptotics import Annulus, project_bubble_radial
 from bubblelab.bubbles import BubbleParams, bubble_eval
+from bubblelab.coupling import CouplingSpec
 from bubblelab.energy import _radial_moment
 from bubblelab.greens import Ball
+from bubblelab.solver import (
+    MAX_NEWTON_ITER,
+    NEWTON_TOL,
+    ConcentrationMetrics,
+    NewtonReport,
+    RadialGrid,
+    SolveResult,
+    bubble_ansatz,
+    graded_mesh,
+)
 
 
 # ---------------------------------------------------------------- greens
@@ -243,3 +259,162 @@ def sigma_constant(dims, l, k=None):
         radial = _radial_moment(N, N) - 4 * _radial_moment(N + 2, N + 2)
         return pref * ((N - 2) / 2) ** 2 * dims.omegaNm1 * radial
     return pref * (N - 2) ** 2 * dims.omegaNm1 / N * _radial_moment(N + 2, N + 2)
+
+
+# ---------------------------------------------------------------- solver
+
+
+def _operator_bands(nodes, dims):
+    N = dims.N
+    M = len(nodes)
+    lo = np.zeros(M)
+    di = np.ones(M)
+    up = np.zeros(M)
+    weight = np.ones(M)
+    s = nodes[1:-1]
+    hm = nodes[1:-1] - nodes[:-2]
+    hp = nodes[2:] - nodes[1:-1]
+    tot = hm + hp
+    drift = (N - 1) / s
+    w = hm * hp / 2.0
+    weight[1:-1] = w
+    lo[1:-1] = -(2.0 - drift * hp) / (hm * tot) * w
+    di[1:-1] = (2.0 - drift * (hp - hm)) / (hm * hp) * w
+    up[1:-1] = -(2.0 + drift * hm) / (hp * tot) * w
+    return lo, di, up, weight
+
+
+def _apply_bands(bands, u):
+    lo, di, up, _ = bands
+    out = di * u
+    out[1:] += lo[1:] * u[:-1]
+    out[:-1] += up[:-1] * u[1:]
+    out[0] = u[0]
+    out[-1] = u[-1]
+    return out
+
+
+def _residual(bands, u, mu, p):
+    pot = bands[3] * mu * np.maximum(u, 0.0) ** p
+    F = _apply_bands(bands, u)
+    F[1:-1] -= pot[1:-1]
+    return F, float(np.max(pot))
+
+
+def _residual_norm(u, F, pot_max):
+    return float(np.max(np.abs(F))) / (1.0 + float(np.max(np.abs(u))) + pot_max)
+
+
+def _jacobian_bands(bands, u, mu, p):
+    """The Newton Jacobian at u in `solve_banded`'s (1, 1) layout."""
+    lo, di, up, weight = bands
+    diag_j = di.copy()
+    diag_j[1:-1] -= weight[1:-1] * mu * (p * np.maximum(u[1:-1], 0.0) ** (p - 1))
+    ab = np.zeros((3, len(u)))
+    ab[0, 1:] = up[:-1]
+    ab[1, :] = diag_j
+    ab[2, :-1] = lo[1:]
+    return ab
+
+
+def reference_newton_system(grid, mu=1.0):
+    """The first Newton system of a solve from ``grid``: the Jacobian in
+    `solve_banded`'s (1, 1) layout and the right-hand side -F."""
+    u = grid.values.copy()
+    u[0] = u[-1] = 0.0
+    bands = _operator_bands(grid.nodes, grid.dims)
+    F, _ = _residual(bands, u, mu, grid.dims.p)
+    return _jacobian_bands(bands, u, mu, grid.dims.p), -F
+
+
+def reference_solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
+                           n_nodes=2000, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER,
+                           steps=None):
+    """`solver.solve_radial` with fresh arrays in every Newton step and the
+    tridiagonal solve by `scipy.linalg.solve_banded`.  ``steps``, if given,
+    gets the accepted line-search step t of every Newton step."""
+    from scipy.linalg import solve_banded
+    p = dims.p
+    if isinstance(initial, RadialGrid):
+        nodes = initial.nodes
+        u = initial.values.copy()
+    else:
+        seed, _ = bubble_ansatz(annulus, dims, epsilon, mu,
+                                graded_mesh(annulus.inner, annulus.outer, n_nodes))
+        nodes = seed.nodes
+        u = seed.values.copy()
+    u[0] = u[-1] = 0.0
+    bands = _operator_bands(nodes, dims)
+
+    history = []
+    converged = False
+    message = "newton iteration limit reached"
+    F, pot_max = _residual(bands, u, mu, p)
+    for it in range(max_iter):
+        res = _residual_norm(u, F, pot_max)
+        history.append(res)
+        if res < tol:
+            converged = True
+            message = "converged"
+            break
+        du = solve_banded((1, 1), _jacobian_bands(bands, u, mu, p), -F)
+        du[0] = du[-1] = 0.0
+        base = float(np.max(np.abs(F)))
+        t = 1.0
+        for _ in range(30):
+            trial = u + t * du
+            F_trial, pot_trial = _residual(bands, trial, mu, p)
+            if float(np.max(np.abs(F_trial))) <= (1 - 1e-4 * t) * base:
+                break
+            t *= 0.5
+        else:
+            message = "line search stalled"
+            break
+        if steps is not None:
+            steps.append(t)
+        u, F, pot_max = trial, F_trial, pot_trial
+
+    grid = RadialGrid(nodes=nodes, values=u, dims=dims)
+    trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
+    metrics = None
+    if converged and not trivial:
+        v = mu ** (1.0 / (dims.p - 1)) * grid.values
+        k = int(np.argmax(v))
+        delta_est = (dims.alphaN / float(v[k])) ** (2.0 / (dims.N - 2))
+        spec1 = CouplingSpec(N=dims.N, m=1, mu=np.array([mu]), beta=np.array([[mu]]),
+                             decomposition=(0, 1))
+        metrics = ConcentrationMetrics(
+            umax=float(np.max(grid.values)),
+            rpeak=float(grid.nodes[k]),
+            delta_est=delta_est,
+            d_est=delta_est / math.sqrt(epsilon),
+            energy=reference_energy_of_solution([grid], spec1),
+        )
+    report = NewtonReport(
+        converged=converged,
+        iterations=len(history),
+        residuals=tuple(history),
+        trivial=trivial,
+        message="trivial branch" if trivial else message,
+    )
+    return SolveResult(grid=grid, metrics=metrics, report=report)
+
+
+def reference_energy_of_solution(grids, spec):
+    """`solver.energy_of_solution` through `np.gradient` and `np.trapezoid`."""
+    nodes = grids[0].nodes
+    dims = grids[0].dims
+    p = spec.p
+    s_pow = nodes ** (dims.N - 1)
+    total = 0.0
+    for i, g in enumerate(grids):
+        du = np.gradient(g.values, nodes)
+        uplus = np.maximum(g.values, 0.0)
+        total += np.trapezoid(
+            s_pow * (0.5 * du**2 - spec.mu[i] * uplus ** (p + 1) / (p + 1)), nodes
+        )
+    for i in range(spec.m):
+        for j in range(i + 1, spec.m):
+            prod = np.abs(grids[i].values * grids[j].values) ** ((p + 1) / 2)
+            total -= 2.0 / (p + 1) * spec.beta[i, j] * np.trapezoid(s_pow * prod, nodes)
+    return float(dims.omegaNm1 * total)

@@ -642,6 +642,23 @@ def test_profiles_solved_before_a_failing_solve_are_on_disk(tmp_path, monkeypatc
     assert threading.active_count() == threads
 
 
+def test_nan_in_the_sweep_seed_is_an_error_verdict(tmp_path, monkeypatch):
+    ansatz = solver.bubble_ansatz
+
+    def nan_seed(*args, **kwargs):
+        seed, d_tilde = ansatz(*args, **kwargs)
+        values = seed.values.copy()
+        values[len(values) // 2] = np.nan
+        return solver.RadialGrid(nodes=seed.nodes, values=values, dims=seed.dims), d_tilde
+
+    monkeypatch.setattr(solver, "bubble_ansatz", nan_seed)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, SMALL_SWEEP), "--out", str(out)]) == 1
+    (entry,) = load_summary(out)["tasks"]
+    assert (entry["task"], entry["verdict"], entry["message"]) == (
+        "radial-sweep", "error", "ValueError: array must not contain infs or NaNs")
+
+
 def test_writer_thread_calls_no_traced_function(tmp_path):
     # the benchmark's span tracer keeps one call stack and wraps public
     # functions: off the main thread only private cli helpers may run

@@ -1,21 +1,32 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
+from bubblelab import solver
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.coupling import CouplingSpec, CVector, solve_c_vector
 from bubblelab.energy import ReducedEnergyModel, critical_point, energy_expansion
 from bubblelab.solver import (
     RadialGrid,
+    _gtsv,
     bubble_ansatz,
     compose_group_solution,
     energy_of_solution,
     graded_mesh,
     rate_sweep,
     solve_radial,
+)
+from oracles import (
+    reference_energy_of_solution,
+    reference_newton_system,
+    reference_solve_radial,
 )
 
 SPEC_SCALAR = CouplingSpec(
@@ -136,6 +147,185 @@ def test_n3_profile_converges():
     assert profile_is_positive(res.grid)
     assert profile_is_unimodal(res.grid)
     assert res.metrics.delta_est > 0
+
+
+def test_nan_in_seed_raises_scipys_error():
+    nodes = graded_mesh(1e-3, 1.0, 500)
+    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, 1.0, nodes)
+    values = seed.values.copy()
+    values[250] = np.nan
+    bad = RadialGrid(nodes=nodes, values=values, dims=DIMS4)
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=bad)
+
+
+# ------------------------------------------- same bits as the reference solve
+
+
+def _bits(x):
+    return np.asarray(x, float).tobytes()
+
+
+def _continuation_seed(dims, eps_from, eps_to, n):
+    """rate_sweep's seed for eps_to from the solve at eps_from."""
+    prev = solve_radial(Annulus(eps_from, 1.0), dims, eps_from, n_nodes=n).grid
+    nodes = graded_mesh(eps_to, 1.0, n)
+    kappa = math.sqrt(eps_to / eps_from)
+    vals = kappa ** (-(dims.N - 2) / 2) * np.interp(
+        nodes / kappa, prev.nodes, prev.values, left=0.0, right=0.0)
+    vals[0] = vals[-1] = 0.0
+    return RadialGrid(nodes=nodes, values=vals, dims=dims)
+
+
+SOLVE_CASES = {   # dims, eps, n_nodes, (eps of the seed's solve or None), max_iter
+    "n4_2k_ansatz": (DIMS4, 1e-3, 2000, None, 50),
+    "n4_20k_ansatz": (DIMS4, 1e-2, 20000, None, 50),
+    "n4_20k_continuation": (DIMS4, 5e-3, 20000, 1e-2, 50),
+    "n4_2k_iteration_limit": (DIMS4, 1e-3, 2000, None, 1),
+    "n3_2k_ansatz_halving": (DIMS3, 1e-3, 2000, None, 50),
+    "n3_20k_continuation": (DIMS3, 2e-3, 20000, 3e-3, 50),
+    "n3_20k_trivial_halving": (DIMS3, 1e-2, 20000, None, 50),
+    "n3_20k_iteration_limit": (DIMS3, 1e-3, 20000, None, 1),
+}
+
+
+@pytest.mark.parametrize("case", SOLVE_CASES)
+def test_solve_has_the_bits_of_the_reference_solve(case):
+    dims, eps, n, seed_eps, max_iter = SOLVE_CASES[case]
+    initial = "bubble-ansatz" if seed_eps is None else _continuation_seed(dims, seed_eps, eps, n)
+    ann = Annulus(eps, 1.0)
+    steps = []
+    ref = reference_solve_radial(ann, dims, eps, initial=initial, n_nodes=n,
+                                 max_iter=max_iter, steps=steps)
+    res = solve_radial(ann, dims, eps, initial=initial, n_nodes=n, max_iter=max_iter)
+    assert _bits(res.grid.values) == _bits(ref.grid.values)
+    assert _bits(res.grid.nodes) == _bits(ref.grid.nodes)
+    assert _bits(res.report.residuals) == _bits(ref.report.residuals)
+    assert res.report == ref.report
+    if ref.metrics is None:
+        assert res.metrics is None
+    else:
+        assert _bits(dataclasses.astuple(res.metrics)) == _bits(dataclasses.astuple(ref.metrics))
+    assert (max_iter == 1) == (ref.report.message == "newton iteration limit reached")
+    if "halving" in case:   # the line search halved t at least once
+        assert min(steps) < 1.0
+    if "trivial" in case:
+        assert ref.report.trivial
+
+
+def test_grid_owns_its_values():
+    # the returned values are a copy, not a view of the Newton workspace
+    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=500)
+    assert res.grid.values.base is None
+
+
+def test_energy_has_the_bits_of_gradient_and_trapezoid(solve_1e3, scalar_w):
+    cv = solve_c_vector(SPEC_PAIR, 0)
+    pair = list(compose_group_solution(SPEC_PAIR, cv, scalar_w).grids)
+    nodes = np.arange(1, 301) * (3 / 1024)   # exact steps: np.gradient's constant-spacing case
+    assert np.all(np.diff(nodes) == nodes[0])
+    uniform = RadialGrid(nodes=nodes, values=np.random.default_rng(0).random(300), dims=DIMS4)
+    for grids, spec in (([solve_1e3.grid], SPEC_SCALAR), ([scalar_w], SPEC_SCALAR),
+                        (pair, SPEC_PAIR), ([uniform], SPEC_SCALAR)):
+        expected = reference_energy_of_solution(grids, spec)
+        assert _bits(energy_of_solution(grids, spec)) == _bits(expected)
+
+
+# ------------------------------------------------------- tridiagonal solve
+
+
+def _gtsv_of(ab, rhs):
+    """_gtsv on copies of a system in solve_banded's (1, 1) layout."""
+    return _gtsv(ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy(), rhs.copy())
+
+
+def _random_system(n, seed):
+    # diagonals of one scale, not diagonally dominant: dgtsv swaps rows
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab, rng.standard_normal(n)
+
+
+def _solve_banded(ab, rhs):
+    from scipy.linalg import solve_banded
+    return solve_banded((1, 1), ab, rhs)
+
+
+def test_gtsv_has_the_bits_of_solve_banded_on_a_newton_system():
+    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, 1.0,
+                            graded_mesh(1e-3, 1.0, 20000))
+    ab, rhs = reference_newton_system(seed)
+    assert _bits(_gtsv_of(ab, rhs)) == _bits(_solve_banded(ab, rhs))
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 1001])
+def test_gtsv_has_the_bits_of_solve_banded_with_row_swaps(n):
+    ab, rhs = _random_system(n, seed=n)
+    assert np.any(np.abs(ab[2, :-1]) > np.abs(ab[1, :-1]))   # a pivot row swap
+    x = _gtsv_of(ab, rhs)
+    assert _bits(x) == _bits(_solve_banded(ab, rhs))
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    np.testing.assert_allclose(dense @ x, rhs, atol=1e-8 * np.max(np.abs(x)))
+
+
+def test_gtsv_raises_scipys_errors():
+    ab, rhs = _random_system(10, seed=0)
+    rhs[4] = np.nan
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _gtsv_of(ab, rhs)
+    ab[1, 3] = np.inf
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _gtsv_of(ab, np.ones(10))
+    for bad in (np.ones(9), np.ones(20)[::2], np.ones(10, np.float32)):
+        with pytest.raises(ValueError, match="contiguous float64"):
+            _gtsv(np.ones(9), np.full(10, 4.0), np.ones(9), bad)
+    singular = np.zeros((3, 3))
+    singular[1] = [1.0, 0.0, 1.0]
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        _gtsv_of(singular, np.ones(3))
+
+
+def test_dgtsv_call_releases_the_gil(monkeypatch):
+    # a thread stamps the clock while the main thread solves: a LAPACK call
+    # that held the GIL would leave the middle of its window unstamped.  A
+    # short switch interval hands the GIL back soon after such a call ends.
+    dgtsv = solver._lapack_dgtsv()   # scipy is imported before any timing
+    window = []
+
+    def timed_dgtsv(*args):
+        window.append(time.perf_counter())
+        dgtsv(*args)
+        window.append(time.perf_counter())
+
+    monkeypatch.setattr(solver, "_lapack_dgtsv", lambda: timed_dgtsv)
+    n = 2_000_000
+    for _ in range(3):   # a loaded machine may starve the thread once
+        dl, d, du, b = np.full(n, 1.0), np.full(n, 4.0), np.full(n, 1.0), np.full(n, 1.0)
+        stamps = []
+        stop = threading.Event()
+
+        def stamp():
+            while not stop.is_set():
+                stamps.append(time.perf_counter())
+
+        thread = threading.Thread(target=stamp)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            thread.start()
+            while not stamps:
+                time.sleep(1e-3)
+            _gtsv(dl, d, du, b)
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(switch)
+        start, end = window[-2:]
+        lo, hi = start + 0.2 * (end - start), start + 0.8 * (end - start)
+        if any(lo < t < hi for t in stamps):
+            return
+    pytest.fail("no thread ran during the LAPACK call")
 
 
 def test_mu_rescaling_identity(solve_1e3):
