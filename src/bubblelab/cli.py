@@ -515,36 +515,25 @@ def _num(value, module, operation):
     return {"value": value, "module": module, "operation": operation}
 
 
-def _e12_scales(dtype):
-    """10**(12 - e) in `dtype` for the exponents e of _E12_EXPONENTS, and 0
-    where that overflows `dtype`, so that the kernel leaves those values to
-    `%`."""
-    k = 12 - _E12_EXPONENTS
-    fits = k <= int(np.log10(np.finfo(dtype).max))
-    scales = np.zeros(len(k), dtype=dtype)
-    scales[fits] = np.array([f"1e{v}" for v in k[fits]]).astype(dtype)
-    return scales
-
-
-# The %.12e kernel.  A normal double x is m * 10^(e-12) with 13 significant
-# digits m in [10^12, 10^13).  |x| * 10^(12-e) is formed in the precision of
-# the scale table (np.longdouble).  Two roundings, of the scale and of the
-# product, keep its relative error below eps; as the product is below
-# 10^13 < 2^44, its absolute error stays below eps * 2^44.  Rounding it gives
-# m exactly unless its fraction lies within 64 times that bound of 0.5;
-# such near-ties are left to `%`, as are zeros, subnormal and non-finite
-# values.  Where np.longdouble is a plain double that margin is 0.25:
-# still exact, but half of the values fall back.
+# The %.12e kernel.  A double x in [1e-99, 9.9e99) is m * 10^(e-12) with 13
+# significant digits m in [10^12, 10^13) and a two-digit exponent e, also
+# after rounding.  x * 10^(12-e) is formed in the precision of the scale
+# table (np.longdouble).  Two roundings, of the scale and of the product,
+# keep its relative error below eps; as the product is below 10^13 < 2^44,
+# its absolute error stays below eps * 2^44.  Rounding it gives m exactly
+# unless its fraction lies within 64 times that bound of 0.5; such near-ties
+# are left to `%`, as is every value outside the range (zeros, negatives,
+# subnormal and non-finite values, three-digit exponents).  Where
+# np.longdouble is a plain double that margin is 0.25: still exact, but
+# half of the values fall back.
 #
-# "%.12e" % x is then the 18 bytes "d.dddddddddddde+dd", after a "-" for a
-# negative x and with a third exponent digit for |e| >= 100.  _csv_block
-# spells them as four uint32 words "d.dd" "dddd" "dddd" "dde+" and one
-# uint16 "dd", in place in each row of the block.
+# "%.12e" % x is then the 18 bytes "d.dddddddddddde+dd".  _csv_block spells
+# them as four uint32 words "d.dd" "dddd" "dddd" "dde+" and one uint16 "dd",
+# in place in each row of the block.
 _E12_MIN_VALUES = 256                  # smaller blocks go to `%` whole
-_E12_EXPONENTS = np.arange(-309, 310)  # decimal exponents of normal doubles, +-1
-_E12_SCALES = _e12_scales(np.longdouble)
+_E12_EXPONENTS = np.arange(-100, 101)  # decimal exponents of [1e-99, 9.9e99), +-1
+_E12_SCALES = np.array([f"1e{12 - e}" for e in _E12_EXPONENTS]).astype(np.longdouble)
 _E12_TIE_MARGIN = 64 * float(np.finfo(np.longdouble).eps) * 2.0**44
-_DOUBLE = np.finfo(np.float64)
 _FIELD = 18                            # len("d.dddddddddddde+dd")
 _DIGITS2 = np.array([f"{k:02d}" for k in range(100)], dtype="S2").view(np.uint16)
 _DIGITS4 = np.stack(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=-1).view(
@@ -553,11 +542,9 @@ _CHARS = _DIGITS4.view(np.uint8).reshape(-1, 4)                          # b"%04
 _LEADS = np.insert(_CHARS[:1000, 1:], 1, ord("."), axis=1).view(np.uint32)[:, 0]  # "d.dd"
 _TAILS = np.concatenate([np.insert(_CHARS[:100, 2:], [2, 2], [ord("e"), sign], axis=1)
                          for sign in b"+-"]).view(np.uint32)[:, 0]       # "dde+", "dde-"
-# by exponent index: the offset into _TAILS, the last two digits and the
-# third digit (a zero byte below 100)
+# by exponent index: the offset into _TAILS and the two exponent digits
 _EXP_TAILS = np.where(_E12_EXPONENTS < 0, 100, 0)
 _EXP_DIGITS = _DIGITS2[np.abs(_E12_EXPONENTS) % 100]
-_EXP_HUNDREDS = np.where(np.abs(_E12_EXPONENTS) >= 100, _CHARS[np.abs(_E12_EXPONENTS), 1], 0)
 
 
 def _e12_kernel(x):
@@ -565,17 +552,15 @@ def _e12_kernel(x):
     ``"%.12e" % v``.  Returns (m, ei, left): the 13 significant digits as
     an integer, the exponent's index in _E12_EXPONENTS, and the mask of the
     values it left to `%`."""
-    a = np.abs(x)
-    ok = (a >= _DOUBLE.smallest_normal) & (a <= _DOUBLE.max)
-    a[~ok] = 1.0
+    ok = (x >= 1e-99) & (x < 9.9e99)
+    a = np.where(ok, x, 1.0)
     ei = np.floor(np.log10(a)).astype(np.int64) - _E12_EXPONENTS[0]  # exponent index
-    scales = _E12_SCALES
-    wide = a.astype(scales.dtype)
-    s = wide * scales[ei]
+    wide = a.astype(_E12_SCALES.dtype)
+    s = wide * _E12_SCALES[ei]
     m = s.astype(np.int64)
     off = np.flatnonzero((m < 10**12) | (m >= 10**13))   # log10 off by one
     ei[off] += np.where(m[off] < 10**12, -1, 1)
-    s[off] = wide[off] * scales[ei[off]]
+    s[off] = wide[off] * _E12_SCALES[ei[off]]
     m[off] = s[off].astype(np.int64)
     frac = (s - m).astype(np.float64)
     ok &= (m >= 10**12) & (m < 10**13) & (np.abs(frac - 0.5) > _E12_TIE_MARGIN)
@@ -587,49 +572,44 @@ def _e12_kernel(x):
 
 
 def _csv_block(columns):
-    """The CSV lines of equal-length float columns as a uint8 array.  Each
-    field is spelled in place at a fixed width.  If every field of the
-    block has 18 bytes, the (rows, row_bytes) block is returned as it
-    stands.  Otherwise each field gets 20 bytes, with room for a "-" and a
-    third exponent digit, and the block's zero bytes are dropped."""
+    """The CSV lines of equal-length float columns as a (rows, row_bytes)
+    uint8 array, each field spelled in place in its 18 bytes; or None if
+    the `%` text of some value the kernel left is not 18 bytes long."""
     rounded = [(x, *_e12_kernel(x)) for x in [c.astype(np.float64) for c in columns]]
     texts = [["%.12e" % v for v in x[left].tolist()] for x, _, _, left in rounded]
-    wide = any(
-        np.signbit(x).any() or _EXP_HUNDREDS[[ei.min(), ei.max()]].any()
-        or any(len(text) != _FIELD for text in column)
-        for (x, _, ei, _), column in zip(rounded, texts))
-    width = _FIELD + 2 * wide
-    block = np.empty((len(columns[0]), len(columns) * (width + 1) + 1), np.uint8)
-    for j, ((x, m, ei, left), column) in enumerate(zip(rounded, texts)):
-        o = j * (width + 1)           # the field's first byte, its "-" if wide
+    if any(len(text) != _FIELD for column in texts for text in column):
+        return None
+    block = np.empty((len(columns[0]), len(columns) * (_FIELD + 1) + 1), np.uint8)
+    for j, ((_, m, ei, left), column) in enumerate(zip(rounded, texts)):
+        o = j * (_FIELD + 1)          # the field's first byte
         hi = m // 100                 # m is "d dd dddd dddd dd"
         mid = hi // 10**4
         lead = mid // 10**4
         # rows left to `%` may hold any index; "clip" also lets take write
         # straight into the strided, unaligned views
-        words = block[:, o + wide:o + wide + 16].view(np.uint32)
+        words = block[:, o:o + 16].view(np.uint32)
         np.take(_LEADS, lead, out=words[:, 0], mode="clip")
         np.take(_DIGITS4, mid - 10**4 * lead, out=words[:, 1], mode="clip")
         np.take(_DIGITS4, hi - 10**4 * mid, out=words[:, 2], mode="clip")
         np.take(_TAILS, m - 100 * hi + _EXP_TAILS[ei], out=words[:, 3], mode="clip")
-        digits = block[:, o + width - 2:o + width].view(np.uint16)[:, 0]   # "dd"
+        digits = block[:, o + 16:o + _FIELD].view(np.uint16)[:, 0]   # "dd"
         np.take(_EXP_DIGITS, ei, out=digits, mode="clip")
-        if wide:
-            block[:, o] = np.signbit(x) * ord("-")
-            np.take(_EXP_HUNDREDS, ei, out=block[:, o + 17], mode="clip")
-        block[left, o:o + width] = np.array(column, f"S{width}").view(np.uint8).reshape(-1, width)
-        block[:, o + width] = ord(",")
+        block[left, o:o + _FIELD] = np.array(column, f"S{_FIELD}").view(np.uint8).reshape(
+            -1, _FIELD)
+        block[:, o + _FIELD] = ord(",")
     block[:, -2] = ord("\r")
     block[:, -1] = ord("\n")
-    return block[block != 0] if wide else block
+    return block
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV with CRLF line ends: ``%d`` for
     integer columns, ``%.12e`` for the rest, each formatted from its own
     values.  Float tables are formatted by _csv_block, CSV_BLOCK_ROWS rows
-    at a time; tables with an integer column and blocks of fewer than
-    _E12_MIN_VALUES values by a single ``%`` call each."""
+    at a time.  A single ``%`` call writes each block of a table with an
+    integer column, of fewer than _E12_MIN_VALUES values, or that
+    _csv_block cannot lay out (a negative value, a three-digit exponent,
+    `nan` or `inf`)."""
     columns = [np.asarray(c) for c in columns]
     fmts = ["%d" if c.dtype.kind in "iu" else "%.12e" for c in columns]
     line = ",".join(fmts) + "\r\n"
@@ -637,11 +617,11 @@ def _write_csv(path, header, columns):
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            if "%d" not in fmts and len(block[0]) * len(block) >= _E12_MIN_VALUES:
-                fh.write(_csv_block(block))
-            else:
+            small = "%d" in fmts or len(block[0]) * len(block) < _E12_MIN_VALUES
+            if small or (text := _csv_block(block)) is None:
                 values = [v for row in zip(*(c.tolist() for c in block)) for v in row]
-                fh.write(((line * len(block[0])) % tuple(values)).encode())
+                text = ((line * len(block[0])) % tuple(values)).encode()
+            fh.write(text)
 
 
 # --------------------------------------------------------------------- tasks
@@ -1059,7 +1039,12 @@ def main(argv=None):
         return EXIT_ERROR
 
     out_dir = args.out if args.out is not None else (config.out_dir or "bubblelab_out")
-    exit_code, summary = run(config, out_dir, seed=args.seed)
+    try:   # run reports task failures itself; what escapes is the directory's
+        exit_code, summary = run(config, out_dir, seed=args.seed)
+    except OSError as exc:
+        field_name = "--out" if args.out is not None else "output.dir"
+        print(str(Diagnostic("error", field_name, str(exc))), file=sys.stderr)
+        return EXIT_ERROR
     print(f"verdict: {summary['verdict']} (exit {exit_code}); "
           f"report: {Path(out_dir) / 'summary.json'}")
     return exit_code

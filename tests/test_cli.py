@@ -1,5 +1,6 @@
 import copy
 import csv
+import errno
 import io
 import json
 import math
@@ -402,6 +403,28 @@ def test_output_dir_is_checked_before_anything_is_written(
     assert made == ["bubblelab_out", "config.json"] if field_name is None else ["config.json"]
 
 
+@pytest.mark.parametrize("field_name, out, code", [
+    ("--out", "a_file", errno.EEXIST),
+    ("--out", "a_file/sub", errno.ENOTDIR),
+    ("--out", "out", errno.EISDIR),
+    ("output.dir", "a_file", errno.EEXIST),
+], ids=["out_is_a_file", "out_under_a_file", "summary_is_a_directory",
+        "config_dir_is_a_file"])
+def test_unusable_output_dir_is_a_diagnostic(tmp_path, capsys, field_name, out, code):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    out = str(tmp_path / out)
+    if field_name == "--out":
+        argv = ["run", write_config(tmp_path, PAIR), "--out", out]
+    else:
+        argv = ["run", write_config(tmp_path, _variant(PAIR, output={"dir": out}))]
+    path = os.path.join(out, "summary.json") if code == errno.EISDIR else out
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error[{field_name}]: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+    assert captured.out == ""
+
+
 def test_parse_stores_integral_float_n_nodes_as_int():
     config, _ = _parse_with(("reduction",), {"n_nodes": 2000.0})
     assert type(config.n_nodes) is int and config.n_nodes == 2000
@@ -428,7 +451,14 @@ def _wide_floats(n, seed):
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
 
 
-_B = cli.CSV_BLOCK_ROWS
+_B = 1024   # the block size of the tests that build their tables from it
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """_write_csv in _B-row blocks.  The block edges run the same code at
+    any block size, while the oracle's time grows with the rows."""
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", _B)
 
 
 def _decimal_ties(n, seed):
@@ -450,8 +480,13 @@ def _decimal_ties(n, seed):
                            dyadic, ints.astype(float)])
 
 
+def _kernel_domain(values):
+    """The values that _e12_kernel formats itself, 1e-99 <= x < 9.9e99."""
+    return values[(values >= 1e-99) & (values < 9.9e99)]
+
+
 _POWERS = np.array([float(f"1e{k}") for k in range(-307, 309)])
-KERNEL_VALUES = {  # tiled past one block, they reach the kernel
+KERNEL_VALUES = {  # tiled past one block, they reach _csv_block
     "decimal_ties": _decimal_ties(4000, 11),
     "carry": np.array([9.9999999999995e5, 9.99999999999949e5, 9.9999999999995e-5,
                        -9.9999999999995e5, 9.9999999999995e99, 9.9999999999995e-101]),
@@ -462,7 +497,17 @@ KERNEL_VALUES = {  # tiled past one block, they reach the kernel
     "extremes": np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                           2.225073858507201e-308, 1.7976931348623157e308,
                           -1.7976931348623157e308, np.nan, np.inf, -np.inf]),
+    # the edges of the kernel's range; -0.0 and a three-digit exponent
+    # send every block to `%` whole
+    "domain_edges": np.array([1e-99, np.nextafter(1e-99, 0), 9.9e99,
+                              np.nextafter(9.9e99, np.inf), 9.9999999999995e99, -0.0]),
 }
+# the hard cases inside the range, with its edges and their outer
+# neighbours: every field is 18 bytes, so every block is laid out
+KERNEL_VALUES["in_domain"] = np.concatenate([
+    _kernel_domain(np.concatenate([KERNEL_VALUES[name] for name in
+                                   ("decimal_ties", "carry", "powers_of_ten")])),
+    KERNEL_VALUES["domain_edges"][:4]])
 
 
 def _tiled(values, ncols):
@@ -507,7 +552,7 @@ def _assert_same_bytes(tmp_path, header, columns):
 
 
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
-def test_write_csv_matches_csv_writer_bytes(tmp_path, case):
+def test_write_csv_matches_csv_writer_bytes(tmp_path, small_blocks, case):
     _assert_same_bytes(tmp_path, *CSV_CASES[case])
 
 
@@ -524,28 +569,32 @@ LAYOUT_CASES = {   # values put into the last row of the first block
     "one_negative": [(0, -0.75)],
     "three_digit_exponent": [(1, 2.5e-120)],
     "nan_and_zero": [(0, np.nan), (1, 0.0)],
+    # just outside the kernel's range, beside values just inside it
+    "exponent_minus_100": [(0, 1e-99), (1, 9.99999999999949e-100)],
+    "rounds_to_1e100": [(0, 9.9999999999995e99), (1, np.nextafter(9.9e99, 0))],
 }
 
 
 @pytest.mark.parametrize("rows", [_B - 1, _B, _B + 1],
                          ids=["block_minus_one", "one_block", "block_plus_one"])
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
-def test_write_csv_layouts_at_block_edges(tmp_path, monkeypatch, case, rows):
-    # a block whose fields are all 18 bytes is written as laid out; any
-    # other field widens the block's slots, whose zero bytes are dropped
+def test_write_csv_layouts_at_block_edges(tmp_path, monkeypatch, small_blocks, case, rows):
+    # a block whose fields are all 18 bytes is laid out; one other field
+    # sends the whole block to `%`.  A second block of one row is too
+    # small for _csv_block
     columns = _two_digit_floats(rows, rows)
     for j, value in LAYOUT_CASES[case]:
         columns[j][min(rows, _B) - 1] = value
     csv_block, dims = cli._csv_block, []
 
-    def spy(block_columns):   # a compacted block comes back flat
+    def spy(block_columns):
         text = csv_block(block_columns)
-        dims.append(text.ndim)
+        dims.append(None if text is None else text.ndim)
         return text
 
     monkeypatch.setattr(cli, "_csv_block", spy)
     _assert_same_bytes(tmp_path, ["x", "y"], columns)
-    assert dims == [2 if case == "all_18_bytes" else 1]
+    assert dims == [2 if case == "all_18_bytes" else None]
 
 
 @pytest.mark.parametrize("config", ["n4_nodes20k", "n3_nodes2k"])
@@ -575,7 +624,7 @@ def test_sweep_profiles_match_csv_writer_bytes(tmp_path, monkeypatch, config):
 
 def test_profile_of_several_blocks_matches_csv_writer_bytes(tmp_path):
     res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=40_000)
-    assert res.report.converged and len(res.grid.nodes) > _B
+    assert res.report.converged and len(res.grid.nodes) > cli.CSV_BLOCK_ROWS
     _assert_same_bytes(tmp_path, ["radius", "value"], [res.grid.nodes, res.grid.values])
 
 
@@ -687,10 +736,13 @@ def test_write_csv_exact_with_double_precision_scales(tmp_path, monkeypatch):
     # where np.longdouble is a plain double, the kernel uses float64 scales
     # and a 0.25 margin: half the values go to `%`, the bytes stay the same
     eps = float(np.finfo(np.float64).eps)
-    monkeypatch.setattr(cli, "_E12_SCALES", cli._e12_scales(np.float64))
+    scales = np.array([float(f"1e{12 - e}") for e in cli._E12_EXPONENTS])
+    monkeypatch.setattr(cli, "_E12_SCALES", scales)
     monkeypatch.setattr(cli, "_E12_TIE_MARGIN", 64 * eps * 2.0**44)
-    values = np.concatenate([*KERNEL_VALUES.values(), _wide_floats(20_000, 14)])
-    _assert_same_bytes(tmp_path, ["x", "y"], list(np.resize(values, (2, values.size // 2))))
+    values = np.concatenate([KERNEL_VALUES["in_domain"], *_two_digit_floats(10_000, 14)])
+    columns = list(np.resize(values, (2, values.size // 2)))
+    assert cli._csv_block(columns).ndim == 2   # every block laid out
+    _assert_same_bytes(tmp_path, ["x", "y"], columns)
 
 
 def _bit_pattern_floats():
@@ -699,14 +751,18 @@ def _bit_pattern_floats():
         lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
 
 
-def test_write_csv_kernel_property(tmp_path_factory):
+def test_write_csv_kernel_property(tmp_path_factory, small_blocks):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     block = cli.CSV_BLOCK_ROWS
+    # pools of any doubles mostly go to `%` whole; pools inside the
+    # kernel's range are laid out
+    kernel_range = st.floats(1e-99, 9.9e99, exclude_max=True)
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(
-        pool=st.lists(st.floats(width=64) | _bit_pattern_floats(), min_size=1, max_size=50),
+        pool=st.lists(st.floats(width=64) | _bit_pattern_floats(), min_size=1, max_size=50)
+        | st.lists(kernel_range, min_size=1, max_size=50),
         ncols=st.integers(1, 3),
         rows=st.sampled_from([1, 85, 86, 127, 128, 129, 256, block - 1, block, block + 1,
                               block + 85, block + 86, block + 128]),
@@ -726,15 +782,20 @@ def test_write_csv_kernel_property(tmp_path_factory):
 def test_kernel_formats_the_values_itself(case):
     # the `%` fallback keeps the bytes right whatever the tie margin or the
     # exponent fix-up do, so only this share shows that the kernel does the
-    # work: at least 99.9% of a 20k-node profile, and of the powers of ten,
-    # half of which need the fix-up of log10's exponent
+    # work: at least 99.9% of a 20k-node profile, and of the powers of ten
+    # in its range, half of which need the fix-up of log10's exponent
     if case == "solution_profile":
         res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=20_000)
         values = np.concatenate([res.grid.nodes, res.grid.values])
     else:
-        values = KERNEL_VALUES[case]
+        values = _kernel_domain(KERNEL_VALUES[case])
     _, _, left = cli._e12_kernel(values)
-    assert left.mean() <= 1e-3, int(left.sum())
+    if case == "powers_of_ten":
+        # of these 596 at most 1e15 is left: its product with the scale
+        # 1e-3 falls below 10^12, and with 1e-2 it rounds to 10^13
+        assert set(values[left].tolist()) <= {1e15}
+    else:
+        assert left.mean() <= 1e-3, int(left.sum())
 
 
 # ---------------------------------------------------------------- summary.json
