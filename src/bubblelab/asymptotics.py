@@ -157,7 +157,6 @@ class ScalingFit:
     exponent_predicted: float
     r2: float
     has_log: bool
-    log_power: float = None
     bound_values: np.ndarray = None
     ratios: np.ndarray = None
 
@@ -173,23 +172,29 @@ def default_delta_grid(n=12, start=1e-1, ratio=0.5):
     return start * ratio ** np.arange(n)
 
 
-def _fit_loglog(deltas, values, with_log):
-    """Least squares for log v = c + gamma log(delta) [+ b log|log delta|].
-
-    Returns (gamma, r2, b or None).  A flat family (zero variance) counts
-    as perfectly fitted.
-    """
-    x = np.log(deltas)
+def _scaling_fit(grid, values, predicted, has_log, bound_values=None):
+    """Least squares for log v = c + gamma log(delta) [+ b log|log delta|]
+    as a ScalingFit; a flat family (zero variance) counts as perfectly
+    fitted.  A pair family also carries its bound and value/bound ratios."""
+    x = np.log(grid)
     y = np.log(values)
     cols = [np.ones_like(x), x]
-    if with_log:
-        cols.append(np.log(np.abs(np.log(deltas))))
+    if has_log:
+        cols.append(np.log(np.abs(x)))
     A = np.column_stack(cols)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot < 1e-20 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(coef[1]), r2, (float(coef[2]) if with_log else None)
+    return ScalingFit(
+        delta_grid=grid,
+        values=values,
+        exponent_measured=float(coef[1]),
+        exponent_predicted=predicted,
+        r2=1.0 if ss_tot < 1e-20 else 1.0 - float(np.sum(resid**2)) / ss_tot,
+        has_log=has_log,
+        bound_values=bound_values,
+        ratios=None if bound_values is None else values / bound_values,
+    )
 
 
 def single_exponent(dims, q):
@@ -277,49 +282,58 @@ def scaling_law_single(q, dims, delta_grid=None, domain_radius=1.0):
     values = np.array(
         [bubble_power_integral(dims, d, q, outer=domain_radius) for d in grid]
     )
-    slope, r2, logpow = _fit_loglog(grid, values, has_log)
-    return ScalingFit(
-        delta_grid=grid,
-        values=values,
-        exponent_measured=slope,
-        exponent_predicted=predicted,
-        r2=r2,
-        has_log=has_log,
-        log_power=logpow,
-    )
+    return _scaling_fit(grid, values, predicted, has_log)
 
 
-def scaling_law_weighted(q, nu1, nu2, dims, delta_grid=None, domain_radius=1.0,
-                         hole_coeff=1.0):
+def scaling_law_weighted(q, nu1, nu2, dims, delta_grid=None, domain_radius=1.0):
     """Fit the centered weighted integral (weight |x_h|^nu1 / |x|^nu2,
-    hole of radius hole_coeff*delta^2 removed when needed) versus the
-    predicted exponent."""
+    hole of radius delta^2 removed when needed) versus the predicted
+    exponent."""
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
     predicted, has_log, excise = weighted_exponent(dims, q, nu1, nu2)
     values = np.array(
         [
             bubble_power_integral(
                 dims, d, q, outer=domain_radius, nu1=nu1, nu2=nu2,
-                lower=(hole_coeff * d * d if excise else 0.0),
+                lower=(d * d if excise else 0.0),
             )
             for d in grid
         ]
     )
-    slope, r2, logpow = _fit_loglog(grid, values, has_log)
-    return ScalingFit(
-        delta_grid=grid,
-        values=values,
-        exponent_measured=slope,
-        exponent_predicted=predicted,
-        r2=r2,
-        has_log=has_log,
-        log_power=logpow,
-    )
+    return _scaling_fit(grid, values, predicted, has_log)
 
 
 # ---------------------------------------------------------------------------
 # two-bubble product integrals
 # ---------------------------------------------------------------------------
+
+
+def check_separation(separation, domain_radius):
+    """Raise unless 0 < separation < 4/3 domain_radius, which keeps the balls
+    of radius separation/4 around both centers inside the domain."""
+    if not 0 < separation < 4.0 / 3.0 * domain_radius:
+        raise ValueError("separation must lie in (0, 4/3) times the domain radius")
+
+
+def pair_exponent(dims, q1, q2, nu1=0.0, nu2=0.0):
+    """Dominating exponent of the three-term pair bound (`_pair_bound`)
+    and whether it carries a |log delta| factor.  Raises for negative
+    powers and outside the weighted region of `weighted_exponent`."""
+    if q1 < 0 or q2 < 0:
+        raise ValueError("q1 and q2 must be nonnegative")
+    N = dims.N
+    g2, log2 = single_exponent(dims, q2) if q2 > 0 else (0.0, False)
+    if nu1 == 0.0 and nu2 == 0.0:
+        g1, log1 = single_exponent(dims, q1) if q1 > 0 else (0.0, False)
+    else:
+        g1, log1, _ = weighted_exponent(dims, q1, nu1, nu2)
+    terms = [
+        ((N - 2) * (q1 + q2) / 2, False),
+        ((N - 2) * q1 / 2 + g2, log2),
+        ((N - 2) * q2 / 2 + g1, log1),
+    ]
+    e_min = min(e for e, _ in terms)
+    return e_min, any(log for e, log in terms if e < e_min + 1e-12)
 
 
 def _slice_area(dims):
@@ -344,8 +358,7 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     weights are built once per call.
     """
     N = dims.N
-    if not 0 < separation < 4.0 / 3.0 * domain_radius:
-        raise ValueError("centers too close to each other or to the boundary")
+    check_separation(separation, domain_radius)
     deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)
     if deltas1.ndim > 1 or deltas1.shape != deltas2.shape:
         raise ValueError("delta1 and delta2 must be scalars or 1-D arrays of equal length")
@@ -423,40 +436,12 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
     compared pointwise with the three-term bound; the fitted slope is
     reported against the bound's dominating exponent.
     """
-    if q1 < 0 or q2 < 0:
-        raise ValueError("powers must be nonnegative")
+    predicted, has_log = pair_exponent(dims, q1, q2, nu1, nu2)
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
-    N = dims.N
     values = pair_product_integral(
         dims, grid, grid, q1, q2, separation, domain_radius, nu1, nu2
     )
     bounds = np.array(
         [_pair_bound(dims, d, q1, q2, domain_radius, nu1, nu2) for d in grid]
     )
-
-    # dominating exponent among the three bound terms
-    terms = []
-    e_pair = (N - 2) * (q1 + q2) / 2
-    terms.append((e_pair, False))
-    g2, log2 = single_exponent(dims, q2) if q2 > 0 else (0.0, False)
-    terms.append(((N - 2) * q1 / 2 + g2, log2))
-    if nu1 == 0.0 and nu2 == 0.0:
-        g1, log1 = single_exponent(dims, q1) if q1 > 0 else (0.0, False)
-    else:
-        g1, log1, _ = weighted_exponent(dims, q1, nu1, nu2)
-    terms.append(((N - 2) * q2 / 2 + g1, log1))
-    e_min = min(t[0] for t in terms)
-    near = [t for t in terms if t[0] < e_min + 1e-12]
-    has_log = any(t[1] for t in near)
-    slope, r2, logpow = _fit_loglog(grid, values, has_log)
-    return ScalingFit(
-        delta_grid=grid,
-        values=values,
-        exponent_measured=slope,
-        exponent_predicted=e_min,
-        r2=r2,
-        has_log=has_log,
-        log_power=logpow,
-        bound_values=bounds,
-        ratios=values / bounds,
-    )
+    return _scaling_fit(grid, values, predicted, has_log, bounds)

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    check_separation,
     default_delta_grid,
+    pair_exponent,
     scaling_law_pair,
     scaling_law_single,
     scaling_law_weighted,
@@ -105,33 +107,60 @@ class ExperimentConfig:
     raw: dict = field(default=None, repr=False)
 
 
-# scaling family kind -> its parameters and their defaults (None: required)
-_SCALING_PARAMS = {
-    "single": {"q": None},
-    "weighted": {"q": None, "nu1": 0.0, "nu2": 0.0},
-    "pair": {"q1": None, "q2": None, "separation": 0.5, "n": 7.0},
+def _check_pair(dims, radius, params):
+    """The library's checks of a pair family, then the CLI's grid size."""
+    pair_exponent(dims, params["q1"], params["q2"])
+    if radius is not None:   # else the domain block has reported its error
+        check_separation(params["separation"], radius)
+    n, (lo, hi) = params["n"], PAIR_DELTAS
+    if not (n.is_integer() and lo <= n <= hi):
+        raise ValueError(f"n must be an integer in [{lo}, {hi}]")
+
+
+# scaling family kind -> its parameters and their defaults (None: required),
+# CSV name, slope tolerance, check(dims, R, params), which raises ValueError
+# and gets R = None if the domain radius failed, and fit(dims, R, params).
+# Both call the library by its module-level names, which the benchmark
+# tracer rebinds.
+_Family = namedtuple("_Family", "params name slope_tol check fit")
+_FAMILIES = {
+    "single": _Family(
+        params={"q": None},
+        name="single_q{q:g}",
+        slope_tol=0.05,
+        check=lambda dims, R, p: single_exponent(dims, **p),
+        fit=lambda dims, R, p: scaling_law_single(dims=dims, domain_radius=R, **p),
+    ),
+    "weighted": _Family(
+        params={"q": None, "nu1": 0.0, "nu2": 0.0},
+        name="weighted_q{q:g}_nu{nu1:g}_{nu2:g}",
+        slope_tol=0.05,
+        check=lambda dims, R, p: weighted_exponent(dims, **p),
+        fit=lambda dims, R, p: scaling_law_weighted(dims=dims, domain_radius=R, **p),
+    ),
+    "pair": _Family(
+        params={"q1": None, "q2": None, "separation": 0.5, "n": 7.0},
+        name="pair_q{q1:g}_{q2:g}",
+        slope_tol=0.25,
+        check=_check_pair,
+        fit=lambda dims, R, p: scaling_law_pair(
+            p["q1"], p["q2"], dims, default_delta_grid(n=int(p["n"])), p["separation"], R
+        ),
+    ),
 }
 
 
-def _scaling_defaults(N):
-    top = 2.0 * N / (N - 2.0)
-    return (
-        ("single", {"q": 1.0}),
-        ("single", {"q": top}),
-        ("weighted", {"q": top, "nu1": 0.0, "nu2": 2.0}),
-    )
-
-
-def _parse_scaling(raw, N, diags):
-    if raw is None:
-        return _scaling_defaults(N)
+def _parse_scaling(raw, dims, radius, diags):
+    if raw is None:   # the default families
+        top = 2.0 * dims.N / (dims.N - 2.0)
+        raw = {"single": [{"q": 1.0}, {"q": top}], "weighted": [{"q": top, "nu2": 2.0}]}
     if not isinstance(raw, dict):
         _err(diags, "scaling", "must be an object with single/weighted/pair lists")
         return ()
-    dims = dims_for(N)
     families = []
     taken = {}   # family name -> the entry that has it; names key the CSV files
-    for kind, table in _SCALING_PARAMS.items():
+    for kind, family in _FAMILIES.items():
+        table = family.params
         entries = raw.get(kind, [])
         if not isinstance(entries, list):
             _err(diags, f"scaling.{kind}", "must be a list of objects")
@@ -153,22 +182,11 @@ def _parse_scaling(raw, N, diags):
                 continue
             params = {key: float(entry.get(key, default)) for key, default in table.items()}
             try:
-                if kind == "single":
-                    single_exponent(dims, params["q"])
-                elif kind == "weighted":
-                    weighted_exponent(dims, params["q"], params["nu1"], params["nu2"])
-                else:
-                    if params["q1"] < 0 or params["q2"] < 0:
-                        raise ValueError("q1 and q2 must be nonnegative")
-                    if not 0 < params["separation"] < 4.0 / 3.0:
-                        raise ValueError("separation must lie in (0, 4/3) of the radius")
-                    n, (lo, hi) = params["n"], PAIR_DELTAS
-                    if not (n.is_integer() and lo <= n <= hi):
-                        raise ValueError(f"n must be an integer in [{lo}, {hi}]")
+                family.check(dims, radius, params)
             except ValueError as exc:
                 _err(diags, where, str(exc))
                 continue
-            name = _family_name(kind, params)
+            name = family.name.format(**params)
             if name in taken:
                 _err(diags, where, f"family name {name!r} is already taken by {taken[name]}")
                 continue
@@ -417,7 +435,7 @@ def parse_config(data):
             _err(diags, "tasks", "radial-sweep requires a single centered hole")
 
     scaling = (
-        _parse_scaling(data.get("scaling"), N, diags)
+        _parse_scaling(data.get("scaling"), dims, ball.radius if ball else None, diags)
         if "scaling-checks" in tasks or data.get("scaling") is not None
         else ()
     )
@@ -757,45 +775,18 @@ def _task_critical_point(cfg, ctx, rng, out):
     }
 
 
-def _family_name(kind, params):
-    if kind == "single":
-        return f"single_q{params['q']:g}"
-    if kind == "weighted":
-        return f"weighted_q{params['q']:g}_nu{params['nu1']:g}_{params['nu2']:g}"
-    return f"pair_q{params['q1']:g}_{params['q2']:g}"
-
-
-def _run_family(dims, domain_radius, kind, params):
-    if kind == "single":
-        return scaling_law_single(params["q"], dims, domain_radius=domain_radius)
-    if kind == "weighted":
-        return scaling_law_weighted(
-            params["q"], params["nu1"], params["nu2"], dims, domain_radius=domain_radius
-        )
-    return scaling_law_pair(
-        params["q1"],
-        params["q2"],
-        dims,
-        delta_grid=default_delta_grid(n=int(params["n"])),
-        separation=params["separation"],
-        domain_radius=domain_radius,
-    )
-
-
-def _family_verdict(kind, fit):
-    slope_tol = 0.25 if kind == "pair" else 0.05
+def _family_verdict(slope_tol, fit):
     if abs(fit.exponent_measured - fit.exponent_predicted) > slope_tol:
         return "inconclusive", (
             f"slope {fit.exponent_measured:.3f} vs predicted "
             f"{fit.exponent_predicted:.3f}"
         )
     constant = abs(fit.exponent_predicted) < 1e-12 and not fit.has_log
-    if not constant and kind != "pair" and fit.r2 < 0.999:
+    ratios = fit.ratios   # pair fits gate their value/bound ratios, not r^2
+    if not constant and ratios is None and fit.r2 < 0.999:
         return "inconclusive", f"log-log fit r^2 = {fit.r2:.5f} < 0.999"
-    if kind == "pair":
-        ratios = fit.ratios
-        if np.max(ratios) > 10.0 * np.min(ratios):
-            return "inconclusive", "value/bound ratio spreads more than 10x"
+    if ratios is not None and np.max(ratios) > 10.0 * np.min(ratios):
+        return "inconclusive", "value/bound ratio spreads more than 10x"
     return "pass", "within tolerance"
 
 
@@ -804,9 +795,10 @@ def _task_scaling(cfg, ctx, rng, out):
     worst = "pass"
     messages = []
     for kind, params in cfg.scaling:
-        fit = _run_family(cfg.dims, cfg.ball.radius, kind, params)
-        name = _family_name(kind, params)
-        verdict, note = _family_verdict(kind, fit)
+        family = _FAMILIES[kind]
+        fit = family.fit(cfg.dims, cfg.ball.radius, params)
+        name = family.name.format(**params)
+        verdict, note = _family_verdict(family.slope_tol, fit)
         if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
             worst = verdict
         if verdict != "pass":

@@ -299,6 +299,11 @@ def _parse_with(path, value):
     (("scaling",), {"pair": [{"q1": 2, "q2": 2, "n": "7"}]}, "scaling.pair[0]"),
     (("scaling",), {"pair": [{"q1": 2}]}, "scaling.pair[0]"),
     (("scaling",), {"weighted": [{"q": 4, "nu3": 1}]}, "scaling.weighted[0]"),
+    # each kind's check in the library
+    (("scaling",), {"single": [{"q": 0}]}, "scaling.single[0]"),
+    (("scaling",), {"weighted": [{"q": 4, "nu2": 5}]}, "scaling.weighted[0]"),
+    (("scaling",), {"pair": [{"q1": -1, "q2": 2}]}, "scaling.pair[0]"),
+    (("scaling",), {"pair": [{"q1": 2, "q2": 2, "separation": 0}]}, "scaling.pair[0]"),
     # a list grid is capped like a start/stop/num one
     pytest.param(("reduction",), {"epsilon_grid": [1e-2 * 0.999**k for k in range(5000)]},
                  "reduction.epsilon_grid", id="eps-list-5000"),
@@ -380,8 +385,33 @@ def test_scaling_family_defaults_are_filled_once():
         ("weighted", {"q": 4.0, "nu1": 0.0, "nu2": 2.0}),
         ("pair", {"q1": 2.0, "q2": 1.0, "separation": 0.5, "n": 7.0}),
     )
-    assert [cli._family_name(*family) for family in config.scaling] == [
+    assert [cli._FAMILIES[kind].name.format(**params) for kind, params in config.scaling] == [
         "weighted_q4_nu0_2", "pair_q2_1"]
+
+
+@pytest.mark.parametrize("radius, separation, errors", [
+    (0.5, 1.0, ["error[scaling.pair[0]]: separation must lie in (0, 4/3) times the domain radius",
+                "error[scaling]: no valid scaling families given"]),
+    (2.0, 2.0, []),
+    # no radius to check the separation against: the domain error alone
+    (-1.0, 1.0, ["error[domain.radius]: radius must be a positive finite number"]),
+])
+def test_pair_separation_is_checked_against_the_domain_radius(
+        tmp_path, capsys, radius, separation, errors):
+    cfg = _variant(
+        SWEEP, tasks=["scaling-checks"],
+        domain={"radius": radius, "holes": [{"center": [0.0] * 4, "radius_coeff": 1.0}]},
+        scaling={"pair": [{"q1": 2, "q2": 2, "separation": separation, "n": 4}]})
+    path = write_config(tmp_path, cfg)
+    code = cli.main(["validate", path])
+    assert capsys.readouterr().err.splitlines() == errors
+    if errors:
+        assert code == 1
+        return
+    assert code == 0
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) != cli.EXIT_ERROR
+    (entry,) = load_summary(tmp_path / "out")["tasks"]
+    assert entry["task"] == "scaling-checks" and entry["verdict"] != "error"
 
 
 @pytest.mark.parametrize("output, field_name", [

@@ -77,14 +77,37 @@ def _reached_by_tasks(tmp_path):
     return reached
 
 
-def _tracer_required(monkeypatch):
-    """`perfbench/run.py`'s TRACED: the span metrics' names plus the
-    tracer's count-only kernels, as "layer.name"."""
+def _perfbench_run(monkeypatch):
+    """`perfbench/run.py` as a module."""
     monkeypatch.setattr(sys, "path", list(sys.path))   # run.py prepends perfbench/
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    return set(run.TRACED)
+    return run
+
+
+def _tracer_required(monkeypatch):
+    """`perfbench/run.py`'s TRACED: the span metrics' names plus the
+    tracer's count-only kernels, as "layer.name"."""
+    return set(_perfbench_run(monkeypatch).TRACED)
+
+
+def test_tracer_times_one_fit_per_scaling_family(tmp_path, monkeypatch):
+    """The CLI reaches each scaling fit through the names the benchmark
+    tracer rebinds, so each family of a run is one span."""
+    run = _perfbench_run(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config(
+        4, ["scaling-checks"],
+        scaling={"single": [{"q": 1}], "weighted": [{"q": 4, "nu2": 2}],
+                 "pair": [{"q1": 2, "q2": 2, "n": 4}]})))
+    with run.tracing.Tracer(required=run.TRACED) as tracer:
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code in (cli.EXIT_PASS, cli.EXIT_DEGENERATE)
+    table = run.tracing.span_table(tracer.spans)
+    for name in ("scaling_law_single", "scaling_law_weighted", "scaling_law_pair",
+                 "pair_product_integral"):
+        assert table.get(f"asymptotics.{name}", (0,))[0] == 1, name
 
 
 def _awaiting_in_readme():
