@@ -7,11 +7,12 @@ The scalar problem
 is discretized with three-point finite differences on a log-uniform mesh
 (the solutions of interest have a peak of width ~ sqrt(eps), which a
 geometric mesh resolves at every scale).  Newton with a backtracking line
-search converges from the projected-bubble ansatz; each solve works in one
-preallocated workspace, and LAPACK dgtsv, called by C pointer, solves the
-tridiagonal Jacobian without holding the GIL.  A continuation sweep over a
-shrinking geometric grid of hole scales recovers the concentration rate
-delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
+search converges from the projected-bubble ansatz; each solve builds its
+bands, iterates and forms its energy in the rows of one workspace, and LAPACK
+dgtsv, called by C pointer, solves the tridiagonal Jacobian without holding
+the GIL.  A continuation sweep over a shrinking geometric grid of hole
+scales, whose solves all reuse one workspace, recovers the concentration
+rate delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
 minimizer of the reduced energy.
 
 Multi-component solutions sharing a single peak are composed algebraically
@@ -94,7 +95,7 @@ def graded_mesh(inner, outer, n=DEFAULT_NODES):
     return np.geomspace(inner, outer, int(n))
 
 
-def _operator_bands(nodes, dims):
+def _operator_bands(nodes, dims, ws=None):
     """Difference-form stencil of u -> -u'' - (N-1)/s u' on interior nodes.
 
     Every interior row is premultiplied by h_m h_p / 2 so the stencil
@@ -102,16 +103,20 @@ def _operator_bands(nodes, dims):
     near machine precision relative to |u| instead of blowing up like
     1/h^2 on fine meshes.  The weights are returned so that source terms
     can be scaled consistently.  Boundary rows are identities.  The four
-    bands are the rows of one (4, n) block, each built in place.
+    bands are the last four rows of the block ``ws`` (fresh (8, n) when not
+    given), each built in place; its first four rows are scratch.
     """
-    bands = np.zeros((4, len(nodes)))
+    ws = np.empty((8, len(nodes))) if ws is None else ws
+    bands = ws[-4:]
+    bands[:, [0, -1]] = 0.0   # a reused block holds the last solve's values
     bands[1, [0, -1]] = bands[3, [0, -1]] = 1.0
     lo, di, up, w = bands[:, 1:-1]
     s = nodes[1:-1]
-    hm = s - nodes[:-2]
-    hp = nodes[2:] - s
-    tot = hm + hp
-    drift = (dims.N - 1) / s
+    hm, hp, tot, drift = ws[:4, 1:-1]
+    np.subtract(s, nodes[:-2], out=hm)
+    np.subtract(nodes[2:], s, out=hp)
+    np.add(hm, hp, out=tot)
+    np.divide(dims.N - 1, s, out=drift)
     np.multiply(hm, hp, out=di)   # h_m h_p, in the weight and in di's denominator
     np.divide(di, 2.0, out=w)
     # lo = -(2 - drift h_p) / (h_m tot) w, di = (2 - drift (h_p - h_m)) / (h_m h_p) w,
@@ -224,25 +229,32 @@ def _gtsv(dl, d, du, b):
 
 
 def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
-                 n_nodes=DEFAULT_NODES, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+                 n_nodes=DEFAULT_NODES, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, *,
+                 _workspace=None):
     """Newton solve from a grid or from the projected-bubble ansatz.
 
     The discrete system is kept in difference form (rows scaled by
     h_m h_p / 2), so the residual lives in solution units.  Stops when
     max|F| / (1 + max|u| + max scaled potential) < tol.  A converged
     profile whose peak max u is below 1e-8 max(1, max|u|) is flagged as the
-    trivial branch and carries no concentration metrics.
+    trivial branch and carries no concentration metrics.  A seed grid must
+    span the annulus: its first and last nodes are its inner and outer radii.
 
-    The Newton loop allocates no n-length array: every step and line-search
-    trial reuses the rows of one (7, n) workspace.  LAPACK dgtsv solves for the
-    step through a ctypes call that releases the GIL, so another thread (the
-    CLI's profile writer) runs meanwhile.  The bits are those of
+    The bands, the Newton loop and the energy allocate no n-length array:
+    they work in the rows of one (11, n) float64 workspace, rows 0-6 the
+    Newton rows and 7-10 the bands.  ``_workspace`` lends one that the
+    caller reuses across solves (``rate_sweep`` does); it is a buffer, and
+    the results have the same bits with or without it.  LAPACK dgtsv solves
+    for the step through a ctypes call that releases the GIL, so another
+    thread (the CLI's profile writer) runs meanwhile.  The bits are those of
     ``solve_banded((1, 1), ...)`` on fresh arrays.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     p = dims.p
     if isinstance(initial, RadialGrid):
+        if initial.nodes[0] != annulus.inner or initial.nodes[-1] != annulus.outer:
+            raise ValueError("the seed grid's end nodes must be the annulus radii")
         seed = initial
     elif initial == "bubble-ansatz":
         seed, _ = bubble_ansatz(annulus, dims, epsilon, mu,
@@ -250,10 +262,11 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     else:
         raise ValueError("initial must be a RadialGrid or 'bubble-ansatz'")
     nodes = seed.nodes
-    bands = _operator_bands(nodes, dims)
+    ws = np.empty((11, len(nodes))) if _workspace is None else _workspace
+    bands = _operator_bands(nodes, dims, ws)   # rows 0-3 are free until u is seeded
     lo, di, up, wmu = bands
     wmu *= mu   # (w mu) f(u) has the bits of w * mu * f(u)
-    u, trial, F, F_trial, tmp, diag, du = np.empty((7, len(nodes)))
+    u, trial, F, F_trial, tmp, diag, du = ws[:7]
     u[:] = seed.values
     u[0] = u[-1] = 0.0
 
@@ -301,7 +314,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
     metrics = None
     if converged and not trivial:
-        metrics = _metrics(grid, epsilon, mu)
+        metrics = _metrics(grid, epsilon, mu, ws)
     report = NewtonReport(
         converged=converged,
         iterations=len(history),
@@ -312,7 +325,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     return SolveResult(grid=grid, metrics=metrics, report=report)
 
 
-def _metrics(grid, epsilon, mu):
+def _metrics(grid, epsilon, mu, ws):
     dims = grid.dims
     # remove the mu scaling so peak height compares against alpha_N/delta^k
     v = mu ** (1.0 / (dims.p - 1)) * grid.values
@@ -327,7 +340,7 @@ def _metrics(grid, epsilon, mu):
         rpeak=float(grid.nodes[k]),
         delta_est=delta_est,
         d_est=delta_est / math.sqrt(epsilon),
-        energy=energy_of_solution([grid], spec1),
+        energy=energy_of_solution([grid], spec1, _workspace=ws),
     )
 
 
@@ -361,7 +374,8 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
     solved; an exception it raises ends the sweep.  Only ``on_result``
     sees the solved grids: the sweep keeps just the latest one, to seed
     the next solve, so a grid outlives the next ``on_result`` call only if
-    the callback keeps it.
+    the callback keeps it.  Every solve of the sweep works in one (11, n)
+    workspace, allocated once; no grid it returns is a view of it.
     """
     eps_desc = np.sort(np.asarray(epsilon_grid, float))[::-1]
     if len(eps_desc) < 2:
@@ -378,6 +392,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
         nodes = graded_mesh(ann.inner, ann.outer, n_nodes)
         if prev is None:
             seed, d_tilde = bubble_ansatz(ann, dims, eps, mu, nodes)
+            workspace = np.empty((11, len(nodes)))
         else:
             prev_eps, prev_grid = prev
             kappa = math.sqrt(eps / prev_eps)
@@ -386,7 +401,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
             )
             vals[0] = vals[-1] = 0.0
             seed = RadialGrid(nodes=nodes, values=vals, dims=dims)
-        res = solve_radial(ann, dims, eps, mu=mu, initial=seed)
+        res = solve_radial(ann, dims, eps, mu=mu, initial=seed, _workspace=workspace)
         if not res.report.converged or res.report.trivial:
             aborted = True
             message = f"solve failed at eps={eps:.3e}: {res.report.message}"
@@ -472,13 +487,15 @@ def compose_group_solution(spec, cvec, w):
     )
 
 
-def energy_of_solution(grids, spec):
+def energy_of_solution(grids, spec, *, _workspace=None):
     """Discrete action: sum of single-component Dirichlet/potential terms
     minus the pairwise coupling term, in the radial measure.
 
     u' and the integrals have the bits of np.gradient (second order inside,
     first order at the ends) and np.trapezoid; the gradient's coefficients
-    are formed once for all components, the integrands in place."""
+    are formed once for all components, the integrands in place, all in
+    the first seven rows of ``_workspace`` (a fresh (7, n) block when not
+    given; ``solve_radial`` lends its own)."""
     if len(grids) != spec.m:
         raise ValueError("need one grid per component")
     nodes = grids[0].nodes
@@ -489,14 +506,20 @@ def energy_of_solution(grids, spec):
     if len(nodes) < 2:
         raise ValueError("energy needs at least two nodes")
     p = spec.p
-    s_pow = nodes ** (dims.N - 1)
-    dx = np.diff(nodes)
+    n = len(nodes)
+    ws = np.empty((7, n)) if _workspace is None else _workspace
+    s_pow, dx, a, b, c, du, tmp = ws[:7]
+    np.copyto(s_pow, nodes)
+    s_pow **= dims.N - 1   # the scalar-power path of nodes ** (N - 1)
+    dx = np.subtract(nodes[1:], nodes[:-1], out=dx[:-1])   # np.diff(nodes)
     uniform = bool(np.all(dx == dx[0]))   # np.gradient's constant-spacing case
     dx1, dx2 = dx[:-1], dx[1:]
-    a = -dx2 / (dx1 * (dx1 + dx2))
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * (dx1 + dx2))
-    du, tmp = np.empty((2, len(nodes)))
+    a, b, c = a[:n - 2], b[:n - 2], c[:n - 2]
+    np.negative(dx2, out=a)   # a = -dx2 / (dx1 (dx1 + dx2))
+    a /= np.multiply(dx1, np.add(dx1, dx2, out=c), out=c)
+    np.subtract(dx2, dx1, out=b)   # b = (dx2 - dx1) / (dx1 dx2)
+    b /= np.multiply(dx1, dx2, out=tmp[:n - 2])
+    np.divide(dx1, np.multiply(dx2, np.add(dx1, dx2, out=c), out=c), out=c)   # c
     inner = du[1:-1]
     total = 0.0
     for i, g in enumerate(grids):

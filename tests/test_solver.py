@@ -138,6 +138,9 @@ def test_solve_validation():
         solve_radial(Annulus(1e-3, 1.0), DIMS4, 0.0)
     with pytest.raises(ValueError):
         solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial="nonsense")
+    other, _ = bubble_ansatz(Annulus(1e-2, 1.0), DIMS4, 1e-2, 1.0, graded_mesh(1e-2, 1.0, 500))
+    with pytest.raises(ValueError, match="annulus radii"):   # a seed from another domain
+        solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=other)
 
 
 def test_n3_profile_converges():
@@ -166,15 +169,32 @@ def _bits(x):
     return np.asarray(x, float).tobytes()
 
 
+def _rescaled_seed(prev, eps_from, eps_to, inner):
+    """rate_sweep's seed for eps_to on the mesh of (inner, 1) from the grid
+    ``prev`` solved at eps_from."""
+    nodes = graded_mesh(inner, 1.0, len(prev.nodes))
+    kappa = math.sqrt(eps_to / eps_from)
+    vals = kappa ** (-(prev.dims.N - 2) / 2) * np.interp(
+        nodes / kappa, prev.nodes, prev.values, left=0.0, right=0.0)
+    vals[0] = vals[-1] = 0.0
+    return RadialGrid(nodes=nodes, values=vals, dims=prev.dims)
+
+
 def _continuation_seed(dims, eps_from, eps_to, n):
     """rate_sweep's seed for eps_to from the solve at eps_from."""
     prev = solve_radial(Annulus(eps_from, 1.0), dims, eps_from, n_nodes=n).grid
-    nodes = graded_mesh(eps_to, 1.0, n)
-    kappa = math.sqrt(eps_to / eps_from)
-    vals = kappa ** (-(dims.N - 2) / 2) * np.interp(
-        nodes / kappa, prev.nodes, prev.values, left=0.0, right=0.0)
-    vals[0] = vals[-1] = 0.0
-    return RadialGrid(nodes=nodes, values=vals, dims=dims)
+    return _rescaled_seed(prev, eps_from, eps_to, eps_to)
+
+
+def _assert_same_bits(res, ref):
+    assert _bits(res.grid.values) == _bits(ref.grid.values)
+    assert _bits(res.grid.nodes) == _bits(ref.grid.nodes)
+    assert _bits(res.report.residuals) == _bits(ref.report.residuals)
+    assert res.report == ref.report
+    if ref.metrics is None:
+        assert res.metrics is None
+    else:
+        assert _bits(dataclasses.astuple(res.metrics)) == _bits(dataclasses.astuple(ref.metrics))
 
 
 SOLVE_CASES = {   # dims, eps, n_nodes, (eps of the seed's solve or None), max_iter
@@ -197,15 +217,11 @@ def test_solve_has_the_bits_of_the_reference_solve(case):
     steps = []
     ref = reference_solve_radial(ann, dims, eps, initial=initial, n_nodes=n,
                                  max_iter=max_iter, steps=steps)
-    res = solve_radial(ann, dims, eps, initial=initial, n_nodes=n, max_iter=max_iter)
-    assert _bits(res.grid.values) == _bits(ref.grid.values)
-    assert _bits(res.grid.nodes) == _bits(ref.grid.nodes)
-    assert _bits(res.report.residuals) == _bits(ref.report.residuals)
-    assert res.report == ref.report
-    if ref.metrics is None:
-        assert res.metrics is None
-    else:
-        assert _bits(dataclasses.astuple(res.metrics)) == _bits(dataclasses.astuple(ref.metrics))
+    # a lent workspace is a buffer: one full of another solve's values gives the same bits
+    for workspace in (None, np.full((11, n), np.nan)):
+        res = solve_radial(ann, dims, eps, initial=initial, n_nodes=n, max_iter=max_iter,
+                           _workspace=workspace)
+        _assert_same_bits(res, ref)
     assert (max_iter == 1) == (ref.report.message == "newton iteration limit reached")
     if "halving" in case:   # the line search halved t at least once
         assert min(steps) < 1.0
@@ -229,6 +245,8 @@ def test_energy_has_the_bits_of_gradient_and_trapezoid(solve_1e3, scalar_w):
                         (pair, SPEC_PAIR), ([uniform], SPEC_SCALAR)):
         expected = reference_energy_of_solution(grids, spec)
         assert _bits(energy_of_solution(grids, spec)) == _bits(expected)
+        dirty = np.full((11, len(grids[0].nodes)), np.nan)
+        assert _bits(energy_of_solution(grids, spec, _workspace=dirty)) == _bits(expected)
 
 
 # ------------------------------------------------------- tridiagonal solve
@@ -412,6 +430,46 @@ def test_rate_sweep_keeps_no_finished_grid():
     assert not sweep.aborted and len(refs) == 8
     assert [flags[:-1] for flags in dead] == [[True] * max(k - 1, 0) for k in range(8)]
     assert [ref() is None for ref in refs] == [True] * 8
+
+
+@pytest.mark.parametrize("dims, n, radius_coeff, eps_grid", [
+    (DIMS4, 2000, 1.0, np.geomspace(1e-2, 1e-4, 8)),
+    (DIMS3, 3000, 2.0, np.geomspace(3e-3, 1e-4, 8)),
+])
+def test_sweep_chain_has_the_bits_of_the_reference_solves(dims, n, radius_coeff, eps_grid):
+    # every solve shares the sweep's workspace: none may leave state for the
+    # next, and no grid handed to on_result may change once the next eps solves
+    # (the CLI's writer thread reads it meanwhile)
+    calls = []
+    sweep = rate_sweep(dims, 1.0, radius_coeff, eps_grid, n_nodes=n,
+                       on_result=lambda eps, res: calls.append((eps, res, res.grid.values.copy())))
+    assert not sweep.aborted and len(calls) == len(eps_grid)
+    prev = None
+    for eps, res, values in calls:
+        ann = Annulus(radius_coeff * eps, 1.0)
+        initial = ("bubble-ansatz" if prev is None
+                   else _rescaled_seed(prev[1].grid, prev[0], eps, ann.inner))
+        ref = reference_solve_radial(ann, dims, eps, initial=initial, n_nodes=n)
+        _assert_same_bits(res, ref)
+        assert _bits(res.grid.values) == _bits(values)
+        prev = eps, ref
+
+
+def test_rate_sweep_takes_few_page_faults():
+    resource = pytest.importorskip("resource")
+    if not (sys.platform.startswith("linux") and hasattr(resource, "RUSAGE_THREAD")):
+        pytest.skip("needs Linux's per-thread getrusage")
+    # glibc maps a multi-megabyte block afresh on each allocation, so a sweep
+    # that allocated a workspace per solve took 5k-5.7k minor faults on Linux
+    # x86-64.  The first sweep loads scipy and grows the heap, so the second
+    # one is measured.
+    eps_grid = np.geomspace(1e-2, 1e-4, 8)
+    rate_sweep(DIMS4, 1.0, 1.0, eps_grid, n_nodes=20000)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    sweep = rate_sweep(DIMS4, 1.0, 1.0, eps_grid, n_nodes=20000)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert not sweep.aborted
+    assert faults < 1000
 
 
 def test_rate_sweep_hole_coefficient_invariance(sweep_r1):
