@@ -58,8 +58,8 @@ EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 MAX_NODES = 10**6     # mesh nodes of one radial solve
 PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
-# rows formatted at a time by _write_csv; bounds its buffers (a peak of
-# 4.2 MB on a two-column table).  Large, since a sweep writes on a thread
+# rows formatted at a time by _write_csv; bounds its buffers (a tracemalloc
+# peak of 4.9 MB on a two-column table).  Large, since a sweep writes on a thread
 # that shares the GIL with the solves: each numpy call of the writer is one
 # more point where one thread waits for the other
 CSV_BLOCK_ROWS = 32768
@@ -535,65 +535,78 @@ def _num(value, module, operation):
 
 # The %.12e kernel.  A double x in [1e-99, 9.9e99) is m * 10^(e-12) with 13
 # significant digits m in [10^12, 10^13) and a two-digit exponent e, also
-# after rounding.  x * 10^(12-e) is formed in the precision of the scale
-# table (np.longdouble).  Two roundings, of the scale and of the product,
-# keep its relative error below eps; as the product is below 10^13 < 2^44,
-# its absolute error stays below eps * 2^44.  Rounding it gives m exactly
-# unless its fraction lies within 64 times that bound of 0.5; such near-ties
-# are left to `%`, as is every value outside the range (zeros, negatives,
+# after rounding: m is x * 10^(12-e) rounded to an integer.  That product is
+# formed in float64.  Below 10^13 < 2^44 its error is at most 2^-10 (half an
+# ulp) where the scale 10^(12-e) is an exact double (0 <= 12-e <= 22), and
+# below 2^-9.03 where the scale's own rounding adds to it.  So it rounds to m
+# unless its fraction lies within _E12_MARGINS (2^-9, 2^-8: at least twice
+# those bounds) of 0.5.  These near-ties, 0.4% of values at exact scales and
+# 0.8% at others, are redone in np.longdouble: two roundings keep the product
+# within eps * 2^44, and only the values within 64 times that of 0.5 are
+# left to `%`, as is every value outside the range (zeros, negatives,
 # subnormal and non-finite values, three-digit exponents).  Where
-# np.longdouble is a plain double that margin is 0.25: still exact, but
-# half of the values fall back.
+# np.longdouble is a plain double that margin is 0.25: all near-ties go to `%`.
 #
 # "%.12e" % x is then the 18 bytes "d.dddddddddddde+dd".  _csv_block spells
-# them as four uint32 words "d.dd" "dddd" "dddd" "dde+" and one uint16 "dd",
-# in place in each row of the block.
+# them in place in each row of the block with four gathers: the uint32 words
+# "d.dd" "dddd" "dddd" and one uint64 "dde+dd\r\n" of the last two digits and
+# the exponent, whose "\r\n" ends the line or gives way to the comma and the
+# next field.  The tables are read-only: the writer thread shares them.
 _E12_MIN_VALUES = 256                  # smaller blocks go to `%` whole
 _E12_EXPONENTS = np.arange(-100, 101)  # decimal exponents of [1e-99, 9.9e99), +-1
+_E12_SCALES64 = np.array([float(f"1e{12 - e}") for e in _E12_EXPONENTS])
 _E12_SCALES = np.array([f"1e{12 - e}" for e in _E12_EXPONENTS]).astype(np.longdouble)
+_E12_MARGINS = np.where((-10 <= _E12_EXPONENTS) & (_E12_EXPONENTS <= 12), 2.0**-9, 2.0**-8)
 _E12_TIE_MARGIN = 64 * float(np.finfo(np.longdouble).eps) * 2.0**44
 _FIELD = 18                            # len("d.dddddddddddde+dd")
-_DIGITS2 = np.array([f"{k:02d}" for k in range(100)], dtype="S2").view(np.uint16)
-_DIGITS4 = np.stack(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2), axis=-1).view(
-    np.uint32).ravel()                                                   # "%04d" % k
-_CHARS = _DIGITS4.view(np.uint8).reshape(-1, 4)                          # b"%04d" % k
-_LEADS = np.insert(_CHARS[:1000, 1:], 1, ord("."), axis=1).view(np.uint32)[:, 0]  # "d.dd"
-_TAILS = np.concatenate([np.insert(_CHARS[:100, 2:], [2, 2], [ord("e"), sign], axis=1)
-                         for sign in b"+-"]).view(np.uint32)[:, 0]       # "dde+", "dde-"
-# by exponent index: the offset into _TAILS and the two exponent digits
-_EXP_TAILS = np.where(_E12_EXPONENTS < 0, 100, 0)
-_EXP_DIGITS = _DIGITS2[np.abs(_E12_EXPONENTS) % 100]
+_DIGITS2 = np.array([f"{k:02d}" for k in range(100)], "S2")
+_DIGITS4 = (_DIGITS2[:, None] + _DIGITS2).view(np.uint32).ravel()          # "%04d" % k
+_LEADS = (np.arange(10).astype("S1")[:, None] + b"." + _DIGITS2).view(np.uint32).ravel()
+_TAIL_WORDS = (_DIGITS2[:, None] + np.strings.add(np.where(_E12_EXPONENTS < 0, b"e-", b"e+"),
+               _DIGITS2[abs(_E12_EXPONENTS) % 100] + b"\r\n")).view(np.uint64)  # [m % 100, ei]
+for _table in (_E12_EXPONENTS, _E12_SCALES64, _E12_SCALES, _E12_MARGINS, _DIGITS2, _DIGITS4,
+               _LEADS, _TAIL_WORDS):
+    _table.flags.writeable = False
+
+
+def _e12_scaled(a, ei, scales):
+    """a * scales[ei] rounded to integers, each product's gap to a tie,
+    0.5 - |product - its rounding|, as float64, and ei.  Where log10 put a
+    product outside [10^12, 10^13), one step of ei (in place) brings it in;
+    where that does not, its gap is 0."""
+    s = a.astype(scales.dtype, copy=False) * scales[ei]
+    off = np.flatnonzero((s < 10**12) | (s >= 10**13))   # log10 off by one
+    ei[off] += np.where(s[off] < 10**12, -1, 1)
+    s[off] = a[off].astype(scales.dtype, copy=False) * scales[ei[off]]
+    r = np.rint(s)
+    gap = (0.5 - np.abs(s - r)).astype(np.float64, copy=False)
+    gap[off[(s[off] < 10**12) | (s[off] >= 10**13)]] = 0.0
+    return r, gap, ei
 
 
 def _e12_kernel(x):
     """Round each v of the float64 array `x` to the digits of
     ``"%.12e" % v``.  Returns (m, ei, left): the 13 significant digits as
-    an integer, the exponent's index in _E12_EXPONENTS, and the mask of the
-    values it left to `%`."""
+    an integer, the exponent's index in _E12_EXPONENTS, and the indices of
+    the values it left to `%`."""
     ok = (x >= 1e-99) & (x < 9.9e99)
-    a = np.where(ok, x, 1.0)
-    ei = np.floor(np.log10(a)).astype(np.int64) - _E12_EXPONENTS[0]  # exponent index
-    wide = a.astype(_E12_SCALES.dtype)
-    s = wide * _E12_SCALES[ei]
-    m = s.astype(np.int64)
-    off = np.flatnonzero((m < 10**12) | (m >= 10**13))   # log10 off by one
-    ei[off] += np.where(m[off] < 10**12, -1, 1)
-    s[off] = wide[off] * _E12_SCALES[ei[off]]
-    m[off] = s[off].astype(np.int64)
-    frac = (s - m).astype(np.float64)
-    ok &= (m >= 10**12) & (m < 10**13) & (np.abs(frac - 0.5) > _E12_TIE_MARGIN)
-    m += frac > 0.5
-    carry = m == 10**13
-    m[carry] = 10**12
+    a = x if ok.all() else np.where(ok, x, 1.0)
+    ei = (np.log10(a) - _E12_EXPONENTS[0]).astype(np.int64)   # exponent index
+    r, gap, ei = _e12_scaled(a, ei, _E12_SCALES64)
+    near = np.flatnonzero(gap <= _E12_MARGINS[ei])   # redone in np.longdouble
+    r[near], gap[near], ei[near] = _e12_scaled(a[near], ei[near], _E12_SCALES)
+    ok[near] &= gap[near] > _E12_TIE_MARGIN
+    carry = np.flatnonzero(r == 10**13)
+    r[carry] = 10**12
     ei[carry] += 1
-    return m, ei, ~ok
+    return r.astype(np.int64), ei, np.flatnonzero(~ok)
 
 
 def _csv_block(columns):
     """The CSV lines of equal-length float columns as a (rows, row_bytes)
     uint8 array, each field spelled in place in its 18 bytes; or None if
     the `%` text of some value the kernel left is not 18 bytes long."""
-    rounded = [(x, *_e12_kernel(x)) for x in [c.astype(np.float64) for c in columns]]
+    rounded = [(x, *_e12_kernel(x)) for x in [np.asarray(c, np.float64) for c in columns]]
     texts = [["%.12e" % v for v in x[left].tolist()] for x, _, _, left in rounded]
     if any(len(text) != _FIELD for column in texts for text in column):
         return None
@@ -603,20 +616,16 @@ def _csv_block(columns):
         hi = m // 100                 # m is "d dd dddd dddd dd"
         mid = hi // 10**4
         lead = mid // 10**4
-        # rows left to `%` may hold any index; "clip" also lets take write
-        # straight into the strided, unaligned views
-        words = block[:, o:o + 16].view(np.uint32)
-        np.take(_LEADS, lead, out=words[:, 0], mode="clip")
-        np.take(_DIGITS4, mid - 10**4 * lead, out=words[:, 1], mode="clip")
-        np.take(_DIGITS4, hi - 10**4 * mid, out=words[:, 2], mode="clip")
-        np.take(_TAILS, m - 100 * hi + _EXP_TAILS[ei], out=words[:, 3], mode="clip")
-        digits = block[:, o + 16:o + _FIELD].view(np.uint16)[:, 0]   # "dd"
-        np.take(_EXP_DIGITS, ei, out=digits, mode="clip")
+        # rows left to `%` may hold any index, hence "clip"
+        words = block[:, o:o + 12].view(np.uint32)
+        words[:, 0] = _LEADS.take(lead, mode="clip")
+        words[:, 1] = _DIGITS4.take(mid - 10**4 * lead, mode="clip")
+        words[:, 2] = _DIGITS4.take(hi - 10**4 * mid, mode="clip")
+        block[:, o + 12:o + 20].view(np.uint64)[:, 0] = _TAIL_WORDS.take(
+            (m - 100 * hi) * len(_E12_EXPONENTS) + ei, mode="clip")
         block[left, o:o + _FIELD] = np.array(column, f"S{_FIELD}").view(np.uint8).reshape(
             -1, _FIELD)
-        block[:, o + _FIELD] = ord(",")
-    block[:, -2] = ord("\r")
-    block[:, -1] = ord("\n")
+    block[:, _FIELD:-2:_FIELD + 1] = ord(",")   # over each "\r\n" but the last
     return block
 
 
