@@ -59,9 +59,9 @@ MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 MAX_NODES = 10**6     # mesh nodes of one radial solve
 PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
 # rows formatted at a time by _write_csv; bounds its buffers (a tracemalloc
-# peak of 4.9 MB on a two-column table).  Large, since a sweep writes on a thread
-# that shares the GIL with the solves: each numpy call of the writer is one
-# more point where one thread waits for the other
+# peak of 3.6 MB on a two-column table of any length).  Large, since a sweep
+# writes on a thread that shares the GIL with the solves: each numpy call of
+# the writer is one more point where one thread waits for the other
 CSV_BLOCK_ROWS = 32768
 
 
@@ -646,9 +646,10 @@ def _write_csv(path, header, columns):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
             small = "%d" in fmts or len(block[0]) * len(block) < _E12_MIN_VALUES
             if small or (text := _csv_block(block)) is None:
-                values = [v for row in zip(*(c.tolist() for c in block)) for v in row]
-                text = ((line * len(block[0])) % tuple(values)).encode()
+                text = ((line * len(block[0])) % tuple(
+                    v for row in zip(*(c.tolist() for c in block)) for v in row)).encode()
             fh.write(text)
+            del text   # not alive while the next block is formatted
 
 
 # --------------------------------------------------------------------- tasks

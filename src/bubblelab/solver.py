@@ -9,10 +9,10 @@ is discretized with three-point finite differences on a log-uniform mesh
 geometric mesh resolves at every scale).  Newton with a backtracking line
 search converges from the projected-bubble ansatz; each solve builds its
 bands, iterates and forms its energy in the rows of one workspace, and LAPACK
-dgtsv, called by C pointer, solves the tridiagonal Jacobian without holding
-the GIL.  A continuation sweep over a shrinking geometric grid of hole
-scales, whose solves all reuse one workspace, recovers the concentration
-rate delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
+dgtsv, through scipy's f2py wrapper, solves the tridiagonal Jacobian.  A
+continuation sweep over a shrinking geometric grid of hole scales, whose
+solves all reuse one workspace, recovers the concentration rate
+delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
 minimizer of the reduced energy.
 
 Multi-component solutions sharing a single peak are composed algebraically
@@ -21,8 +21,6 @@ as u_i = c_i w from a converged scalar profile w and an amplitude vector.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -183,29 +181,6 @@ def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
     return RadialGrid(nodes=nodes, values=vals, dims=dims), d_t
 
 
-# LAPACK dgtsv as scipy.linalg.cython_lapack exports it; d is Cython's double
-_DGTSV_SIGNATURE = b"void (int *, int *, d *, d *, d *, d *, int *, int *)".replace(
-    b"d *", b"__pyx_t_5scipy_6linalg_13cython_lapack_d *")
-
-
-@functools.cache   # resolved on the first radial solve, not at import
-def _lapack_dgtsv():
-    """The dgtsv behind ``scipy.linalg.solve_banded((1, 1), ...)``, called
-    through the C pointer scipy exports for Cython.  A ctypes foreign call
-    releases the GIL for its whole length; scipy's f2py wrapper holds it."""
-    from scipy.linalg.cython_lapack import __pyx_capi__   # only radial solves load scipy
-    capsule = __pyx_capi__["dgtsv"]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    if capsule_name != _DGTSV_SIGNATURE:
-        raise RuntimeError(f"scipy's dgtsv has the C signature {capsule_name!r}, "
-                           f"expected {_DGTSV_SIGNATURE!r}")
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
-    int_p = ctypes.POINTER(ctypes.c_int)
-    return ctypes.CFUNCTYPE(None, int_p, int_p, *[ctypes.c_void_p] * 4, int_p, int_p)(pointer)
-
-
 def _check_finite(*arrays):
     for a in arrays:   # min and max propagate NaN, and need no temporaries
         if not (math.isfinite(np.min(a)) and math.isfinite(np.max(a))):
@@ -213,19 +188,18 @@ def _check_finite(*arrays):
 
 
 def _gtsv(dl, d, du, b):
-    """Solve the tridiagonal system for b in place, overwriting dl, d and du
-    (contiguous float64, n - 1 of dl and du used), with solve_banded's
-    errors for a non-finite d or b (dl, du: the caller's) and singularity."""
-    for a, size in ((dl, len(d) - 1), (d, len(d)), (du, len(d) - 1), (b, len(d))):
-        if a.dtype != np.float64 or not a.flags.c_contiguous or a.size < size:
-            raise ValueError("dgtsv takes contiguous float64 arrays of the system's size")
+    """Solve the tridiagonal system (dl and du of length n - 1) for b with
+    LAPACK dgtsv through scipy's f2py wrapper, as ``solve_banded((1, 1),
+    ...)`` does, with its errors for a non-finite d or b (dl, du: the
+    caller's) and singularity.  dgtsv works in place on each argument that
+    is contiguous float64 and on a copy of any other, so the solution is the
+    array returned: b itself only when b is contiguous float64."""
+    from scipy.linalg.lapack import dgtsv   # only radial solves load scipy
     _check_finite(d, b)
-    n, info = ctypes.c_int(len(d)), ctypes.c_int(0)
-    _lapack_dgtsv()(n, ctypes.c_int(1), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
-                    b.ctypes.data, n, info)
-    if info.value > 0:
+    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return b
+    return x
 
 
 def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
@@ -245,9 +219,8 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     Newton rows and 7-10 the bands.  ``_workspace`` lends one that the
     caller reuses across solves (``rate_sweep`` does); it is a buffer, and
     the results have the same bits with or without it.  LAPACK dgtsv solves
-    for the step through a ctypes call that releases the GIL, so another
-    thread (the CLI's profile writer) runs meanwhile.  The bits are those of
-    ``solve_banded((1, 1), ...)`` on fresh arrays.
+    for the step through scipy's f2py wrapper, which holds the GIL for the
+    call; the bits are those of ``solve_banded((1, 1), ...)`` on fresh arrays.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -294,7 +267,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         # dgtsv overwrites its bands: copy them into rows free until the line search
         np.copyto(tmp[:-1], lo[1:])
         np.copyto(trial[:-1], up[:-1])
-        _gtsv(tmp, diag, trial, np.negative(F, out=du))
+        du = _gtsv(tmp[:-1], diag, trial[:-1], np.negative(F, out=du))
         du[0] = du[-1] = 0.0   # every trial keeps the Dirichlet zeros
         t = 1.0
         for _ in range(30):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -687,6 +688,22 @@ def test_large_profile_takes_few_blocks(tmp_path, monkeypatch):
     cli._write_csv(tmp_path / "profile.csv", ["radius", "value"],
                    _two_digit_floats(100_000, 5))
     assert len(calls) == -(-100_000 // cli.CSV_BLOCK_ROWS) == 4
+
+
+def test_large_profile_peaks_at_one_blocks_memory(tmp_path):
+    # each block's bytes are released once written, so a 100k-row table
+    # peaks within 0.3 MB of a table of one block
+    def peak(rows):
+        columns = _two_digit_floats(rows, 5)
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "profile.csv", ["radius", "value"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(cli.CSV_BLOCK_ROWS)   # warm-up
+    assert peak(100_000) <= peak(cli.CSV_BLOCK_ROWS) + 0.3e6
 
 
 # the N=4 sweep on the default eps grid at 2k nodes: 8 profiles, exit 0

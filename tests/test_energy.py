@@ -682,16 +682,14 @@ def test_model_validation():
 
 
 # Fresh interpreter: after each step, which scipy modules (and the
-# sweep's writer pool) are loaded, whether the solver has looked up LAPACK
-# dgtsv in scipy, and what `main` returned.  Only a radial solve (its
-# tridiagonal solve) needs scipy.
+# sweep's writer pool) are loaded, and what `main` returned.  Only a radial
+# solve (its tridiagonal solve) needs scipy.
 STARTUP_SCRIPT = """
 import json, sys
 import bubblelab.cli
 def step(code=None):
     return [code] + [m in sys.modules for m in ("scipy", "scipy.linalg", "scipy.integrate",
-                                                "concurrent.futures")] + [
-        bubblelab.solver._lapack_dgtsv.cache_info().currsize > 0]
+                                                "concurrent.futures")]
 algebra, scaling, sweep, out = sys.argv[1:]
 steps = {"import": step()}
 steps["validate"] = step(bubblelab.cli.main(["validate", algebra]))
@@ -704,8 +702,8 @@ print(json.dumps(steps))
 def test_scipy_loads_only_for_radial_solves(tmp_path):
     # every closed form, amplitude system and spectrum is numpy alone: the
     # CLI pulls in scipy.linalg only for a radial-sweep, and scipy.integrate
-    # (which the oracles above use) never; concurrent.futures and the
-    # lookup of dgtsv's C pointer, too, wait for the sweep
+    # (which the oracles above use) never; concurrent.futures, too, waits
+    # for the sweep
     from test_cli import DEMO, SWEEP, _env_with_src
     configs = {
         "algebra": DEMO,
@@ -724,8 +722,8 @@ def test_scipy_loads_only_for_radial_solves(tmp_path):
     steps = json.loads(proc.stdout.splitlines()[-1])
     for name, (code, *_) in steps.items():
         assert code in (None, 0, 2), (name, proc.stderr)   # not EXIT_ERROR
-    none = [False, False, False, False, False]
+    none = [False, False, False, False]
     assert {name: loaded for name, (_, *loaded) in steps.items()} == {
         "import": none, "validate": none, "algebra": none, "scaling": none,
-        "sweep": [True, True, False, True, True],
+        "sweep": [True, True, False, True],
     }
