@@ -39,15 +39,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bubbles import BubbleParams
+from .bubbles import BubbleParams, _profile
 
 NODES_PER_PANEL = 24
 
 
 def radial_profile(dims, delta, s):
     """Bubble profile as a function of the distance s to its center."""
-    k = (dims.N - 2) / 2
-    return dims.alphaN * (delta / (delta**2 + np.asarray(s, float) ** 2)) ** k
+    return _profile(dims, delta, np.asarray(s, float) ** 2)
 
 
 def _segments(lo, hi, anchors):

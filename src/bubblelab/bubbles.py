@@ -77,8 +77,13 @@ class BubbleParams:
         object.__setattr__(self, "xi", xi)
 
 
+def _profile(dims, delta, r2):
+    """alpha_N (delta / (delta^2 + r2))^((N-2)/2), the bubble at squared
+    distance r2 from its center."""
+    return dims.alphaN * (delta / (delta**2 + r2)) ** ((dims.N - 2) / 2)
+
+
 def bubble_eval(b, x):
     """Evaluate U_{delta,xi}(x).  x may be a point or an array of points."""
-    k = (b.dims.N - 2) / 2
     r2 = np.sum((np.asarray(x, dtype=float) - b.xi) ** 2, axis=-1)
-    return b.dims.alphaN * (b.delta / (b.delta**2 + r2)) ** k
+    return _profile(b.dims, b.delta, r2)

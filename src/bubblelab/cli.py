@@ -536,16 +536,15 @@ def _num(value, module, operation):
 # The %.12e kernel.  A double x in [1e-99, 9.9e99) is m * 10^(e-12) with 13
 # significant digits m in [10^12, 10^13) and a two-digit exponent e, also
 # after rounding: m is x * 10^(12-e) rounded to an integer.  That product is
-# formed in float64.  Below 10^13 < 2^44 its error is at most 2^-10 (half an
-# ulp) where the scale 10^(12-e) is an exact double (0 <= 12-e <= 22), and
-# below 2^-9.03 where the scale's own rounding adds to it.  So it rounds to m
-# unless its fraction lies within _E12_MARGINS (2^-9, 2^-8: at least twice
-# those bounds) of 0.5.  These near-ties, 0.4% of values at exact scales and
-# 0.8% at others, are redone in np.longdouble: two roundings keep the product
-# within eps * 2^44, and only the values within 64 times that of 0.5 are
-# left to `%`, as is every value outside the range (zeros, negatives,
-# subnormal and non-finite values, three-digit exponents).  Where
-# np.longdouble is a plain double that margin is 0.25: all near-ties go to `%`.
+# formed in float64.  Where the scale 10^(12-e) is an exact double
+# (0 <= 12-e <= 22) it is the exact product correctly rounded; each tie
+# m + 0.5 < 2^44 is a double and rounding is monotone, so only a product on
+# a tie is left to `%` (margin 0).  At other scales the scale's rounding
+# adds to the error, below 2^-9.03, and products within 2^-8 of a tie go to
+# `%`, as does every value outside the range (zeros, negatives, subnormal
+# and non-finite values, three-digit exponents).  Where log10 misses e by
+# one, one step brings the product into [10^12, 10^13) or within 2^-8 of an
+# end, where rint and the carry give `%`'s digits all the same.
 #
 # "%.12e" % x is then the 18 bytes "d.dddddddddddde+dd".  _csv_block spells
 # them in place in each row of the block with four gathers: the uint32 words
@@ -554,34 +553,17 @@ def _num(value, module, operation):
 # next field.  The tables are read-only: the writer thread shares them.
 _E12_MIN_VALUES = 256                  # smaller blocks go to `%` whole
 _E12_EXPONENTS = np.arange(-100, 101)  # decimal exponents of [1e-99, 9.9e99), +-1
-_E12_SCALES64 = np.array([float(f"1e{12 - e}") for e in _E12_EXPONENTS])
-_E12_SCALES = np.array([f"1e{12 - e}" for e in _E12_EXPONENTS]).astype(np.longdouble)
-_E12_MARGINS = np.where((-10 <= _E12_EXPONENTS) & (_E12_EXPONENTS <= 12), 2.0**-9, 2.0**-8)
-_E12_TIE_MARGIN = 64 * float(np.finfo(np.longdouble).eps) * 2.0**44
+_E12_SCALES = np.array([float(f"1e{12 - e}") for e in _E12_EXPONENTS])
+_E12_MARGINS = np.where((-10 <= _E12_EXPONENTS) & (_E12_EXPONENTS <= 12), 0.0, 2.0**-8)
 _FIELD = 18                            # len("d.dddddddddddde+dd")
 _DIGITS2 = np.array([f"{k:02d}" for k in range(100)], "S2")
 _DIGITS4 = (_DIGITS2[:, None] + _DIGITS2).view(np.uint32).ravel()          # "%04d" % k
 _LEADS = (np.arange(10).astype("S1")[:, None] + b"." + _DIGITS2).view(np.uint32).ravel()
 _TAIL_WORDS = (_DIGITS2[:, None] + np.strings.add(np.where(_E12_EXPONENTS < 0, b"e-", b"e+"),
                _DIGITS2[abs(_E12_EXPONENTS) % 100] + b"\r\n")).view(np.uint64)  # [m % 100, ei]
-for _table in (_E12_EXPONENTS, _E12_SCALES64, _E12_SCALES, _E12_MARGINS, _DIGITS2, _DIGITS4,
-               _LEADS, _TAIL_WORDS):
+for _table in (_E12_EXPONENTS, _E12_SCALES, _E12_MARGINS, _DIGITS2, _DIGITS4, _LEADS,
+               _TAIL_WORDS):
     _table.flags.writeable = False
-
-
-def _e12_scaled(a, ei, scales):
-    """a * scales[ei] rounded to integers, each product's gap to a tie,
-    0.5 - |product - its rounding|, as float64, and ei.  Where log10 put a
-    product outside [10^12, 10^13), one step of ei (in place) brings it in;
-    where that does not, its gap is 0."""
-    s = a.astype(scales.dtype, copy=False) * scales[ei]
-    off = np.flatnonzero((s < 10**12) | (s >= 10**13))   # log10 off by one
-    ei[off] += np.where(s[off] < 10**12, -1, 1)
-    s[off] = a[off].astype(scales.dtype, copy=False) * scales[ei[off]]
-    r = np.rint(s)
-    gap = (0.5 - np.abs(s - r)).astype(np.float64, copy=False)
-    gap[off[(s[off] < 10**12) | (s[off] >= 10**13)]] = 0.0
-    return r, gap, ei
 
 
 def _e12_kernel(x):
@@ -592,10 +574,12 @@ def _e12_kernel(x):
     ok = (x >= 1e-99) & (x < 9.9e99)
     a = x if ok.all() else np.where(ok, x, 1.0)
     ei = (np.log10(a) - _E12_EXPONENTS[0]).astype(np.int64)   # exponent index
-    r, gap, ei = _e12_scaled(a, ei, _E12_SCALES64)
-    near = np.flatnonzero(gap <= _E12_MARGINS[ei])   # redone in np.longdouble
-    r[near], gap[near], ei[near] = _e12_scaled(a[near], ei[near], _E12_SCALES)
-    ok[near] &= gap[near] > _E12_TIE_MARGIN
+    s = a * _E12_SCALES[ei]
+    off = np.flatnonzero((s < 10**12) | (s >= 10**13))   # log10 off by one
+    ei[off] += np.where(s[off] < 10**12, -1, 1)
+    s[off] = a[off] * _E12_SCALES[ei[off]]
+    r = np.rint(s)
+    ok &= 0.5 - np.abs(s - r) > _E12_MARGINS[ei]
     carry = np.flatnonzero(r == 10**13)
     r[carry] = 10**12
     ei[carry] += 1

@@ -14,15 +14,18 @@ runs, kept beside the tests that use them.
   action through `np.gradient` and `np.trapezoid`, whose bits
   `solver.solve_radial` and `solver.energy_of_solution` keep;
   `reference_newton_system`, the Jacobian and right-hand side of a step.
+* `exact_radial`: the radial solution from the first integral of its
+  Emden-Fowler form, by root-finding and quadrature, with no mesh.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from bubblelab.asymptotics import Annulus, project_bubble_radial
-from bubblelab.bubbles import BubbleParams, bubble_eval
+from bubblelab.bubbles import BubbleParams, bubble_eval, dims_for
 from bubblelab.coupling import CouplingSpec
 from bubblelab.energy import _radial_moment
 from bubblelab.greens import Ball
@@ -418,3 +421,88 @@ def reference_energy_of_solution(grids, spec):
             prod = np.abs(grids[i].values * grids[j].values) ** ((p + 1) / 2)
             total -= 2.0 / (p + 1) * spec.beta[i, j] * np.trapezoid(s_pow * prod, nodes)
     return float(dims.omegaNm1 * total)
+
+
+@dataclass(frozen=True)
+class ExactRadial:
+    """The exact radial solution: its limit amplitude d, peak u_max and
+    first-integral energy E."""
+
+    d: float
+    u_max: float
+    E: float
+
+
+def exact_radial(N, r, R, mu, eps, tol=1e-13):
+    """The solution of -u'' - (N-1)/s u' = mu u^p on (r eps, R), zero at both
+    ends, with no mesh.
+
+    With a = (N-2)/2, v = s^a u and t = ln s it is v'' = a^2 v - mu v^p,
+    whose first integral 1/2 v'^2 - 1/2 a^2 v^2 + mu v^(p+1)/(p+1) = E
+    holds with E = 1/2 v'(ends)^2 > 0.  The solution is one arc of that
+    orbit, v' = +-sqrt(Q(v)), Q = 2E + a^2 v^2 - 2 mu v^(p+1)/(p+1), up to
+    v_top with Q(v_top) = 0, so E solves T(E) = 2 int_0^v_top dv/sqrt(Q) =
+    ln(R/(r eps)) (brentq over ln E).  u = e^(-a t) v peaks where v' = a v,
+    at v* = ((p+1)E/mu)^(1/(p+1)) and t* = ln(r eps) + int_0^v* dv/sqrt(Q),
+    and d = (alpha_N / (mu^(1/(p-1)) u_max))^(2/(N-2)) / sqrt(eps) is the
+    d_est of a solve without its mesh error.  Each integral is `quad` at
+    relative tolerance ``tol``, with v = (sqrt(2E)/a) sinh(sigma) below
+    v_top/2, where Q varies on the scale sqrt(2E)/a, and v = v_top cos(phi)
+    above it, where 1/sqrt(Q) has its square-root end.  Any warning, an
+    `IntegrationWarning` among them, is an error.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    dims = dims_for(N)
+    a, p = (N - 2) / 2, dims.p
+    length = math.log(R / (r * eps))
+
+    def integral(f, lo, hi):
+        return quad(f, lo, hi, epsabs=0.0, epsrel=tol, limit=200)[0]
+
+    def v_top(E):   # the root of Q beyond v_c, where a^2 v^2 = 2 mu v^(p+1)/(p+1)
+        def minus_q(v):
+            return v * v * (2 * mu * v ** (p - 1) / (p + 1) - a * a) - 2 * E
+        v_c = ((p + 1) * a * a / (2 * mu)) ** (1 / (p - 1))
+        hi = 2 * v_c
+        while minus_q(hi) <= 0:
+            hi *= 2
+        return brentq(minus_q, v_c, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+    def arc(E, top, v):   # int_0^v dv'/sqrt(Q) for v <= top
+        scale = math.sqrt(2 * E) / a
+        c1, c2 = 2 * mu * top ** (p + 1) / (p + 1), (a * top) ** 2   # 2E = c1 - c2
+
+        def low(sigma):   # Q = 2E cosh^2 - 2 mu v^(p+1)/(p+1)
+            w = scale * math.sinh(sigma)
+            g = mu * w ** (p + 1) / ((p + 1) * E * math.cosh(sigma) ** 2)
+            return 1 / (a * math.sqrt(1 - g))
+
+        def high(phi):    # Q = c1 (1 - cos^(p+1)) - c2 sin^2, free of cancellation at phi = 0
+            q = -c1 * math.expm1((p + 1) * math.log1p(-2 * math.sin(phi / 2) ** 2))
+            return top * math.sin(phi) / math.sqrt(q - c2 * math.sin(phi) ** 2)
+
+        total = integral(low, 0.0, math.asinh(min(v, top / 2) / scale))
+        if v > top / 2:
+            total += integral(high, math.acos(min(v / top, 1.0)), math.pi / 3)
+        return total
+
+    def excess(log_e):
+        E = math.exp(log_e)
+        top = v_top(E)
+        return 2 * arc(E, top, top) - length
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = -1.0, 1.0
+        while excess(lo) <= 0:   # T falls as E grows
+            lo -= 4.0
+        while excess(hi) >= 0:
+            hi += 4.0
+        E = math.exp(brentq(excess, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps))
+        top = v_top(E)
+        v_star = ((p + 1) * E / mu) ** (1 / (p + 1))
+        u_max = (r * eps) ** -a * math.exp(-a * arc(E, top, v_star)) * v_star
+    d = (dims.alphaN / (mu ** (1 / (p - 1)) * u_max)) ** (2 / (N - 2)) / math.sqrt(eps)
+    return ExactRadial(d=d, u_max=u_max, E=E)

@@ -800,22 +800,6 @@ def test_writer_thread_calls_no_traced_function(tmp_path):
         assert name not in bubblelab.__all__
 
 
-def test_write_csv_exact_with_double_precision_scales(tmp_path, monkeypatch):
-    # where np.longdouble is a plain double, the near-tie stage has float64
-    # scales and a 0.25 margin: it leaves every near-tie to `%`, under 1% of
-    # random values, and the bytes stay the same
-    eps = float(np.finfo(np.float64).eps)
-    monkeypatch.setattr(cli, "_E12_SCALES", cli._E12_SCALES64)
-    monkeypatch.setattr(cli, "_E12_TIE_MARGIN", 64 * eps * 2.0**44)
-    random = np.concatenate(_two_digit_floats(10_000, 14))
-    _, _, left = cli._e12_kernel(random)
-    assert 0 < left.size <= 0.01 * random.size
-    values = np.concatenate([KERNEL_VALUES["in_domain"], random])
-    columns = list(np.resize(values, (2, values.size // 2)))
-    assert cli._csv_block(columns).ndim == 2   # every block laid out
-    _assert_same_bytes(tmp_path, ["x", "y"], columns)
-
-
 def test_near_ties_need_the_float64_margins(monkeypatch):
     # without its margins the float64 stage rounds some near-ties the wrong
     # way, so the bytes of the near_ties set change
@@ -826,21 +810,32 @@ def test_near_ties_need_the_float64_margins(monkeypatch):
 
 
 def test_float64_scaling_error_is_below_half_the_margin():
-    # |fl(x * scale) - x * 10^(12-e)| in exact arithmetic, for values at
+    # fl(x * scale) against x * 10^(12-e) in exact arithmetic, for values at
     # every exponent e of the kernel's range: 13-digit decimals at random,
-    # the ends of the decade and near-ties.  The bound beside it holds for
-    # every product below 10^13: half its ulp plus the scale's own error
+    # the ends of the decade and near-ties.  Where the scale is exact the
+    # product is the exact one correctly rounded, so margin 0 leaves only
+    # the products on a tie to `%`.  Elsewhere the error is below half the
+    # 2^-8 margin, and so is the bound beside it, which holds for every
+    # product below 10^13: half its ulp plus the scale's own error
     rng = np.random.default_rng(17)
     for e in range(-99, 100):
         i = e - cli._E12_EXPONENTS[0]
-        scale, margin = float(cli._E12_SCALES64[i]), Fraction(cli._E12_MARGINS[i])
+        scale, margin = float(cli._E12_SCALES[i]), Fraction(cli._E12_MARGINS[i])
         power = Fraction(10) ** (12 - e)
+        exact = 0 <= 12 - e <= 22
+        assert (Fraction(scale) == power) == exact and (margin == 0) == exact, e
         digits = [10**12, 10**13 - 1, *rng.integers(10**12, 10**13, 20).tolist()]
         values = [float(f"{d}e{e - 12}") for d in digits] + [
             float(f"{d}5e{e - 13}") for d in rng.integers(10**12, 10**13, 20).tolist()]
         for x in values:
-            assert 2 * abs(Fraction(x * scale) - Fraction(x) * power) <= margin, (e, x)
-        assert 2 * (Fraction(1, 2**10) + 10**13 * abs(Fraction(scale) / power - 1)) <= margin, e
+            error = abs(Fraction(x * scale) - Fraction(x) * power)
+            if exact:
+                assert error <= Fraction(math.ulp(x * scale)) / 2, (e, x)
+            else:
+                assert 2 * error <= margin, (e, x)
+        if not exact:
+            bound = Fraction(1, 2**10) + 10**13 * abs(Fraction(scale) / power - 1)
+            assert 2 * bound <= margin, e
 
 
 def _bit_pattern_floats():
@@ -874,14 +869,12 @@ def test_write_csv_kernel_property(tmp_path_factory, small_blocks):
     check()
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-                    reason="np.longdouble is a plain double: half the values go to `%`")
 @pytest.mark.parametrize("case", ["solution_profile", "powers_of_ten"])
 def test_kernel_formats_the_values_itself(case):
     # the `%` fallback keeps the bytes right whatever the tie margin or the
     # exponent fix-up do, so only this share shows that the kernel does the
-    # work: at least 99.9% of a 20k-node profile, and of the powers of ten
-    # in its range, half of which need the fix-up of log10's exponent
+    # work: at least 99.9% of a 20k-node profile, and all the powers of ten
+    # in its range, over a third of which need the fix-up of log10's exponent
     if case == "solution_profile":
         res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=20_000)
         values = np.concatenate([res.grid.nodes, res.grid.values])
@@ -889,11 +882,58 @@ def test_kernel_formats_the_values_itself(case):
         values = _kernel_domain(KERNEL_VALUES[case])
     _, _, left = cli._e12_kernel(values)
     if case == "powers_of_ten":
-        # of these 596 at most 1e15 is left: its product with the scale
-        # 1e-3 falls below 10^12, and with 1e-2 it rounds to 10^13
-        assert set(values[left].tolist()) <= {1e15}
+        assert values[left].tolist() == []
     else:
         assert left.size <= 1e-3 * values.size, left.size
+
+
+def _decade(x):
+    """The e with 10^e <= x < 10^(e+1), in exact arithmetic."""
+    q, e = Fraction(x), math.floor(math.log10(x))
+    return e + (q >= Fraction(10) ** (e + 1)) - (q < Fraction(10) ** e)
+
+
+def _exact_e12(x):
+    """The digits m and exponent e of "%.12e" % x, from x in exact arithmetic."""
+    e = _decade(x)
+    m = round(Fraction(x) * Fraction(10) ** (12 - e))   # half to even, as `%` rounds
+    return (10**12, e + 1) if m == 10**13 else (m, e)
+
+
+def test_decade_edges_need_no_flag_for_the_fix_up(tmp_path, small_blocks):
+    # the powers of ten in the kernel's range and their double neighbours:
+    # where log10 misses the exponent, one fix-up step leaves the product
+    # within 2^-8 of 10^12 or 10^13, and rint with the carry give the exact
+    # digits, so none of them is left to `%`.  The 13-digit round-ups
+    # 9.9999999999995 * 10^k and their neighbours are near-ties, left to `%`
+    # only within the margin (plus the float64 error) of a tie
+    powers = np.array([float(f"1e{k}") for k in range(-99, 100)])
+    ups = np.array([float(f"9.9999999999995e{k}") for k in range(-99, 99)])
+    edges = _kernel_domain(np.concatenate([
+        np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]))
+    values = np.concatenate([edges, ups, np.nextafter(ups, 0), np.nextafter(ups, np.inf)])
+    # the kernel's first product and its one fix-up step: 218 of the 596
+    # edges take the step, and 58 of them still end outside [10^12, 10^13)
+    ei = (np.log10(edges) - cli._E12_EXPONENTS[0]).astype(np.int64)
+    first = edges * cli._E12_SCALES[ei]
+    step = np.where(first < 10**12, -1, (first >= 10**13).astype(np.int64))
+    second = edges * cli._E12_SCALES[ei + step]
+    assert np.sum(step != 0) > 200 and np.sum((second < 10**12) | (second >= 10**13)) > 50
+    m, ei, left = cli._e12_kernel(values)
+    exact = [_exact_e12(x) for x in values.tolist()]
+    assert left.min() >= edges.size
+    for k in left.tolist():
+        e = _decade(values[k])
+        fraction = Fraction(values[k]) * Fraction(10) ** (12 - e) % 1
+        margin = Fraction(cli._E12_MARGINS[e - cli._E12_EXPONENTS[0]])
+        assert abs(fraction - Fraction(1, 2)) <= margin + Fraction(1, 2**9), values[k]
+    done = np.setdiff1d(np.arange(values.size), left).tolist()
+    assert [(m[k], cli._E12_EXPONENTS[ei[k]]) for k in done] == [exact[k] for k in done]
+    assert ["%.12e" % x for x in values.tolist()] == [
+        f"{d // 10**12}.{d % 10**12:012d}e{e:+03d}" for d, e in exact]
+    columns = list(np.resize(values, (2, _B + 1)))
+    assert cli._csv_block(columns).ndim == 2   # every block laid out
+    _assert_same_bytes(tmp_path, ["x", "y"], columns)
 
 
 # ---------------------------------------------------------------- summary.json

@@ -21,6 +21,7 @@ from bubblelab.solver import (
     solve_radial,
 )
 from oracles import (
+    exact_radial,
     reference_energy_of_solution,
     reference_newton_system,
     reference_solve_radial,
@@ -447,6 +448,40 @@ def test_rate_sweep_hole_coefficient_invariance(sweep_r1):
 def test_rate_sweep_validation():
     with pytest.raises(ValueError):
         rate_sweep(DIMS4, 1.0, 1.0, [1e-3])
+
+
+# --------------------------------------------------------- exact radial oracle
+
+
+@pytest.mark.parametrize("N, eps, d", [(4, 1e-4, 1.0218604001), (4, 1e-6, 1.0020333272),
+                                       (3, 1e-6, 1.0289845971), (3, 1e-2, 1.1695344706)])
+def test_exact_radial_agrees_with_itself_under_halved_tolerances(N, eps, d):
+    # N = 4 at eps = 1e-6 has E = 1.6e-5, where Q varies on the scale
+    # sqrt(2E)/a near v = 0; N = 3 at 1e-2 is the positive solution that
+    # the solver's default sweep misses (it falls into the trivial branch)
+    exact = exact_radial(N, 1.0, 1.0, 1.0, eps)
+    halved = exact_radial(N, 1.0, 1.0, 1.0, eps, tol=5e-14)
+    assert abs(halved.d / exact.d - 1) < 1e-11
+    assert abs(halved.u_max / exact.u_max - 1) < 1e-11
+    assert abs(halved.E / exact.E - 1) < 1e-11
+    assert exact.d == pytest.approx(d, abs=1e-10)
+
+
+@pytest.mark.parametrize("dims, eps_grid, c", [
+    (DIMS4, np.geomspace(1e-2, 1e-4, 8), 0.103),
+    (DIMS3, np.geomspace(3e-3, 1e-4, 8), 0.39),   # 1e-2 falls into the trivial branch
+])
+def test_rate_sweep_d_est_follows_the_second_order_error_law(dims, eps_grid, c):
+    # the relative error of d_est is -C_N h^2 / eps^((N-2)/2), h the mesh
+    # step in t = ln s: at 2000 nodes and eps = 1e-4 it reads C_4 = 0.1022
+    # and C_3 = 0.3930
+    n, eps = 2000, 1e-4
+    sweep = rate_sweep(dims, 1.0, 1.0, eps_grid, n_nodes=n)
+    assert not sweep.aborted and sweep.epsilons[-1] == eps
+    h = math.log(1.0 / eps) / (n - 1)
+    law = -c * h**2 / eps ** ((dims.N - 2) / 2)
+    error = sweep.d_final / exact_radial(dims.N, 1.0, 1.0, 1.0, eps).d - 1
+    assert error == pytest.approx(law, rel=0.15)
 
 
 # ------------------------------------------------------------- composition
