@@ -167,8 +167,8 @@ class ScalingFit:
         object.__setattr__(self, "values", np.asarray(self.values, float))
 
 
-def default_delta_grid(n=12, start=1e-1, ratio=0.5):
-    return start * ratio ** np.arange(n)
+def default_delta_grid(n=12):
+    return 1e-1 * 0.5 ** np.arange(n)
 
 
 def _scaling_fit(grid, values, predicted, has_log, bound_values=None):

@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .energy import (
     psi_value,
 )
 from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
-from .solver import rate_sweep
+from .solver import DEFAULT_NODES, rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
 SUMMARY_SCHEMA = "bubblelab-summary/2"
@@ -104,7 +104,6 @@ class ExperimentConfig:
     tasks: tuple
     scaling: tuple                # family descriptors (kind, params dict)
     out_dir: str = None
-    raw: dict = field(default=None, repr=False)
 
 
 def _check_pair(dims, radius, params):
@@ -390,7 +389,7 @@ def parse_config(data):
         _err(diags, "reduction.eta", "eta must lie in (0, 1)")
         eta = 1e-3
     grid = _parse_epsilon_grid(reduction.get("epsilon_grid"), diags)
-    n_nodes = reduction.get("n_nodes", 2000)
+    n_nodes = reduction.get("n_nodes", DEFAULT_NODES)
     if _is_integral(n_nodes) and 100 <= n_nodes <= MAX_NODES:
         n_nodes = int(n_nodes)
     else:
@@ -464,7 +463,6 @@ def parse_config(data):
             tasks=tuple(tasks),
             scaling=scaling,
             out_dir=out_dir,
-            raw=data,
         ),
         diags,
     )
@@ -692,8 +690,7 @@ def _task_spectrum(cfg, ctx, rng, out):
             }
         )
         task_verdict = "pass" if report.verdict == "nondegenerate" else report.verdict
-        if _VERDICT_RANK[task_verdict] > _VERDICT_RANK[worst]:
-            worst = task_verdict
+        worst = max(worst, task_verdict, key=_VERDICT_RANK.__getitem__)
         if task_verdict != "pass":
             messages.append(f"group {h}: {report.reason}")
     message = "; ".join(messages) if messages else "all groups nondegenerate"
@@ -793,8 +790,7 @@ def _task_scaling(cfg, ctx, rng, out):
         fit = family.fit(cfg.dims, cfg.ball.radius, params)
         name = family.name.format(**params)
         verdict, note = _family_verdict(family.slope_tol, fit)
-        if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
-            worst = verdict
+        worst = max(worst, verdict, key=_VERDICT_RANK.__getitem__)
         if verdict != "pass":
             messages.append(f"{name}: {note}")
         families.append(
@@ -956,8 +952,7 @@ def run(config, out_dir, seed=0):
                 "time_s": round(elapsed, 6),
             }
         )
-        if _VERDICT_RANK[verdict] > _VERDICT_RANK[worst]:
-            worst = verdict
+        worst = max(worst, verdict, key=_VERDICT_RANK.__getitem__)
     exit_code = {
         "pass": EXIT_PASS,
         "inconclusive": EXIT_DEGENERATE,

@@ -206,22 +206,23 @@ class SpectrumReport:
     det_identity_gap: float = 0.0   # |det C - prod(c^2) det(beta)| / scale
 
 
-def _verdict_from_lambdas(lambdas, tol=DEGENERACY_TOL):
+def _verdict_from_lambdas(lambdas):
     """(verdict, reason).  The reason names the first eigenvalue that meets
     the verdict's condition, in descending order after the structural 3,
     numbered from lambda_2, or says that the structural 3 is missing."""
     nu1, nu2 = _LADDER
     lam = np.sort(np.asarray(lambdas))[::-1]
-    near3 = np.abs(lam - nu2) <= tol
+    near3 = np.abs(lam - nu2) <= DEGENERACY_TOL
     if not np.any(near3):
         # M c = 3c whenever c solves the amplitude system: outside theory
         return "inconclusive", "inconclusive: the structural eigenvalue 3 is missing"
     others = np.delete(lam, np.argmax(near3))
-    hits = (np.abs(others - nu2) <= tol) | (np.abs(others - nu1) <= tol)
+    hits = np.abs(others - nu2) <= DEGENERACY_TOL
+    hits |= np.abs(others - nu1) <= DEGENERACY_TOL
     verdict, note = "degenerate", ""
     if not np.any(hits):
         # the verdict would need ladder entries beyond (1, 3), which are not computed
-        hits = (others >= nu2 + tol) | (others <= -1.0 - tol)
+        hits = (others >= nu2 + DEGENERACY_TOL) | (others <= -1.0 - DEGENERACY_TOL)
         verdict, note = "inconclusive", " outside the certified ladder range"
     if not np.any(hits):
         return "nondegenerate", "nondegenerate"

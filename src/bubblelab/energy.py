@@ -122,9 +122,7 @@ class ReducedPoint:
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.d, float))
         tau = np.asarray(self.tau, float)
-        if tau.ndim == 1:
-            tau = tau[None, :] if len(d) == 1 else tau
-        if tau.shape[0] != len(d):
+        if tau.ndim < 2 or tau.shape[0] != len(d):
             raise ValueError("tau must provide one offset vector per peak")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "tau", tau)

@@ -34,9 +34,8 @@ class Ball:
             raise ValueError(f"center must be a point in R^{self.dims.N}")
         object.__setattr__(self, "center", c)
 
-    def contains(self, x, strict=True):
-        r = np.linalg.norm(np.asarray(x, float) - self.center, axis=-1)
-        return r < self.radius if strict else r <= self.radius
+    def contains(self, x):
+        return np.linalg.norm(np.asarray(x, float) - self.center, axis=-1) < self.radius
 
 
 @dataclass(frozen=True)

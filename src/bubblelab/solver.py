@@ -2,7 +2,7 @@
 
 The scalar problem
 
-    -u'' - (N-1)/s u' = mu (u^+)^p   on (inner, outer),  u(inner) = u(outer) = 0
+    -u'' - (N-1)/s u' = (u^+)^p   on (inner, outer),  u(inner) = u(outer) = 0
 
 is discretized with three-point finite differences on a log-uniform mesh
 (the solutions of interest have a peak of width ~ sqrt(eps), which a
@@ -15,6 +15,8 @@ solves all reuse one workspace, recovers the concentration rate
 delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
 minimizer of the reduced energy.
 
+The solver has no mu: if -Lap w = (w^+)^p, then mu^(-1/(p-1)) w solves
+-Lap u = mu (u^+)^p, so a component's mu_i enters only through its amplitude.
 Multi-component solutions sharing a single peak are composed algebraically
 as u_i = c_i w from a converged scalar profile w and an amplitude vector.
 """
@@ -58,8 +60,8 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class ConcentrationMetrics:
-    """Peak data of a converged profile (after removing the mu scaling):
-    delta_est = (alpha_N / umax)^(2/(N-2)) and d_est = delta_est/sqrt(eps)."""
+    """Peak data of a converged profile: delta_est = (alpha_N / umax)^(2/(N-2))
+    and d_est = delta_est/sqrt(eps)."""
 
     umax: float
     rpeak: float
@@ -84,7 +86,7 @@ class SolveResult:
     report: NewtonReport
 
 
-def graded_mesh(inner, outer, n=DEFAULT_NODES):
+def graded_mesh(inner, outer, n):
     """Log-uniform mesh: constant node count per decade at every scale."""
     if not 0 < inner < outer:
         raise ValueError("mesh requires 0 < inner < outer")
@@ -146,9 +148,9 @@ def _apply_bands(bands, u, out=None, tmp=None):
 
 
 def _residual(bands, u, p, out=None, tmp=None):
-    """Difference-form residual into ``out``: weight * (-Lap u - mu f(u))
-    inside (mu is in the weight row), u itself on the Dirichlet rows.  Also
-    returns the largest scaled potential weight * mu f(u), left in ``tmp``."""
+    """Difference-form residual into ``out``: weight * (-Lap u - f(u))
+    inside, u itself on the Dirichlet rows.  Also returns the largest scaled
+    potential weight * f(u), left in ``tmp``."""
     F = _apply_bands(bands, u, out, tmp)
     pot = np.maximum(u, 0.0, out=tmp)
     pot **= p
@@ -157,17 +159,15 @@ def _residual(bands, u, p, out=None, tmp=None):
     return F, float(np.max(pot))
 
 
-def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
-    """Initial profile mu^(-1/(p-1)) PU at the reduced-energy rate
-    d_tilde, the starting point that realizes the target peak."""
-    if nodes is None:
-        nodes = graded_mesh(annulus.inner, annulus.outer)
+def bubble_ansatz(annulus, dims, epsilon, nodes):
+    """Initial profile PU on ``nodes`` at the reduced-energy rate d_tilde,
+    the starting point that realizes the target peak."""
     r_coeff = annulus.inner / epsilon
     ball = Ball(radius=annulus.outer, center=np.zeros(dims.N), dims=dims)
     H = kernel_robin(ball, np.zeros(dims.N))
     model = ReducedEnergyModel(
         dims=dims,
-        weights=np.array([mu ** (-2.0 / (dims.p - 1))]),
+        weights=np.array([1.0]),
         robin=np.array([H]),
         hole_r=np.array([r_coeff]),
     )
@@ -176,7 +176,7 @@ def bubble_ansatz(annulus, dims, epsilon, mu=1.0, nodes=None):
     proj = project_bubble_radial(
         annulus, BubbleParams(delta=delta, xi=np.zeros(dims.N), dims=dims)
     )
-    vals = mu ** (-1.0 / (dims.p - 1)) * np.maximum(proj.value(nodes), 0.0)
+    vals = np.maximum(proj.value(nodes), 0.0)
     vals[0] = vals[-1] = 0.0
     return RadialGrid(nodes=nodes, values=vals, dims=dims), d_t
 
@@ -202,14 +202,13 @@ def _gtsv(dl, d, du, b):
     return x
 
 
-def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
-                 n_nodes=DEFAULT_NODES, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER, *,
-                 _workspace=None):
+def solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
+                 n_nodes=DEFAULT_NODES, max_iter=MAX_NEWTON_ITER, *, _workspace=None):
     """Newton solve from a grid or from the projected-bubble ansatz.
 
     The discrete system is kept in difference form (rows scaled by
     h_m h_p / 2), so the residual lives in solution units.  Stops when
-    max|F| / (1 + max|u| + max scaled potential) < tol.  A converged
+    max|F| / (1 + max|u| + max scaled potential) < NEWTON_TOL.  A converged
     profile whose peak max u is below 1e-8 max(1, max|u|) is flagged as the
     trivial branch and carries no concentration metrics.  A seed grid must
     span the annulus: its first and last nodes are its inner and outer radii.
@@ -230,15 +229,14 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
             raise ValueError("the seed grid's end nodes must be the annulus radii")
         seed = initial
     elif initial == "bubble-ansatz":
-        seed, _ = bubble_ansatz(annulus, dims, epsilon, mu,
+        seed, _ = bubble_ansatz(annulus, dims, epsilon,
                                 graded_mesh(annulus.inner, annulus.outer, n_nodes))
     else:
         raise ValueError("initial must be a RadialGrid or 'bubble-ansatz'")
     nodes = seed.nodes
     ws = np.empty((11, len(nodes))) if _workspace is None else _workspace
     bands = _operator_bands(nodes, dims, ws)   # rows 0-3 are free until u is seeded
-    lo, di, up, wmu = bands
-    wmu *= mu   # (w mu) f(u) has the bits of w * mu * f(u)
+    lo, di, up, w = bands
     u, trial, F, F_trial, tmp, diag, du = ws[:7]
     u[:] = seed.values
     u[0] = u[-1] = 0.0
@@ -252,16 +250,16 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
         base = float(np.max(np.abs(F, out=tmp)))
         res = base / (1.0 + float(np.max(np.abs(u, out=tmp))) + pot_max)
         history.append(res)
-        if res < tol:
+        if res < NEWTON_TOL:
             converged = True
             message = "converged"
             break
         if it == 0:
             _check_finite(lo, up)
-        g = np.maximum(u[1:-1], 0.0, out=diag[1:-1])   # di - (w mu) p (u^+)^(p-1)
+        g = np.maximum(u[1:-1], 0.0, out=diag[1:-1])   # di - w p (u^+)^(p-1)
         g **= p - 1
         g *= p
-        g *= wmu[1:-1]
+        g *= w[1:-1]
         np.subtract(di[1:-1], g, out=g)
         diag[0], diag[-1] = di[0], di[-1]
         # dgtsv overwrites its bands: copy them into rows free until the line search
@@ -287,7 +285,7 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
     metrics = None
     if converged and not trivial:
-        metrics = _metrics(grid, epsilon, mu, ws)
+        metrics = _metrics(grid, epsilon, ws)
     report = NewtonReport(
         converged=converged,
         iterations=len(history),
@@ -298,18 +296,16 @@ def solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
     return SolveResult(grid=grid, metrics=metrics, report=report)
 
 
-def _metrics(grid, epsilon, mu, ws):
+def _metrics(grid, epsilon, ws):
     dims = grid.dims
-    # remove the mu scaling so peak height compares against alpha_N/delta^k
-    v = mu ** (1.0 / (dims.p - 1)) * grid.values
-    k = int(np.argmax(v))
-    vmax = float(v[k])
-    delta_est = (dims.alphaN / vmax) ** (2.0 / (dims.N - 2))
+    k = int(np.argmax(grid.values))
+    umax = float(grid.values[k])
+    delta_est = (dims.alphaN / umax) ** (2.0 / (dims.N - 2))
     spec1 = CouplingSpec(
-        N=dims.N, m=1, mu=np.array([mu]), beta=np.array([[mu]]), decomposition=(0, 1)
+        N=dims.N, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]), decomposition=(0, 1)
     )
     return ConcentrationMetrics(
-        umax=float(np.max(grid.values)),
+        umax=umax,
         rpeak=float(grid.nodes[k]),
         delta_est=delta_est,
         d_est=delta_est / math.sqrt(epsilon),
@@ -338,8 +334,8 @@ class RateSweepReport:
     message: str
 
 
-def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
-               n_nodes=DEFAULT_NODES, on_result=None):
+def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_NODES,
+               on_result=None):
     """Solve down a decreasing eps grid with rescaled-profile continuation.
 
     ``on_result(eps, res)``, if given, is called once for each converged,
@@ -364,7 +360,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
         ann = Annulus(inner=radius_coeff * eps, outer=outer_radius)
         nodes = graded_mesh(ann.inner, ann.outer, n_nodes)
         if prev is None:
-            seed, d_tilde = bubble_ansatz(ann, dims, eps, mu, nodes)
+            seed, d_tilde = bubble_ansatz(ann, dims, eps, nodes)
             workspace = np.empty((11, len(nodes)))
         else:
             prev_eps, prev_grid = prev
@@ -374,7 +370,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, mu=1.0,
             )
             vals[0] = vals[-1] = 0.0
             seed = RadialGrid(nodes=nodes, values=vals, dims=dims)
-        res = solve_radial(ann, dims, eps, mu=mu, initial=seed, _workspace=workspace)
+        res = solve_radial(ann, dims, eps, initial=seed, _workspace=workspace)
         if not res.report.converged or res.report.trivial:
             aborted = True
             message = f"solve failed at eps={eps:.3e}: {res.report.message}"
@@ -434,7 +430,7 @@ def compose_group_solution(spec, cvec, w):
     p = spec.p
     e1, e2 = (p - 1) / 2, (p + 1) / 2
     bands = _operator_bands(w.nodes, w.dims)
-    r_scalar, _ = _residual(bands, w.values, p)   # mu = 1
+    r_scalar, _ = _residual(bands, w.values, p)
     grids = tuple(
         RadialGrid(nodes=w.nodes, values=c_i * w.values, dims=w.dims)
         for c_i in cvec.c

@@ -297,8 +297,8 @@ def _apply_bands(bands, u):
     return out
 
 
-def _residual(bands, u, mu, p):
-    pot = bands[3] * mu * np.maximum(u, 0.0) ** p
+def _residual(bands, u, p):
+    pot = bands[3] * np.maximum(u, 0.0) ** p
     F = _apply_bands(bands, u)
     F[1:-1] -= pot[1:-1]
     return F, float(np.max(pot))
@@ -308,11 +308,11 @@ def _residual_norm(u, F, pot_max):
     return float(np.max(np.abs(F))) / (1.0 + float(np.max(np.abs(u))) + pot_max)
 
 
-def _jacobian_bands(bands, u, mu, p):
+def _jacobian_bands(bands, u, p):
     """The Newton Jacobian at u in `solve_banded`'s (1, 1) layout."""
     lo, di, up, weight = bands
     diag_j = di.copy()
-    diag_j[1:-1] -= weight[1:-1] * mu * (p * np.maximum(u[1:-1], 0.0) ** (p - 1))
+    diag_j[1:-1] -= weight[1:-1] * (p * np.maximum(u[1:-1], 0.0) ** (p - 1))
     ab = np.zeros((3, len(u)))
     ab[0, 1:] = up[:-1]
     ab[1, :] = diag_j
@@ -320,19 +320,18 @@ def _jacobian_bands(bands, u, mu, p):
     return ab
 
 
-def reference_newton_system(grid, mu=1.0):
+def reference_newton_system(grid):
     """The first Newton system of a solve from ``grid``: the Jacobian in
     `solve_banded`'s (1, 1) layout and the right-hand side -F."""
     u = grid.values.copy()
     u[0] = u[-1] = 0.0
     bands = _operator_bands(grid.nodes, grid.dims)
-    F, _ = _residual(bands, u, mu, grid.dims.p)
-    return _jacobian_bands(bands, u, mu, grid.dims.p), -F
+    F, _ = _residual(bands, u, grid.dims.p)
+    return _jacobian_bands(bands, u, grid.dims.p), -F
 
 
-def reference_solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansatz",
-                           n_nodes=2000, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER,
-                           steps=None):
+def reference_solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
+                           n_nodes=2000, max_iter=MAX_NEWTON_ITER, steps=None):
     """`solver.solve_radial` with fresh arrays in every Newton step and the
     tridiagonal solve by `scipy.linalg.solve_banded`.  ``steps``, if given,
     gets the accepted line-search step t of every Newton step."""
@@ -342,7 +341,7 @@ def reference_solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansat
         nodes = initial.nodes
         u = initial.values.copy()
     else:
-        seed, _ = bubble_ansatz(annulus, dims, epsilon, mu,
+        seed, _ = bubble_ansatz(annulus, dims, epsilon,
                                 graded_mesh(annulus.inner, annulus.outer, n_nodes))
         nodes = seed.nodes
         u = seed.values.copy()
@@ -352,21 +351,21 @@ def reference_solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansat
     history = []
     converged = False
     message = "newton iteration limit reached"
-    F, pot_max = _residual(bands, u, mu, p)
+    F, pot_max = _residual(bands, u, p)
     for it in range(max_iter):
         res = _residual_norm(u, F, pot_max)
         history.append(res)
-        if res < tol:
+        if res < NEWTON_TOL:
             converged = True
             message = "converged"
             break
-        du = solve_banded((1, 1), _jacobian_bands(bands, u, mu, p), -F)
+        du = solve_banded((1, 1), _jacobian_bands(bands, u, p), -F)
         du[0] = du[-1] = 0.0
         base = float(np.max(np.abs(F)))
         t = 1.0
         for _ in range(30):
             trial = u + t * du
-            F_trial, pot_trial = _residual(bands, trial, mu, p)
+            F_trial, pot_trial = _residual(bands, trial, p)
             if float(np.max(np.abs(F_trial))) <= (1 - 1e-4 * t) * base:
                 break
             t *= 0.5
@@ -381,10 +380,9 @@ def reference_solve_radial(annulus, dims, epsilon, mu=1.0, initial="bubble-ansat
     trivial = bool(converged and np.max(u) < 1e-8 * max(1.0, float(np.max(np.abs(u)))))
     metrics = None
     if converged and not trivial:
-        v = mu ** (1.0 / (dims.p - 1)) * grid.values
-        k = int(np.argmax(v))
-        delta_est = (dims.alphaN / float(v[k])) ** (2.0 / (dims.N - 2))
-        spec1 = CouplingSpec(N=dims.N, m=1, mu=np.array([mu]), beta=np.array([[mu]]),
+        k = int(np.argmax(grid.values))
+        delta_est = (dims.alphaN / float(grid.values[k])) ** (2.0 / (dims.N - 2))
+        spec1 = CouplingSpec(N=dims.N, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]),
                              decomposition=(0, 1))
         metrics = ConcentrationMetrics(
             umax=float(np.max(grid.values)),
@@ -425,12 +423,13 @@ def reference_energy_of_solution(grids, spec):
 
 @dataclass(frozen=True)
 class ExactRadial:
-    """The exact radial solution: its limit amplitude d, peak u_max and
-    first-integral energy E."""
+    """The exact radial solution: its limit amplitude d, peak u_max,
+    first-integral energy E and action J."""
 
     d: float
     u_max: float
     E: float
+    J: float
 
 
 def exact_radial(N, r, R, mu, eps, tol=1e-13):
@@ -445,7 +444,10 @@ def exact_radial(N, r, R, mu, eps, tol=1e-13):
     ln(R/(r eps)) (brentq over ln E).  u = e^(-a t) v peaks where v' = a v,
     at v* = ((p+1)E/mu)^(1/(p+1)) and t* = ln(r eps) + int_0^v* dv/sqrt(Q),
     and d = (alpha_N / (mu^(1/(p-1)) u_max))^(2/(N-2)) / sqrt(eps) is the
-    d_est of a solve without its mesh error.  Each integral is `quad` at
+    d_est of a solve without its mesh error.  The action J = int 1/2 |grad
+    u|^2 - mu u^(p+1)/(p+1) is (mu/N) int u^(p+1) at a solution (Nehari),
+    and s^(N-1) u^(p+1) ds = v^(p+1) dt, so J = (omega_{N-1} mu/N) 2
+    int_0^v_top v^(p+1)/sqrt(Q) dv.  Each integral is `quad` at
     relative tolerance ``tol``, with v = (sqrt(2E)/a) sinh(sigma) below
     v_top/2, where Q varies on the scale sqrt(2E)/a, and v = v_top cos(phi)
     above it, where 1/sqrt(Q) has its square-root end.  Any warning, an
@@ -470,18 +472,19 @@ def exact_radial(N, r, R, mu, eps, tol=1e-13):
             hi *= 2
         return brentq(minus_q, v_c, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
-    def arc(E, top, v):   # int_0^v dv'/sqrt(Q) for v <= top
+    def arc(E, top, v, k=0):   # int_0^v v'^k dv'/sqrt(Q) for v <= top
         scale = math.sqrt(2 * E) / a
         c1, c2 = 2 * mu * top ** (p + 1) / (p + 1), (a * top) ** 2   # 2E = c1 - c2
 
         def low(sigma):   # Q = 2E cosh^2 - 2 mu v^(p+1)/(p+1)
             w = scale * math.sinh(sigma)
             g = mu * w ** (p + 1) / ((p + 1) * E * math.cosh(sigma) ** 2)
-            return 1 / (a * math.sqrt(1 - g))
+            return w ** k / (a * math.sqrt(1 - g))
 
         def high(phi):    # Q = c1 (1 - cos^(p+1)) - c2 sin^2, free of cancellation at phi = 0
             q = -c1 * math.expm1((p + 1) * math.log1p(-2 * math.sin(phi / 2) ** 2))
-            return top * math.sin(phi) / math.sqrt(q - c2 * math.sin(phi) ** 2)
+            x = top * math.cos(phi)
+            return x ** k * top * math.sin(phi) / math.sqrt(q - c2 * math.sin(phi) ** 2)
 
         total = integral(low, 0.0, math.asinh(min(v, top / 2) / scale))
         if v > top / 2:
@@ -504,5 +507,6 @@ def exact_radial(N, r, R, mu, eps, tol=1e-13):
         top = v_top(E)
         v_star = ((p + 1) * E / mu) ** (1 / (p + 1))
         u_max = (r * eps) ** -a * math.exp(-a * arc(E, top, v_star)) * v_star
+        J = dims.omegaNm1 * mu / N * 2 * arc(E, top, top, p + 1)
     d = (dims.alphaN / (mu ** (1 / (p - 1)) * u_max)) ** (2 / (N - 2)) / math.sqrt(eps)
-    return ExactRadial(d=d, u_max=u_max, E=E)
+    return ExactRadial(d=d, u_max=u_max, E=E, J=J)

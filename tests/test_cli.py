@@ -201,18 +201,18 @@ def test_undecodable_config_is_a_diagnostic(tmp_path, capsys, data):
 def test_config_is_read_as_utf8(tmp_path):
     # the file is opened as UTF-8, not in the locale's encoding: reading it
     # with the default encoding would raise the EncodingWarning made an error
-    cfg = dict(copy.deepcopy(DEMO), note="\u03b5 \u2192 0, \U0001d11e")
+    cfg = dict(copy.deepcopy(DEMO), output={"dir": "\u03b5 \u2192 0, \U0001d11e"})
     path = tmp_path / "config.json"
     path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
     script = ("import sys, bubblelab.cli as cli; "
               "config, diags = cli.load_config(sys.argv[1]); "
-              "print(ascii(config.raw['note']))")
+              "print(ascii(config.out_dir))")
     proc = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
          "-c", script, str(path)],
         capture_output=True, text=True, env=_env_with_src())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ascii(cfg["note"])
+    assert proc.stdout.strip() == ascii(cfg["output"]["dir"])
 
 
 def test_validate_rejects_hole_group_mismatch(tmp_path, capsys):
@@ -708,6 +708,28 @@ def test_large_profile_peaks_at_one_blocks_memory(tmp_path):
 
 # the N=4 sweep on the default eps grid at 2k nodes: 8 profiles, exit 0
 SMALL_SWEEP = _variant(SWEEP, tasks=["radial-sweep"], reduction={"n_nodes": 2000})
+
+
+def test_sweep_outputs_do_not_depend_on_mu(tmp_path):
+    # the sweep solves the scalar profile w of -Lap w = (w^+)^p; a component
+    # with mu_i is mu_i^(-1/(p-1)) w, so d_est and the slope are mu-free
+    outs, codes = [], []
+    for mu in (1.0, 2.0):
+        cfg = _variant(SWEEP, tasks=["radial-sweep"],
+                       coupling={"mu": [mu], "beta": [[0.0]], "decomposition": [0, 1]},
+                       reduction={"n_nodes": 300,
+                                  "epsilon_grid": {"start": 1e-2, "stop": 1e-3, "num": 3}})
+        outs.append(tmp_path / f"mu{mu:g}")
+        codes.append(cli.main(["run", write_config(tmp_path, cfg, f"mu{mu:g}.json"),
+                               "--out", str(outs[-1])]))
+    assert codes[0] == codes[1]   # the same verdict: inconclusive at 300 nodes
+    assert _outputs(load_summary(outs[0]), "radial-sweep") == _outputs(
+        load_summary(outs[1]), "radial-sweep")
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert len(names) == 4 and "sweep_rate.csv" in names   # 3 profiles and the rates
+    assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_writer_exception_is_the_sweep_error(tmp_path, monkeypatch):

@@ -679,6 +679,9 @@ def test_model_validation():
     m = model4(1)
     with pytest.raises(ValueError):
         psi_value(m, ReducedPoint(d=[1e-9], tau=np.zeros((1, 4))))  # outside X_eta
+    for tau in (np.zeros(4), np.zeros((2, 4))):   # 1-D (not promoted), or two for one peak
+        with pytest.raises(ValueError, match="one offset vector per peak"):
+            ReducedPoint(d=[1.0], tau=tau)
 
 
 # Fresh interpreter: after each step, which scipy modules (and the

@@ -9,7 +9,7 @@ import pytest
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.coupling import CouplingSpec, CVector, solve_c_vector
-from bubblelab.energy import ReducedEnergyModel, critical_point, energy_expansion
+from bubblelab.energy import ReducedEnergyModel, critical_point, energy_expansion, psi_value
 from bubblelab.solver import (
     RadialGrid,
     _gtsv,
@@ -136,7 +136,7 @@ def test_solve_validation():
         solve_radial(Annulus(1e-3, 1.0), DIMS4, 0.0)
     with pytest.raises(ValueError):
         solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial="nonsense")
-    other, _ = bubble_ansatz(Annulus(1e-2, 1.0), DIMS4, 1e-2, 1.0, graded_mesh(1e-2, 1.0, 500))
+    other, _ = bubble_ansatz(Annulus(1e-2, 1.0), DIMS4, 1e-2, graded_mesh(1e-2, 1.0, 500))
     with pytest.raises(ValueError, match="annulus radii"):   # a seed from another domain
         solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=other)
 
@@ -152,7 +152,7 @@ def test_n3_profile_converges():
 
 def test_nan_in_seed_raises_scipys_error():
     nodes = graded_mesh(1e-3, 1.0, 500)
-    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, 1.0, nodes)
+    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, nodes)
     values = seed.values.copy()
     values[250] = np.nan
     bad = RadialGrid(nodes=nodes, values=values, dims=DIMS4)
@@ -269,7 +269,7 @@ def _solve_banded(ab, rhs):
 
 
 def test_gtsv_has_the_bits_of_solve_banded_on_a_newton_system():
-    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, 1.0,
+    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3,
                             graded_mesh(1e-3, 1.0, 20000))
     ab, rhs = reference_newton_system(seed)
     assert _bits(_gtsv_of(ab, rhs)) == _bits(_solve_banded(ab, rhs))
@@ -310,24 +310,9 @@ def test_gtsv_raises_scipys_errors():
         assert _bits(b) == _bits(kept)
 
 
-def test_mu_rescaling_identity(solve_1e3):
-    # if w solves -Lap w = w^p then mu^{-1/(p-1)} w solves -Lap u = mu u^p,
-    # exactly at the discrete level as well
-    res2 = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, mu=2.0)
-    assert res2.report.converged
-    ratio = 2.0 ** (-1.0 / (DIMS4.p - 1))
-    np.testing.assert_allclose(
-        res2.grid.values[1:-1], ratio * solve_1e3.grid.values[1:-1], rtol=1e-8
-    )
-    # normalized concentration scale is mu-independent
-    assert res2.metrics.delta_est == pytest.approx(
-        solve_1e3.metrics.delta_est, rel=1e-8
-    )
-
-
 def test_bubble_ansatz_shape():
     ann = Annulus(1e-3, 1.0)
-    seed, d_tilde = bubble_ansatz(ann, DIMS4, 1e-3, 1.0,
+    seed, d_tilde = bubble_ansatz(ann, DIMS4, 1e-3,
                                   graded_mesh(ann.inner, ann.outer, 800))
     assert d_tilde == pytest.approx(1.0, rel=1e-8)  # sqrt(r R) for r = R = 1
     assert seed.values[0] == 0.0 and seed.values[-1] == 0.0
@@ -464,7 +449,41 @@ def test_exact_radial_agrees_with_itself_under_halved_tolerances(N, eps, d):
     assert abs(halved.d / exact.d - 1) < 1e-11
     assert abs(halved.u_max / exact.u_max - 1) < 1e-11
     assert abs(halved.E / exact.E - 1) < 1e-11
+    assert abs(halved.J / exact.J - 1) < 1e-11
     assert exact.d == pytest.approx(d, abs=1e-10)
+
+
+def _exact_over_reduced(N, r, R, mu, eps):
+    """d / d_tilde and (J - w b1) / (Psi(d_tilde, 0) eps^((N-2)/2)) of the
+    exact solution, against the reduced model of one centred hole: weight
+    w = mu^(-2/(p-1)), Robin value H = R^(2-N), hole coefficient r."""
+    dims = DIMS3 if N == 3 else DIMS4
+    w = mu ** (-2 / (dims.p - 1))
+    model = ReducedEnergyModel(dims=dims, weights=np.array([w]),
+                               robin=np.array([R ** (2 - N)]), hole_r=np.array([r]))
+    exact = exact_radial(N, r, R, mu, eps)
+    point = critical_point(model).point
+    psi = psi_value(model, point) * eps ** ((N - 2) / 2)
+    return exact.d / point.d[0], (exact.J - w * model.b1) / psi
+
+
+@pytest.mark.parametrize("N, eps, ratio", [(4, 1e-4, 0.996206), (3, 1e-6, 1.000093)])
+def test_exact_action_matches_the_reduced_energy(N, eps, ratio):
+    # the paper's J = w b1 + Psi(d_tilde, 0) eps^((N-2)/2) + o(.), r = R = mu = 1
+    assert round(_exact_over_reduced(N, 1.0, 1.0, 1.0, eps)[1], 6) == ratio
+
+
+def test_exact_solution_approaches_the_reduced_model():
+    # mu only rescales u = mu^(-1/(p-1)) w and J by mu^(-2/(p-1)), so both
+    # ratios are mu-free; over random holes and balls they move toward 1
+    rng = np.random.default_rng(20)
+    for _ in range(24):
+        N = int(rng.choice([3, 4]))
+        r, R, mu = rng.uniform(0.5, 2.0, 3)
+        coarse = _exact_over_reduced(N, r, R, mu, 1e-4)
+        fine = _exact_over_reduced(N, r, R, mu, 1e-6)
+        for c, f in zip(coarse, fine):
+            assert abs(f - 1) < abs(c - 1), (N, r, R, mu)
 
 
 @pytest.mark.parametrize("dims, eps_grid, c", [
@@ -565,7 +584,7 @@ def test_energy_gap_converged_vs_ansatz(solve_1e3):
     # the Newton limit is a saddle of the action: its energy sits slightly
     # above the projected-bubble seed, with an O(eps)-sized gap
     ann = Annulus(1e-3, 1.0)
-    seed, _ = bubble_ansatz(ann, DIMS4, 1e-3, 1.0,
+    seed, _ = bubble_ansatz(ann, DIMS4, 1e-3,
                             graded_mesh(ann.inner, ann.outer, 2000))
     j_seed = energy_of_solution([seed], SPEC_SCALAR)
     j_conv = energy_of_solution([solve_1e3.grid], SPEC_SCALAR)
