@@ -29,6 +29,10 @@ panels resolve the peaks of width delta:
 
 Against nested adaptive quadrature the rules agree to about 1e-12 relative
 (tests/test_asymptotics.py keeps that quadrature as an oracle).
+
+Each family is one call over its delta grid (a pair's bound two), which
+builds its decade panels or cylinder geometry once; a symmetric unweighted
+pair reuses its first peak piece as the mirror one.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .bubbles import BubbleParams, _profile
 
 NODES_PER_PANEL = 24
+_DECADES = np.array([10.0**k for k in range(-16, 17)])   # panel ends in t = s/delta
 
 
 def radial_profile(dims, delta, s):
@@ -255,21 +260,45 @@ def spherical_coordinate_moment(dims, nu):
 
 def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
     """omega_{N-1} E[|omega_h|^nu1] * int s^(N-1+nu1-nu2) U(s)^q ds over
-    [lower, outer], computed in the peak variable t = s/delta."""
+    [lower, outer], computed in the peak variable t = s/delta.
+
+    delta is a scalar (a scalar is returned) or a 1-D array that lower
+    broadcasts to.  Each whole decade [10^k, 10^(k+1)] in t is integrated
+    once per call; a scale adds, in order, [t_lo, first decade], its
+    decades and [last decade, t_hi], whatever the other scales are.
+    """
     N = dims.N
+    deltas = np.asarray(delta, float)
+    if deltas.ndim > 1:
+        raise ValueError("delta must be a scalar or a 1-D array")
+    lowers = np.broadcast_to(lower, deltas.shape)
+    if not np.all((0.0 <= lowers) & (lowers < outer)):
+        raise ValueError("requires 0 <= lower < outer at every scale")
     expo = N + nu1 - nu2 - (N - 2) * q / 2
-    t_lo = lower / delta
-    t_hi = outer / delta
     power = N - 1 + nu1 - nu2
-    anchors = [10.0**k for k in range(-16, 17)]   # one panel per decade
-    t, w = _panel_rule(_segments(t_lo, t_hi, anchors))
-    val = w @ (t**power * (1.0 + t * t) ** (-(N - 2) * q / 2))
+    x, w = _gauss_legendre(NODES_PER_PANEL)
+
+    def panels(a, h):   # the rule on each panel [a, a + h]
+        t = a[..., None] + h[..., None] * x
+        return (h[..., None] * w * (t**power * (1.0 + t * t) ** (-(N - 2) * q / 2))).sum(-1)
+
+    t_lo, t_hi = np.atleast_1d(lowers / deltas, outer / deltas)
+    first = np.searchsorted(_DECADES, t_lo, side="right")   # first decade > t_lo
+    last = np.searchsorted(_DECADES, t_hi, side="left") - 1  # last decade < t_hi
+    k = np.arange(first.min(), last.max())
+    whole = panels(_DECADES[k], _DECADES[k + 1] - _DECADES[k])
+    whole = np.where((first[:, None] <= k) & (k < last[:, None]), whole, 0.0)
+    mid_lo = np.minimum(_DECADES.take(first, mode="clip"), t_hi)
+    mid_hi = np.maximum(_DECADES.take(last, mode="clip"), mid_lo)
+    left, right = panels(t_lo, mid_lo - t_lo), panels(mid_hi, t_hi - mid_hi)
+    # accumulate adds in order, and the zeros outside a scale's decades add nothing
+    val = np.cumsum(np.column_stack([left, whole, right]), axis=1)[:, -1]
     return (
         dims.omegaNm1
         * spherical_coordinate_moment(dims, nu1)
         * dims.alphaN**q
-        * delta**expo
-        * val
+        * deltas**expo
+        * val.reshape(deltas.shape)
     )
 
 
@@ -278,9 +307,7 @@ def scaling_law_single(q, dims, delta_grid=None, domain_radius=1.0):
     single-bubble exponent."""
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
     predicted, has_log = single_exponent(dims, q)
-    values = np.array(
-        [bubble_power_integral(dims, d, q, outer=domain_radius) for d in grid]
-    )
+    values = bubble_power_integral(dims, grid, q, outer=domain_radius)
     return _scaling_fit(grid, values, predicted, has_log)
 
 
@@ -290,15 +317,8 @@ def scaling_law_weighted(q, nu1, nu2, dims, delta_grid=None, domain_radius=1.0):
     exponent."""
     grid = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
     predicted, has_log, excise = weighted_exponent(dims, q, nu1, nu2)
-    values = np.array(
-        [
-            bubble_power_integral(
-                dims, d, q, outer=domain_radius, nu1=nu1, nu2=nu2,
-                lower=(d * d if excise else 0.0),
-            )
-            for d in grid
-        ]
-    )
+    values = bubble_power_integral(dims, grid, q, outer=domain_radius, nu1=nu1,
+                                   nu2=nu2, lower=(grid * grid if excise else 0.0))
     return _scaling_fit(grid, values, predicted, has_log)
 
 
@@ -353,8 +373,8 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     there, the off-peak factor entering through a smooth polar integral)
     plus the remainder in cylinder coordinates with the two ball
     cross-sections excluded.  Only the peak-piece radial rules and the
-    profile powers depend on the scales; the cylinder nodes, distances and
-    weights are built once per call.
+    profile powers depend on the scales; the cylinder nodes, squared
+    distances and weights are built once per call.
     """
     N = dims.N
     check_separation(separation, domain_radius)
@@ -365,6 +385,7 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     z1, z2 = -separation / 2.0, separation / 2.0
     L = separation
     weighted = (nu1 != 0.0) or (nu2 != 0.0)
+    symmetric = q1 == q2 and not weighted   # then the mirror piece is the same sum
     theta, w_theta = _panel_rule([0.0, math.pi / 2, math.pi])
     w_theta = w_theta * np.sin(theta) ** (N - 2)
     cos_theta = np.cos(theta)
@@ -398,14 +419,15 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     u = u_lo[:, None] + width * frac
     z = z[:, None]
     s1, s2 = np.hypot(z - z1, u), np.hypot(z - z2, u)
+    sq1, sq2 = s1**2, s2**2
     u_power = u ** (N - 2)
     weight = s1 ** (nu1 - nu2) if weighted else None
 
     values = []
     for d1, d2 in zip(deltas1.ravel().tolist(), deltas2.ravel().tolist()):
         piece1 = peak_piece(d1, q1, d2, q2, near_is_pole=True)
-        piece2 = peak_piece(d2, q2, d1, q1, near_is_pole=False)
-        g = u_power * radial_profile(dims, d1, s1) ** q1 * radial_profile(dims, d2, s2) ** q2
+        piece2 = piece1 if d1 == d2 and symmetric else peak_piece(d2, q2, d1, q1, False)
+        g = u_power * _profile(dims, d1, sq1) ** q1 * _profile(dims, d2, sq2) ** q2
         if weighted:
             g *= weight
         rest = w_z @ ((g * width) @ w_frac)
@@ -416,7 +438,7 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
 def _pair_bound(dims, delta, q1, q2, domain_radius, nu1, nu2):
     """Three-term dominating bound: product of peak heights, plus each
     peak height times the other bubble's single integral (the weighted
-    one when a weight is present)."""
+    one when a weight is present), at every scale of the 1-D delta."""
     N = dims.N
     h1 = delta ** ((N - 2) * q1 / 2)
     h2 = delta ** ((N - 2) * q2 / 2)
@@ -440,7 +462,5 @@ def scaling_law_pair(q1, q2, dims, delta_grid=None, separation=0.5,
     values = pair_product_integral(
         dims, grid, grid, q1, q2, separation, domain_radius, nu1, nu2
     )
-    bounds = np.array(
-        [_pair_bound(dims, d, q1, q2, domain_radius, nu1, nu2) for d in grid]
-    )
+    bounds = _pair_bound(dims, grid, q1, q2, domain_radius, nu1, nu2)
     return _scaling_fit(grid, values, predicted, has_log, bounds)

@@ -116,6 +116,14 @@ def _check_pair(dims, radius, params):
         raise ValueError(f"n must be an integer in [{lo}, {hi}]")
 
 
+def _check_weighted(dims, radius, params):
+    """The library's checks, then that the default grid's largest hole fits."""
+    *_, excise = weighted_exponent(dims, **params)
+    hole = default_delta_grid()[0] ** 2
+    if excise and radius is not None and radius <= hole:
+        raise ValueError(f"the excised hole of radius {hole:.3g} must lie inside the domain")
+
+
 # scaling family kind -> its parameters and their defaults (None: required),
 # CSV name, slope tolerance, check(dims, R, params), which raises ValueError
 # and gets R = None if the domain radius failed, and fit(dims, R, params).
@@ -134,7 +142,7 @@ _FAMILIES = {
         params={"q": None, "nu1": 0.0, "nu2": 0.0},
         name="weighted_q{q:g}_nu{nu1:g}_{nu2:g}",
         slope_tol=0.05,
-        check=lambda dims, R, p: weighted_exponent(dims, **p),
+        check=_check_weighted,
         fit=lambda dims, R, p: scaling_law_weighted(dims=dims, domain_radius=R, **p),
     ),
     "pair": _Family(

@@ -188,6 +188,122 @@ def test_power_integral_against_unscaled_quadrature():
     )
 
 
+POWER_CASES = [
+    # (dims, q, nu1, nu2, excised)
+    (DIMS3, 1.0, 0.0, 0.0, False),
+    (DIMS4, 4.0, 0.0, 2.0, True),
+    (DIMS4, 2.0, 0.0, 4.0, True),
+    (DIMS3, 3.0, 0.5, 1.0, True),
+    (DIMS4, 2.5, 1.0, 0.0, False),
+]
+
+
+def _power_integral_by_scale(dims, delta, q, outer, nu1, nu2, lower):
+    """Reference: the same rule at one scale, as one chain of panels from
+    lower/delta over the decades to outer/delta, summed in one dot."""
+    N = dims.N
+    anchors = [10.0**k for k in range(-16, 17)]
+    t, w = asy._panel_rule(asy._segments(lower / delta, outer / delta, anchors))
+    val = w @ (t ** (N - 1 + nu1 - nu2) * (1.0 + t * t) ** (-(N - 2) * q / 2))
+    return (dims.omegaNm1 * asy.spherical_coordinate_moment(dims, nu1) * dims.alphaN**q
+            * delta ** (N + nu1 - nu2 - (N - 2) * q / 2) * val)
+
+
+@pytest.mark.parametrize("dims, q, nu1, nu2, excised", POWER_CASES)
+def test_power_integral_matches_the_rule_scale_by_scale(dims, q, nu1, nu2, excised):
+    # the same nodes and weights; only the order of the sum differs
+    grid = asy.default_delta_grid(n=27)
+    got = asy.bubble_power_integral(dims, grid, q, 1.0, nu1, nu2,
+                                    grid * grid if excised else 0.0)
+    want = [_power_integral_by_scale(dims, d, q, 1.0, nu1, nu2, d * d if excised else 0.0)
+            for d in grid]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 27])
+@pytest.mark.parametrize("dims, q, nu1, nu2, excised", POWER_CASES)
+def test_power_integral_array_call_equals_scalar_calls(dims, q, nu1, nu2, excised, n):
+    grid = asy.default_delta_grid(n=n)
+    lower = grid * grid if excised else 0.0
+    got = asy.bubble_power_integral(dims, grid, q, 1.0, nu1, nu2, lower)
+    assert got.shape == (n,)
+    scalars = [asy.bubble_power_integral(dims, d, q, 1.0, nu1, nu2, d * d if excised else 0.0)
+               for d in grid]
+    assert all(isinstance(v, float) and np.ndim(v) == 0 for v in scalars)
+    assert got.tolist() == [float(v) for v in scalars]
+
+
+def test_power_integral_array_call_shares_no_mutable_state():
+    # the decade panels integrated once per call serve every scale alike
+    grid = asy.default_delta_grid(n=9)
+    args = (DIMS4, grid, 4.0, 1.0, 0.5, 2.0, grid * grid)
+    first = asy.bubble_power_integral(*args)
+    again = asy.bubble_power_integral(*args)
+    reversed_ = asy.bubble_power_integral(DIMS4, grid[::-1], 4.0, 1.0, 0.5, 2.0,
+                                          (grid * grid)[::-1])
+    assert again.tolist() == first.tolist()
+    assert reversed_.tolist() == first[::-1].tolist()
+
+
+@pytest.mark.parametrize("delta, lower", [
+    ([[1e-2, 1e-3]], 0.0),
+    ([1e-2, 1e-3], [0.0, 1e-4, 1e-6]),
+    (1e-2, [0.0, 1e-4]),
+])
+def test_power_integral_rejects_shapes(delta, lower):
+    with pytest.raises(ValueError):
+        asy.bubble_power_integral(DIMS4, delta, 2.0, 1.0, lower=lower)
+
+
+@pytest.mark.parametrize("outer, lower", [(0.2, 1.0), (1.0, 1.0), (1.0, -1e-3)])
+def test_power_integral_rejects_limits_out_of_order(outer, lower):
+    # [outer, lower] reversed once integrated to the value of the swapped call
+    with pytest.raises(ValueError, match="lower < outer"):
+        asy.bubble_power_integral(DIMS4, 0.5, 2.0, outer=outer, lower=lower)
+    with pytest.raises(ValueError, match="lower < outer"):
+        asy.bubble_power_integral(DIMS4, [0.5, 0.25], 2.0, outer=outer, lower=lower)
+
+
+def test_weighted_law_rejects_holes_outside_the_domain():
+    # the hole of radius delta^2 = 16 lies outside the unit ball at delta = 4
+    with pytest.raises(ValueError, match="lower < outer"):
+        asy.scaling_law_weighted(2.0, 0.0, 4.0, DIMS4, delta_grid=[4.0, 2.0, 1.0, 0.5])
+
+
+def _count_power_integral_calls(monkeypatch):
+    calls = []
+    real = asy.bubble_power_integral
+
+    def counting(*args, **kwargs):
+        calls.append(np.array(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asy, "bubble_power_integral", counting)
+    return calls
+
+
+def test_single_and_weighted_laws_integrate_each_family_in_one_call(monkeypatch):
+    calls = _count_power_integral_calls(monkeypatch)
+    grid = asy.default_delta_grid(n=7)
+    single = asy.scaling_law_single(3.0, DIMS4, delta_grid=grid)
+    weighted = asy.scaling_law_weighted(4.0, 0.0, 2.0, DIMS4, delta_grid=grid)
+    assert len(calls) == 2
+    assert all(np.array_equal(deltas, grid) for deltas in calls)
+    monkeypatch.undo()
+    assert single.values.tolist() == [
+        float(asy.bubble_power_integral(DIMS4, d, 3.0, 1.0)) for d in grid]
+    assert weighted.values.tolist() == [
+        float(asy.bubble_power_integral(DIMS4, d, 4.0, 1.0, 0.0, 2.0, d * d)) for d in grid]
+
+
+def test_pair_law_integrates_its_bound_in_two_calls(monkeypatch):
+    calls = _count_power_integral_calls(monkeypatch)
+    grid = asy.default_delta_grid(n=7)
+    asy.scaling_law_pair(2.0, 2.0, DIMS4, delta_grid=grid, nu2=2.0)
+    assert len(calls) == 2
+    assert all(np.array_equal(deltas, grid) for deltas in calls)
+
+
 def test_single_exponent_cases():
     assert asy.single_exponent(DIMS4, 1.9) == (1.9, False)
     assert asy.single_exponent(DIMS4, 2.0) == (2.0, True)
@@ -480,6 +596,22 @@ def test_scaling_law_pair_integrates_each_family_in_one_call(monkeypatch):
     assert all(np.array_equal(deltas, grid) for deltas in calls)
     assert fits[0].values.tolist() == [
         float(real(DIMS4, d, d, 2.0, 2.0, 0.5)) for d in grid]
+
+
+def test_symmetric_pair_reuses_its_mirror_peak_piece(monkeypatch):
+    # a peak piece evaluates two radial profiles; the cylinder uses the
+    # squared distances it built once, so it evaluates none
+    calls = []
+    real = asy.radial_profile
+    monkeypatch.setattr(asy, "radial_profile", lambda *a: calls.append(1) or real(*a))
+    grid = asy.default_delta_grid(n=5)
+    for q2, nu2, per_scale in [(2.0, 0.0, 2), (1.0, 0.0, 4), (2.0, 2.0, 4)]:
+        calls.clear()
+        asy.pair_product_integral(DIMS4, grid, grid, 2.0, q2, 0.5, nu2=nu2)
+        assert len(calls) == per_scale * len(grid), (q2, nu2)
+        calls.clear()
+        asy.pair_product_integral(DIMS4, grid, 0.5 * grid, 2.0, q2, 0.5, nu2=nu2)
+        assert len(calls) == 4 * len(grid), (q2, nu2)
 
 
 def test_pair_validation():

@@ -416,6 +416,32 @@ def test_pair_separation_is_checked_against_the_domain_radius(
     assert entry["task"] == "scaling-checks" and entry["verdict"] != "error"
 
 
+@pytest.mark.parametrize("radius, errors", [
+    (0.005, ["error[scaling.weighted[0]]: the excised hole of radius 0.01 must lie inside "
+             "the domain", "error[scaling]: no valid scaling families given"]),
+    (0.01, ["error[scaling.weighted[0]]: the excised hole of radius 0.01 must lie inside "
+            "the domain", "error[scaling]: no valid scaling families given"]),
+    (0.02, []),
+])
+def test_weighted_hole_is_checked_against_the_domain_radius(tmp_path, capsys, radius, errors):
+    # at delta = 0.1 the family excises a hole of radius delta^2 = 0.01
+    cfg = _variant(
+        SWEEP, tasks=["scaling-checks"], reduction={"epsilon_grid": [1e-5, 1e-6]},
+        domain={"radius": radius, "holes": [{"center": [0.0] * 4, "radius_coeff": 1.0}]},
+        scaling={"weighted": [{"q": 4, "nu2": 2}]})
+    path = write_config(tmp_path, cfg)
+    code = cli.main(["validate", path])
+    assert capsys.readouterr().err.splitlines() == errors
+    assert code == (1 if errors else 0)
+    if not errors:
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) != cli.EXIT_ERROR
+        (entry,) = load_summary(tmp_path / "out")["tasks"]
+        assert entry["verdict"] != "error"
+    # a family that excises no hole is not checked against the radius
+    cfg["scaling"] = {"weighted": [{"q": 3, "nu1": 0, "nu2": 0}]}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
 @pytest.mark.parametrize("output, field_name", [
     (5, "output"), ({"dir": 5}, "output.dir"), ({"dir": ["out"]}, "output.dir"),
     ({"dir": None}, None)])
