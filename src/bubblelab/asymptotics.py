@@ -31,8 +31,9 @@ Against nested adaptive quadrature the rules agree to about 1e-12 relative
 (tests/test_asymptotics.py keeps that quadrature as an oracle).
 
 Each family is one call over its delta grid (a pair's bound two), which
-builds its decade panels or cylinder geometry once; a symmetric unweighted
-pair reuses its first peak piece as the mirror one.
+builds its decade panels or cylinder geometry once.  The axial rule is
+mirrored about z = 0, so a symmetric unweighted pair reuses its first peak
+piece and its first cylinder factor, reversed in z, as the mirror ones.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
     """omega_{N-1} E[|omega_h|^nu1] * int s^(N-1+nu1-nu2) U(s)^q ds over
     [lower, outer], computed in the peak variable t = s/delta.
 
-    delta is a scalar (a scalar is returned) or a 1-D array that lower
-    broadcasts to.  Each whole decade [10^k, 10^(k+1)] in t is integrated
+    delta is a positive scalar (a scalar is returned) or a 1-D array that
+    lower broadcasts to.  Each whole decade [10^k, 10^(k+1)] in t is integrated
     once per call; a scale adds, in order, [t_lo, first decade], its
     decades and [last decade, t_hi], whatever the other scales are.
     """
@@ -271,6 +272,8 @@ def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
     deltas = np.asarray(delta, float)
     if deltas.ndim > 1:
         raise ValueError("delta must be a scalar or a 1-D array")
+    if not np.all(deltas > 0):
+        raise ValueError("delta must be positive")
     lowers = np.broadcast_to(lower, deltas.shape)
     if not np.all((0.0 <= lowers) & (lowers < outer)):
         raise ValueError("requires 0 <= lower < outer at every scale")
@@ -361,31 +364,48 @@ def _slice_area(dims):
     return 2 * math.pi ** ((N - 1) / 2) / math.gamma((N - 1) / 2)
 
 
+def _axial_rule(separation, radius):
+    """The cylinder's smoothstep rule in z, panels ending at the ball edges
+    and centers.  It is mirror-symmetric by construction: the nodes on z > 0
+    are the negated, reversed nodes on z < 0, and the weights are reversed."""
+    h, q = separation / 2.0, separation / 4.0
+    z, w = _panel_rule([-radius, -h - q, -h, q - h, h - q, h, h + q, radius], smooth=True)
+    z, w = z[:z.size // 2], w[:w.size // 2]   # the middle panel straddles z = 0
+    return np.r_[z, -z[::-1]], np.r_[w, w[::-1]]
+
+
+def _cylinder_factor(delta, r2, power):
+    """(delta / (delta^2 + r2))^power: a bubble power without alpha_N^q."""
+    return (delta / (delta * delta + r2)) ** power
+
+
 def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
                           domain_radius=1.0, nu1=0.0, nu2=0.0):
     """Integral of U1^q1 U2^q2 (optionally weighted by
     |x - xi1|^(nu1 - nu2), weight pole at the first center) over the ball
     of radius domain_radius, centers at -/+ separation/2 on the first axis.
 
-    delta1 and delta2 are scalars (a scalar is returned) or equal-length
-    1-D arrays (one value per pair of scales).  The domain splits into a
-    ball of radius separation/4 around each center (spherical quadrature
-    there, the off-peak factor entering through a smooth polar integral)
-    plus the remainder in cylinder coordinates with the two ball
-    cross-sections excluded.  Only the peak-piece radial rules and the
-    profile powers depend on the scales; the cylinder nodes, squared
-    distances and weights are built once per call.
+    delta1 and delta2 are positive scalars (a scalar is returned) or
+    equal-length 1-D arrays (one value per pair of scales).  The domain
+    splits into a ball of radius separation/4 around each center (spherical
+    quadrature there, the off-peak factor entering through a smooth polar
+    integral) plus the remainder in cylinder coordinates on the mirrored
+    `_axial_rule`.  There each bubble is one power of delta/(delta^2 + s^2),
+    and the rest of the integrand and the weights are one array built once
+    per call.  An unweighted pair with q1 == q2 at equal scales reuses its
+    first peak piece and its first factor reversed in z (the same bits).
     """
     N = dims.N
     check_separation(separation, domain_radius)
     deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)
     if deltas1.ndim > 1 or deltas1.shape != deltas2.shape:
         raise ValueError("delta1 and delta2 must be scalars or 1-D arrays of equal length")
-    rho = separation / 4.0
-    z1, z2 = -separation / 2.0, separation / 2.0
+    if not (np.all(deltas1 > 0) and np.all(deltas2 > 0)):
+        raise ValueError("delta1 and delta2 must be positive")
+    rho, zc = separation / 4.0, separation / 2.0
     L = separation
     weighted = (nu1 != 0.0) or (nu2 != 0.0)
-    symmetric = q1 == q2 and not weighted   # then the mirror piece is the same sum
+    symmetric = q1 == q2 and not weighted   # then the mirror terms are the same sums
     theta, w_theta = _panel_rule([0.0, math.pi / 2, math.pi])
     w_theta = w_theta * np.sin(theta) ** (N - 2)
     cos_theta = np.cos(theta)
@@ -405,33 +425,28 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
             f *= r ** (nu1 - nu2)
         return w_r @ f
 
-    # cylinder remainder: axial coordinate z, distance u to the axis
-    z_breaks = _segments(
-        -domain_radius, domain_radius, [z1 - rho, z1, z1 + rho, z2 - rho, z2, z2 + rho]
-    )
-    z, w_z = _panel_rule(z_breaks, smooth=True)
+    # cylinder remainder: axial coordinate z, distance u to the axis; the
+    # nearer ball is the one on the side of z, at |z - zc| or |z + zc|
+    z, w_z = _axial_rule(separation, domain_radius)
     u_hi = np.sqrt(np.maximum(domain_radius**2 - z * z, 0.0))
-    u_lo = np.zeros_like(z)
-    for zc in (z1, z2):
-        u_lo = np.maximum(u_lo, np.sqrt(np.maximum(rho * rho - (z - zc) ** 2, 0.0)))
+    u_lo = np.sqrt(np.maximum(rho * rho - (np.abs(z) - zc) ** 2, 0.0))
     width = np.maximum(u_hi - u_lo, 0.0)[:, None]
     frac, w_frac = _panel_rule([0.0, 0.05, 0.2, 0.5, 1.0])
     u = u_lo[:, None] + width * frac
     z = z[:, None]
-    s1, s2 = np.hypot(z - z1, u), np.hypot(z - z2, u)
-    sq1, sq2 = s1**2, s2**2
-    u_power = u ** (N - 2)
-    weight = s1 ** (nu1 - nu2) if weighted else None
+    sq1, sq2 = (z + zc) ** 2 + u * u, (z - zc) ** 2 + u * u
+    base = dims.alphaN ** (q1 + q2) * u ** (N - 2) * width * w_z[:, None] * w_frac
+    if weighted:
+        base *= sq1 ** ((nu1 - nu2) / 2)
 
     values = []
     for d1, d2 in zip(deltas1.ravel().tolist(), deltas2.ravel().tolist()):
+        mirror = symmetric and d1 == d2
         piece1 = peak_piece(d1, q1, d2, q2, near_is_pole=True)
-        piece2 = piece1 if d1 == d2 and symmetric else peak_piece(d2, q2, d1, q1, False)
-        g = u_power * _profile(dims, d1, sq1) ** q1 * _profile(dims, d2, sq2) ** q2
-        if weighted:
-            g *= weight
-        rest = w_z @ ((g * width) @ w_frac)
-        values.append(piece1 + piece2 + rest)
+        piece2 = piece1 if mirror else peak_piece(d2, q2, d1, q1, False)
+        f1 = _cylinder_factor(d1, sq1, (N - 2) * q1 / 2)
+        f2 = f1[::-1] if mirror else _cylinder_factor(d2, sq2, (N - 2) * q2 / 2)
+        values.append(piece1 + piece2 + (base * f1 * f2).sum())
     return _slice_area(dims) * np.reshape(values, deltas1.shape)
 
 

@@ -8,6 +8,10 @@ runs, kept beside the tests that use them.
   Laplacian, and the residuals that certify alpha_N and the kernels.
 * `remainder_check`, `remainder_trend`: the projection defect of
   `asymptotics.project_bubble_radial` against its three-piece model bound.
+* `reference_pair_product_integral`: the pair integral with the cylinder
+  remainder it had before its axial rule was mirrored, two `_profile`
+  powers per node, which `asymptotics.pair_product_integral` matches to
+  rounding.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
   Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
@@ -24,8 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bubblelab.asymptotics import Annulus, project_bubble_radial
-from bubblelab.bubbles import BubbleParams, bubble_eval, dims_for
+from bubblelab.asymptotics import (
+    Annulus,
+    _panel_rule,
+    _segments,
+    _slice_area,
+    check_separation,
+    project_bubble_radial,
+    radial_profile,
+)
+from bubblelab.bubbles import BubbleParams, _profile, bubble_eval, dims_for
 from bubblelab.coupling import CouplingSpec
 from bubblelab.energy import _radial_moment
 from bubblelab.greens import Ball
@@ -239,6 +251,61 @@ def remainder_trend(dims, outer_radius, radius_coeff, d, eps_grid, eta=1e-3):
     y = np.log([r.sup_ratio for r in reports])
     slope = float(np.polyfit(x, y, 1)[0])
     return reports, slope
+
+
+def reference_pair_product_integral(dims, delta1, delta2, q1, q2, separation,
+                                    domain_radius=1.0, nu1=0.0, nu2=0.0):
+    """`asymptotics.pair_product_integral` with the cylinder it replaced: the
+    smoothstep axial rule as `_panel_rule` builds it (not mirrored), and
+    each bubble of the remainder as `_profile(delta, s^2) ** q` on hypot
+    distances.  The peak pieces are a copy of the library's.  Scalar or 1-D
+    scales, as there."""
+    N = dims.N
+    check_separation(separation, domain_radius)
+    deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)
+    rho = separation / 4.0
+    z1, z2 = -separation / 2.0, separation / 2.0
+    L = separation
+    weighted = (nu1 != 0.0) or (nu2 != 0.0)
+    theta, w_theta = _panel_rule([0.0, math.pi / 2, math.pi])
+    w_theta = w_theta * np.sin(theta) ** (N - 2)
+    cos_theta = np.cos(theta)
+
+    def peak_piece(delta_near, q_near, delta_far, q_far, near_is_pole):
+        anchors = [delta_near * 10.0**k for k in range(-2, 17)]
+        r, w_r = _panel_rule(_segments(0.0, rho, anchors))
+        dist2 = r[:, None] ** 2 + L * L - 2 * L * r[:, None] * cos_theta
+        far = radial_profile(dims, delta_far, np.sqrt(dist2)) ** q_far
+        if weighted and not near_is_pole:
+            far *= dist2 ** ((nu1 - nu2) / 2)
+        f = r ** (N - 1) * radial_profile(dims, delta_near, r) ** q_near
+        f *= far @ w_theta
+        if weighted and near_is_pole:
+            f *= r ** (nu1 - nu2)
+        return w_r @ f
+
+    z_breaks = _segments(
+        -domain_radius, domain_radius, [z1 - rho, z1, z1 + rho, z2 - rho, z2, z2 + rho]
+    )
+    z, w_z = _panel_rule(z_breaks, smooth=True)
+    u_hi = np.sqrt(np.maximum(domain_radius**2 - z * z, 0.0))
+    u_lo = np.zeros_like(z)
+    for zc in (z1, z2):
+        u_lo = np.maximum(u_lo, np.sqrt(np.maximum(rho * rho - (z - zc) ** 2, 0.0)))
+    width = np.maximum(u_hi - u_lo, 0.0)[:, None]
+    frac, w_frac = _panel_rule([0.0, 0.05, 0.2, 0.5, 1.0])
+    u = u_lo[:, None] + width * frac
+    z = z[:, None]
+    s1, s2 = np.hypot(z - z1, u), np.hypot(z - z2, u)
+    values = []
+    for d1, d2 in zip(deltas1.ravel().tolist(), deltas2.ravel().tolist()):
+        g = u ** (N - 2) * _profile(dims, d1, s1**2) ** q1 * _profile(dims, d2, s2**2) ** q2
+        if weighted:
+            g *= s1 ** (nu1 - nu2)
+        rest = w_z @ ((g * width) @ w_frac)
+        values.append(peak_piece(d1, q1, d2, q2, True) + peak_piece(d2, q2, d1, q1, False)
+                      + rest)
+    return _slice_area(dims) * np.reshape(values, deltas1.shape)
 
 
 # ---------------------------------------------------------------- energy

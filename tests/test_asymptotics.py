@@ -10,7 +10,12 @@ from scipy.integrate import quad
 from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, bubble_eval
 from bubblelab.energy import constant_b1
 from bubblelab import asymptotics as asy
-from oracles import bubble_residual, remainder_check, remainder_trend
+from oracles import (
+    bubble_residual,
+    reference_pair_product_integral,
+    remainder_check,
+    remainder_trend,
+)
 
 RNG = np.random.default_rng(20260815)
 
@@ -598,20 +603,101 @@ def test_scaling_law_pair_integrates_each_family_in_one_call(monkeypatch):
         float(real(DIMS4, d, d, 2.0, 2.0, 0.5)) for d in grid]
 
 
+SCALING_PAIR_CASES = [
+    # the pair families of the scaling benchmark configs
+    (DIMS3, 1.0, 1.0, 0.0, 0.0),
+    (DIMS3, 3.0, 3.0, 0.0, 0.0),
+    (DIMS4, 2.0, 2.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("separation, radius", [(0.5, 1.0), (0.9, 0.7)])
+@pytest.mark.parametrize("dims, q1, q2, nu1, nu2", BATCH_CASES + SCALING_PAIR_CASES)
+def test_pair_matches_the_unmirrored_reference(dims, q1, q2, nu1, nu2, separation, radius):
+    # the mirrored axial rule and the one-power factors move values by rounding only
+    d1 = asy.default_delta_grid(n=27)
+    args = (q1, q2, separation, radius, nu1, nu2)
+    for d2 in (d1, 0.7 * d1):
+        got = asy.pair_product_integral(dims, d1, d2, *args)
+        want = reference_pair_product_integral(dims, d1, d2, *args)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("separation, radius", [(0.5, 1.0), (0.9, 0.7), (0.1, 2.0), (1e-3, 1.0)])
+def test_axial_rule_is_mirror_symmetric(separation, radius):
+    z, w = asy._axial_rule(separation, radius)
+    assert z.shape == w.shape == (7 * asy.NODES_PER_PANEL,)
+    assert z[::-1].tobytes() == (-z).tobytes()
+    assert w[::-1].tobytes() == w.tobytes()
+    assert np.all(np.diff(z) > 0) and np.all(w > 0)
+    assert w.sum() == pytest.approx(2 * radius, rel=1e-14)
+
+
 def test_symmetric_pair_reuses_its_mirror_peak_piece(monkeypatch):
-    # a peak piece evaluates two radial profiles; the cylinder uses the
-    # squared distances it built once, so it evaluates none
-    calls = []
-    real = asy.radial_profile
+    # a peak piece evaluates two radial profiles, and the cylinder one factor
+    # per bubble on the squared distances it built once
+    calls, factors = [], []
+    real, real_factor = asy.radial_profile, asy._cylinder_factor
     monkeypatch.setattr(asy, "radial_profile", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(asy, "_cylinder_factor",
+                        lambda *a: factors.append(1) or real_factor(*a))
     grid = asy.default_delta_grid(n=5)
     for q2, nu2, per_scale in [(2.0, 0.0, 2), (1.0, 0.0, 4), (2.0, 2.0, 4)]:
         calls.clear()
+        factors.clear()
         asy.pair_product_integral(DIMS4, grid, grid, 2.0, q2, 0.5, nu2=nu2)
         assert len(calls) == per_scale * len(grid), (q2, nu2)
+        assert len(factors) == per_scale // 2 * len(grid), (q2, nu2)
         calls.clear()
+        factors.clear()
         asy.pair_product_integral(DIMS4, grid, 0.5 * grid, 2.0, q2, 0.5, nu2=nu2)
         assert len(calls) == 4 * len(grid), (q2, nu2)
+        assert len(factors) == 2 * len(grid), (q2, nu2)
+
+
+class _Unequal(float):
+    """A power that compares unequal to every number, so that a pair with it
+    evaluates both of its peak pieces and cylinder factors."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = float.__hash__
+
+
+@pytest.mark.parametrize("dims, q", [(DIMS3, 1.0), (DIMS3, 3.0), (DIMS4, 2.0), (DIMS4, 1.5)])
+def test_mirror_reuse_keeps_the_bits_of_a_direct_evaluation(dims, q, monkeypatch):
+    factors = []
+    real_factor = asy._cylinder_factor
+    monkeypatch.setattr(asy, "_cylinder_factor",
+                        lambda *a: factors.append(1) or real_factor(*a))
+    grid = asy.default_delta_grid(n=12)
+    reused = asy.pair_product_integral(dims, grid, grid, q, q, 0.5)
+    direct = asy.pair_product_integral(dims, grid, grid, q, _Unequal(q), 0.5)
+    assert len(factors) == 3 * len(grid)
+    assert reused.tolist() == direct.tolist()
+
+
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4])
+@pytest.mark.parametrize("grid", [[0.1, 0.05, 0.0], [0.1, -0.1, -0.3], [0.1, 0.05, math.nan]])
+def test_scales_that_are_not_positive_are_rejected_up_front(dims, grid, capfd):
+    # such grids once made the fits print LAPACK DLASCL lines and raise LinAlgError
+    g = np.array(grid)
+    top = 2.0 * dims.N / (dims.N - 2)
+    calls = [
+        lambda: asy.bubble_power_integral(dims, g, 2.0, 1.0),
+        lambda: asy.bubble_power_integral(dims, g[-1], 2.0, 1.0),
+        lambda: asy.pair_product_integral(dims, g, g, 2.0, 2.0, 0.5),
+        lambda: asy.pair_product_integral(dims, g[:1], g[-1:], 2.0, 2.0, 0.5),
+        lambda: asy.pair_product_integral(dims, g[-1], g[0], 2.0, 2.0, 0.5),
+        lambda: asy.scaling_law_single(1.0, dims, delta_grid=g),
+        lambda: asy.scaling_law_weighted(top, 0.0, 2.0, dims, delta_grid=g),
+        lambda: asy.scaling_law_pair(2.0, 2.0, dims, delta_grid=g),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="positive"):
+            call()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_pair_validation():
