@@ -48,7 +48,7 @@ from .energy import (
     psi_grad,
     psi_value,
 )
-from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
+from .greens import Ball, check_holes, kernel_robin
 from .solver import (
     ConcentrationMetrics,
     RadialGrid,
@@ -70,7 +70,6 @@ __all__ = [
     "DIMS3",
     "DIMS4",
     "DimensionConstants",
-    "PerforatedDomain",
     "RadialGrid",
     "RadialProjection",
     "ReducedEnergyModel",
@@ -79,12 +78,12 @@ __all__ = [
     "SpectrumReport",
     "bubble_eval",
     "build_spectrum",
+    "check_holes",
     "compose_group_solution",
     "critical_point",
     "dims_for",
     "energy_expansion",
     "energy_of_solution",
-    "HoleSpec",
     "kernel_robin",
     "project_bubble_radial",
     "psi_grad",

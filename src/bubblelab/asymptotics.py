@@ -19,7 +19,7 @@ All integrals are composite Gauss-Legendre rules with a fixed number of
 nodes per panel (`NODES_PER_PANEL`, 24), evaluated as numpy arrays.  The
 panels resolve the peaks of width delta:
 
-* radial panels run from one decade delta 10^k to the next;
+* radial panels run from one decade delta 10^k to the next (`_DECADES`);
 * a two-bubble integral splits into a ball of radius separation/4 around
   each peak (radial panels times a polar-angle rule split at pi/2) and the
   cylinder remainder.  Its axial panels end at the ball edges and centers
@@ -30,10 +30,12 @@ panels resolve the peaks of width delta:
 Against nested adaptive quadrature the rules agree to about 1e-12 relative
 (tests/test_asymptotics.py keeps that quadrature as an oracle).
 
-Each family is one call over its delta grid (a pair's bound two), which
-builds its decade panels or cylinder geometry once.  The axial rule is
-mirrored about z = 0, so a symmetric unweighted pair reuses its first peak
-piece and its first cylinder factor, reversed in z, as the mirror ones.
+Each bubble power is one `bubbles._bubble_power` on squared distances, with
+alpha_N^q taken out of the sum.  Each family is one call over its delta grid
+(a pair's bound two), which builds its decade panels or cylinder geometry
+once.  The axial rule is mirrored about z = 0, so a symmetric unweighted
+pair reuses its first peak piece and its first cylinder factor, reversed in
+z, as the mirror ones.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bubbles import BubbleParams, _profile
+from .bubbles import BubbleParams, _bubble_power, _profile
 
 NODES_PER_PANEL = 24
 _DECADES = np.array([10.0**k for k in range(-16, 17)])   # panel ends in t = s/delta
@@ -53,15 +55,6 @@ _DECADES = np.array([10.0**k for k in range(-16, 17)])   # panel ends in t = s/d
 def radial_profile(dims, delta, s):
     """Bubble profile as a function of the distance s to its center."""
     return _profile(dims, delta, np.asarray(s, float) ** 2)
-
-
-def _segments(lo, hi, anchors):
-    """Sorted breakpoints lo < ... < hi including any anchors inside."""
-    pts = [lo, hi]
-    for a in anchors:
-        if lo < a < hi:
-            pts.append(a)
-    return sorted(set(pts))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +276,8 @@ def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
 
     def panels(a, h):   # the rule on each panel [a, a + h]
         t = a[..., None] + h[..., None] * x
-        return (h[..., None] * w * (t**power * (1.0 + t * t) ** (-(N - 2) * q / 2))).sum(-1)
+        f = t**power * _bubble_power(1.0, t * t, (N - 2) * q / 2)
+        return (h[..., None] * w * f).sum(-1)
 
     t_lo, t_hi = np.atleast_1d(lowers / deltas, outer / deltas)
     first = np.searchsorted(_DECADES, t_lo, side="right")   # first decade > t_lo
@@ -374,11 +368,6 @@ def _axial_rule(separation, radius):
     return np.r_[z, -z[::-1]], np.r_[w, w[::-1]]
 
 
-def _cylinder_factor(delta, r2, power):
-    """(delta / (delta^2 + r2))^power: a bubble power without alpha_N^q."""
-    return (delta / (delta * delta + r2)) ** power
-
-
 def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
                           domain_radius=1.0, nu1=0.0, nu2=0.0):
     """Integral of U1^q1 U2^q2 (optionally weighted by
@@ -390,10 +379,11 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     splits into a ball of radius separation/4 around each center (spherical
     quadrature there, the off-peak factor entering through a smooth polar
     integral) plus the remainder in cylinder coordinates on the mirrored
-    `_axial_rule`.  There each bubble is one power of delta/(delta^2 + s^2),
-    and the rest of the integrand and the weights are one array built once
-    per call.  An unweighted pair with q1 == q2 at equal scales reuses its
-    first peak piece and its first factor reversed in z (the same bits).
+    `_axial_rule`.  Each bubble is one `_bubble_power` on squared distances,
+    alpha_N^(q1+q2) multiplies the sum once, and the rest of the cylinder
+    integrand and its weights are one array built once per call.  An
+    unweighted pair with q1 == q2 at equal scales reuses its first peak
+    piece and its first factor reversed in z (the same bits).
     """
     N = dims.N
     check_separation(separation, domain_radius)
@@ -411,15 +401,15 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     cos_theta = np.cos(theta)
 
     def peak_piece(delta_near, q_near, delta_far, q_far, near_is_pole):
-        anchors = [delta_near * 10.0**k for k in range(-2, 17)]   # up to rho
-        r, w_r = _panel_rule(_segments(0.0, rho, anchors))
+        anchors = delta_near * _DECADES[14:]   # delta 10^k for k >= -2
+        r, w_r = _panel_rule(np.r_[0.0, anchors[anchors < rho], rho])
         # far factor (and the weight when the far center is the pole) over
         # the directions around the near center
         dist2 = r[:, None] ** 2 + L * L - 2 * L * r[:, None] * cos_theta
-        far = radial_profile(dims, delta_far, np.sqrt(dist2)) ** q_far
+        far = _bubble_power(delta_far, dist2, (N - 2) * q_far / 2)
         if weighted and not near_is_pole:
             far *= dist2 ** ((nu1 - nu2) / 2)
-        f = r ** (N - 1) * radial_profile(dims, delta_near, r) ** q_near
+        f = r ** (N - 1) * _bubble_power(delta_near, r * r, (N - 2) * q_near / 2)
         f *= far @ w_theta
         if weighted and near_is_pole:
             f *= r ** (nu1 - nu2)
@@ -435,7 +425,7 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     u = u_lo[:, None] + width * frac
     z = z[:, None]
     sq1, sq2 = (z + zc) ** 2 + u * u, (z - zc) ** 2 + u * u
-    base = dims.alphaN ** (q1 + q2) * u ** (N - 2) * width * w_z[:, None] * w_frac
+    base = u ** (N - 2) * width * w_z[:, None] * w_frac
     if weighted:
         base *= sq1 ** ((nu1 - nu2) / 2)
 
@@ -444,10 +434,10 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         mirror = symmetric and d1 == d2
         piece1 = peak_piece(d1, q1, d2, q2, near_is_pole=True)
         piece2 = piece1 if mirror else peak_piece(d2, q2, d1, q1, False)
-        f1 = _cylinder_factor(d1, sq1, (N - 2) * q1 / 2)
-        f2 = f1[::-1] if mirror else _cylinder_factor(d2, sq2, (N - 2) * q2 / 2)
+        f1 = _bubble_power(d1, sq1, (N - 2) * q1 / 2)
+        f2 = f1[::-1] if mirror else _bubble_power(d2, sq2, (N - 2) * q2 / 2)
         values.append(piece1 + piece2 + (base * f1 * f2).sum())
-    return _slice_area(dims) * np.reshape(values, deltas1.shape)
+    return _slice_area(dims) * dims.alphaN ** (q1 + q2) * np.reshape(values, deltas1.shape)
 
 
 def _pair_bound(dims, delta, q1, q2, domain_radius, nu1, nu2):

@@ -7,7 +7,8 @@ normalization from the analytic Laplacian of the profile, and the
 derivative kernels of the linearized equation, in `tests/oracles.py`.
 
 `bubble_eval` is a pure function of its inputs and vectorized over the
-trailing point axis.
+trailing point axis.  Every bubble power of the package, this profile and
+the integrands in `asymptotics`, is one call of the kernel `_bubble_power`.
 """
 
 from __future__ import annotations
@@ -77,10 +78,15 @@ class BubbleParams:
         object.__setattr__(self, "xi", xi)
 
 
+def _bubble_power(delta, r2, power):
+    """(delta / (delta^2 + r2))^power, which is U^q / alpha_N^q at power (N-2)q/2."""
+    return (delta / (delta**2 + r2)) ** power
+
+
 def _profile(dims, delta, r2):
     """alpha_N (delta / (delta^2 + r2))^((N-2)/2), the bubble at squared
     distance r2 from its center."""
-    return dims.alphaN * (delta / (delta**2 + r2)) ** ((dims.N - 2) / 2)
+    return dims.alphaN * _bubble_power(delta, r2, (dims.N - 2) / 2)
 
 
 def bubble_eval(b, x):

@@ -48,7 +48,7 @@ from .energy import (
     gradient_check,
     psi_value,
 )
-from .greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
+from .greens import Ball, check_holes, kernel_robin
 from .solver import DEFAULT_NODES, rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
@@ -347,7 +347,7 @@ def parse_config(data):
     # ---- domain block
     domain = data.get("domain")
     ball = None
-    holes = centers = coeffs = None
+    centers = coeffs = None
     if not isinstance(domain, dict):
         _err(diags, "domain", "missing domain object (radius, holes)")
     else:
@@ -378,12 +378,14 @@ def parse_config(data):
                 try:
                     if not _is_number(coeff):
                         raise ValueError("radius_coeff must be a number")
-                    holes.append(HoleSpec(c, float(coeff)))
+                    coeff = float(coeff)
+                    if not coeff > 0:
+                        raise ValueError("hole radius coefficient must be positive")
+                    holes.append((c, coeff))
                 except (ValueError, OverflowError) as exc:
                     _err(diags, where, f"malformed hole: {exc}")
             if len(holes) == len(raw_holes):
-                centers = np.array([h.center for h in holes])
-                coeffs = np.array([h.radius_coeff for h in holes])
+                centers, coeffs = map(np.array, zip(*holes))
 
     # ---- reduction block
     reduction = data.get("reduction")
@@ -407,7 +409,7 @@ def parse_config(data):
         try:
             # far-off holes overflow to infinite distances, which fail the checks
             with np.errstate(over="ignore"):
-                PerforatedDomain(ball, holes, float(np.max(grid)))
+                check_holes(ball, centers, coeffs, float(np.max(grid)))
         except ValueError as exc:
             _err(diags, "domain.holes", str(exc))
 

@@ -259,11 +259,8 @@ def build_spectrum(spec, cvec):
             f"amplitude vector does not solve its system (|Cc - c| = {gap:.2e})"
         )
 
-    thetas = np.linalg.eigvals(matC)
-    if np.max(np.abs(thetas.imag)) > 1e-12:
-        raise ValueError("coupling matrix has non-real spectrum (should not happen: "
-                         "C is a symmetric congruence of the symmetric block)")
-    thetas = np.sort(thetas.real)[::-1]
+    # C is symmetric bit for bit (CouplingSpec requires beta == beta^T)
+    thetas = np.linalg.eigvalsh(matC)[::-1]
     lambdas = 1.0 + 2.0 * thetas
 
     det_gap = abs(np.linalg.det(matC) - np.prod(c**2) * np.linalg.det(block))

@@ -6,7 +6,8 @@ the H in which the projected bubble expands as
     PU = U - alpha_N delta^((N-2)/2) H(x, xi) + ...,
 because on the boundary U ~ alpha_N delta^((N-2)/2) |x-xi|^(2-N).  Its
 diagonal, the Robin function `kernel_robin`, enters the reduced-energy
-coefficients.
+coefficients.  `check_holes` validates the holes B(a_k, r_k eps) that
+the perforated domain removes from the ball.
 """
 
 from __future__ import annotations
@@ -38,50 +39,29 @@ class Ball:
         return np.linalg.norm(np.asarray(x, float) - self.center, axis=-1) < self.radius
 
 
-@dataclass(frozen=True)
-class HoleSpec:
-    """Hole at center a with radius r*eps (r is the radius coefficient)."""
-
-    center: np.ndarray
-    radius_coeff: float
-
-    def __post_init__(self):
-        if not self.radius_coeff > 0:
-            raise ValueError("hole radius coefficient must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-
-@dataclass(frozen=True)
-class PerforatedDomain:
-    """Ambient ball minus the union of the eps-scaled holes."""
-
-    ambient: Ball
-    holes: tuple
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "holes", tuple(self.holes))
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        R, z = self.ambient.radius, self.ambient.center
-        for k, h in enumerate(self.holes):
-            d_bdry = R - np.linalg.norm(h.center - z)
-            if not d_bdry > 0:
-                raise ValueError(f"hole {k} touches or leaves the ambient boundary")
-            if not h.radius_coeff * self.epsilon < d_bdry / 2:
+def check_holes(ball, centers, coeffs, epsilon):
+    """Raise ValueError unless the holes B(a_k, r_k epsilon), a_k = centers[k]
+    and r_k = coeffs[k] > 0, are disjoint and each lies in the ball with its
+    radius below half the distance from a_k to the boundary."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    for k, (a, r) in enumerate(zip(centers, coeffs)):
+        d_bdry = ball.radius - np.linalg.norm(a - ball.center)
+        if not d_bdry > 0:
+            raise ValueError(f"hole {k} touches or leaves the ambient boundary")
+        if not r * epsilon < d_bdry / 2:
+            raise ValueError(
+                f"epsilon {epsilon:g} too large: the radius of hole {k} "
+                "exceeds half its distance to the ambient boundary"
+            )
+    for i in range(len(coeffs)):
+        for j in range(i + 1, len(coeffs)):
+            gap = np.linalg.norm(centers[i] - centers[j])
+            if not gap > (coeffs[i] + coeffs[j]) * epsilon:
                 raise ValueError(
-                    f"epsilon {self.epsilon:g} too large: the radius of hole {k} "
-                    "exceeds half its distance to the ambient boundary"
+                    f"holes {i} and {j} overlap at eps={epsilon:g}; "
+                    "holes must be disjoint"
                 )
-        for i in range(len(self.holes)):
-            for j in range(i + 1, len(self.holes)):
-                gap = np.linalg.norm(self.holes[i].center - self.holes[j].center)
-                rsum = (self.holes[i].radius_coeff + self.holes[j].radius_coeff) * self.epsilon
-                if not gap > rsum:
-                    raise ValueError(
-                        f"holes {i} and {j} overlap at eps={self.epsilon:g}; "
-                        "holes must be disjoint"
-                    )
 
 
 def kernel_robin(ball, a):

@@ -11,7 +11,8 @@ runs, kept beside the tests that use them.
 * `reference_pair_product_integral`: the pair integral with the cylinder
   remainder it had before its axial rule was mirrored, two `_profile`
   powers per node, which `asymptotics.pair_product_integral` matches to
-  rounding.
+  rounding; `_segments`, the sorted panel breaks it and the single-bubble
+  reference rule take.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
   Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
@@ -31,7 +32,6 @@ import numpy as np
 from bubblelab.asymptotics import (
     Annulus,
     _panel_rule,
-    _segments,
     _slice_area,
     check_separation,
     project_bubble_radial,
@@ -169,6 +169,15 @@ def linearized_residual(b, h, sample_grid=None, step_rel=1e-4):
 # ----------------------------------------------------------- asymptotics
 
 
+def _segments(lo, hi, anchors):
+    """Sorted breakpoints lo < ... < hi including any anchors inside."""
+    pts = [lo, hi]
+    for a in anchors:
+        if lo < a < hi:
+            pts.append(a)
+    return sorted(set(pts))
+
+
 @dataclass(frozen=True)
 class RemainderReport:
     """Pointwise comparison of the projection defect with its model.
@@ -258,8 +267,9 @@ def reference_pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     """`asymptotics.pair_product_integral` with the cylinder it replaced: the
     smoothstep axial rule as `_panel_rule` builds it (not mirrored), and
     each bubble of the remainder as `_profile(delta, s^2) ** q` on hypot
-    distances.  The peak pieces are a copy of the library's.  Scalar or 1-D
-    scales, as there."""
+    distances.  The peak pieces are the library's before it shared the
+    bubble kernel: `radial_profile(...) ** q` on unsquared distances, with
+    panel breaks from `_segments`.  Scalar or 1-D scales, as there."""
     N = dims.N
     check_separation(separation, domain_radius)
     deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)

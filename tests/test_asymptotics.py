@@ -11,6 +11,7 @@ from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, bubble_eval
 from bubblelab.energy import constant_b1
 from bubblelab import asymptotics as asy
 from oracles import (
+    _segments,
     bubble_residual,
     reference_pair_product_integral,
     remainder_check,
@@ -208,7 +209,7 @@ def _power_integral_by_scale(dims, delta, q, outer, nu1, nu2, lower):
     lower/delta over the decades to outer/delta, summed in one dot."""
     N = dims.N
     anchors = [10.0**k for k in range(-16, 17)]
-    t, w = asy._panel_rule(asy._segments(lower / delta, outer / delta, anchors))
+    t, w = asy._panel_rule(_segments(lower / delta, outer / delta, anchors))
     val = w @ (t ** (N - 1 + nu1 - nu2) * (1.0 + t * t) ** (-(N - 2) * q / 2))
     return (dims.omegaNm1 * asy.spherical_coordinate_moment(dims, nu1) * dims.alphaN**q
             * delta ** (N + nu1 - nu2 - (N - 2) * q / 2) * val)
@@ -633,26 +634,29 @@ def test_axial_rule_is_mirror_symmetric(separation, radius):
     assert w.sum() == pytest.approx(2 * radius, rel=1e-14)
 
 
+def _count_kernel_calls(monkeypatch):
+    """A list that gains an entry at each `_bubble_power` call of the pair."""
+    calls, real = [], asy._bubble_power
+    monkeypatch.setattr(asy, "_bubble_power", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def test_symmetric_pair_reuses_its_mirror_peak_piece(monkeypatch):
-    # a peak piece evaluates two radial profiles, and the cylinder one factor
-    # per bubble on the squared distances it built once
-    calls, factors = [], []
-    real, real_factor = asy.radial_profile, asy._cylinder_factor
-    monkeypatch.setattr(asy, "radial_profile", lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(asy, "_cylinder_factor",
-                        lambda *a: factors.append(1) or real_factor(*a))
+    # a peak piece takes two bubble powers, the near and the far one, and the
+    # cylinder one per bubble on the squared distances it built once; no
+    # radial profile is evaluated
+    profiles, real = [], asy.radial_profile
+    monkeypatch.setattr(asy, "radial_profile", lambda *a: profiles.append(1) or real(*a))
+    kernels = _count_kernel_calls(monkeypatch)
     grid = asy.default_delta_grid(n=5)
-    for q2, nu2, per_scale in [(2.0, 0.0, 2), (1.0, 0.0, 4), (2.0, 2.0, 4)]:
-        calls.clear()
-        factors.clear()
+    for q2, nu2, per_scale in [(2.0, 0.0, 3), (1.0, 0.0, 6), (2.0, 2.0, 6)]:
+        kernels.clear()
         asy.pair_product_integral(DIMS4, grid, grid, 2.0, q2, 0.5, nu2=nu2)
-        assert len(calls) == per_scale * len(grid), (q2, nu2)
-        assert len(factors) == per_scale // 2 * len(grid), (q2, nu2)
-        calls.clear()
-        factors.clear()
+        assert len(kernels) == per_scale * len(grid), (q2, nu2)
+        kernels.clear()
         asy.pair_product_integral(DIMS4, grid, 0.5 * grid, 2.0, q2, 0.5, nu2=nu2)
-        assert len(calls) == 4 * len(grid), (q2, nu2)
-        assert len(factors) == 2 * len(grid), (q2, nu2)
+        assert len(kernels) == 6 * len(grid), (q2, nu2)
+    assert profiles == []
 
 
 class _Unequal(float):
@@ -667,14 +671,13 @@ class _Unequal(float):
 
 @pytest.mark.parametrize("dims, q", [(DIMS3, 1.0), (DIMS3, 3.0), (DIMS4, 2.0), (DIMS4, 1.5)])
 def test_mirror_reuse_keeps_the_bits_of_a_direct_evaluation(dims, q, monkeypatch):
-    factors = []
-    real_factor = asy._cylinder_factor
-    monkeypatch.setattr(asy, "_cylinder_factor",
-                        lambda *a: factors.append(1) or real_factor(*a))
+    kernels = _count_kernel_calls(monkeypatch)
     grid = asy.default_delta_grid(n=12)
     reused = asy.pair_product_integral(dims, grid, grid, q, q, 0.5)
+    assert len(kernels) == 3 * len(grid)   # one peak piece and one factor
+    kernels.clear()
     direct = asy.pair_product_integral(dims, grid, grid, q, _Unequal(q), 0.5)
-    assert len(factors) == 3 * len(grid)
+    assert len(kernels) == 6 * len(grid)
     assert reused.tolist() == direct.tolist()
 
 

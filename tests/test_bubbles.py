@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, bubble_eval, dims_for
+from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, _profile, bubble_eval, dims_for
 from oracles import bubble_deriv, bubble_residual, linearized_residual
 
 RNG = np.random.default_rng(20260815)
@@ -38,6 +38,17 @@ def test_bubble_value_at_center():
     assert bubble_eval(b, np.zeros(4)) == pytest.approx(8 ** 0.5, rel=1e-14)
     b3 = bubble(N=3, delta=2.0)
     assert bubble_eval(b3, np.zeros(3)) == pytest.approx(3 ** 0.25 / 2 ** 0.5, rel=1e-14)
+
+
+# 6e-5 ** 2 rounds differently from 6e-5 * 6e-5 under glibc's pow
+@pytest.mark.parametrize("delta", [0.03, 6e-5, np.float64(0.03), np.float64(6e-5)])
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4])
+def test_profile_keeps_the_bits_of_its_closed_form(dims, delta):
+    # the radial sweep's starting profiles, and so its seeds, hang on these bits
+    N, alphaN = dims.N, dims.alphaN
+    for r2 in (0.0, 0.37, 2.5e-9, np.geomspace(1e-12, 4.0, 301)):
+        want = alphaN * (delta / (delta**2 + r2)) ** ((N - 2) / 2)
+        assert np.asarray(_profile(dims, delta, r2)).tobytes() == np.asarray(want).tobytes()
 
 
 def test_bubble_decays_monotonically():

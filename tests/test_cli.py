@@ -169,6 +169,33 @@ def test_validate_rejects_duplicate_holes(tmp_path, capsys):
     assert "disjoint" in capsys.readouterr().err
 
 
+_MALFORMED = "error[domain.holes[0]]: malformed hole: "
+_HOLES = "error[domain.holes]: "
+
+
+@pytest.mark.parametrize("hole0, hole1, line", [
+    ({"radius_coeff": 0}, {}, _MALFORMED + "hole radius coefficient must be positive"),
+    ({"radius_coeff": -1}, {}, _MALFORMED + "hole radius coefficient must be positive"),
+    ({"radius_coeff": "2"}, {}, _MALFORMED + "radius_coeff must be a number"),
+    ({"radius_coeff": 10**400}, {}, _MALFORMED + "int too large to convert to float"),
+    ({"center": [2.0, 0.0, 0.0, 0.0]}, {},
+     _HOLES + "hole 0 touches or leaves the ambient boundary"),
+    ({"radius_coeff": 40}, {}, _HOLES + "epsilon 0.01 too large: the radius of hole 0 "
+     "exceeds half its distance to the ambient boundary"),
+    ({}, {"center": [0.31, 0.0, 0.0, 0.0], "radius_coeff": 0.5},
+     _HOLES + "holes 0 and 1 overlap at eps=0.01; holes must be disjoint"),
+])
+def test_validate_pins_each_hole_diagnostic(tmp_path, capsys, hole0, hole1, line):
+    # at the largest eps of the default grid, 1e-2; hole 1 of DEMO sits at -0.3
+    cfg = copy.deepcopy(DEMO)
+    cfg["domain"]["holes"][0].update(hole0)
+    cfg["domain"]["holes"][1].update(hole1)
+    path = write_config(tmp_path, cfg)
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_validate_rejects_schema_mismatch_and_malformed_file(tmp_path, capsys):
     cfg = copy.deepcopy(PAIR)
     cfg["schema"] = "bubblelab-config/999"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bubblelab.bubbles import DIMS3, DIMS4
-from bubblelab.greens import Ball, HoleSpec, PerforatedDomain, kernel_robin
+from bubblelab.greens import Ball, check_holes, kernel_robin
 from oracles import fd_laplacian, kernel_regular_part
 
 RNG = np.random.default_rng(99)
@@ -109,24 +109,17 @@ def test_perforated_domain_validation():
     ball = unit_ball(4)
     a1 = np.array([0.5, 0, 0, 0])
     a2 = np.array([-0.5, 0, 0, 0])
-    dom = PerforatedDomain(
-        ambient=ball,
-        holes=(HoleSpec(a1, 1.0), HoleSpec(a2, 1.0)),
-        epsilon=1e-2,
-    )
-    assert len(dom.holes) == 2
+    ones = np.ones(2)
+    assert check_holes(ball, np.array([a1, a2]), ones, 1e-2) is None
     # eps too large: hole radius must stay below half the boundary distance
-    with pytest.raises(ValueError):
-        PerforatedDomain(ambient=ball, holes=(HoleSpec(a1, 1.0),), epsilon=0.3)
-    # overlapping holes
-    with pytest.raises(ValueError):
-        PerforatedDomain(
-            ambient=ball,
-            holes=(HoleSpec(a1, 1.0), HoleSpec(a1 + 1e-3, 1.0)),
-            epsilon=1e-2,
-        )
+    with pytest.raises(ValueError, match="epsilon 0.3 too large: the radius of hole 0"):
+        check_holes(ball, np.array([a1]), ones[:1], 0.3)
+    # overlapping holes: the gap 1e-3 is below (r_0 + r_1) eps = 2e-3
+    with pytest.raises(ValueError, match="holes 0 and 1 overlap at eps=0.01"):
+        check_holes(ball, np.array([a1, a1 + 1e-3]), ones, 1e-2)
     # hole center outside
-    with pytest.raises(ValueError):
-        PerforatedDomain(
-            ambient=ball, holes=(HoleSpec(np.array([2.0, 0, 0, 0]), 1.0),), epsilon=1e-3
-        )
+    with pytest.raises(ValueError, match="hole 0 touches or leaves the ambient boundary"):
+        check_holes(ball, np.array([[2.0, 0, 0, 0]]), ones[:1], 1e-3)
+    for eps in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            check_holes(ball, np.array([a1, a2]), ones, eps)
