@@ -57,6 +57,8 @@ SUMMARY_SCHEMA = "bubblelab-summary/2"
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
 MAX_NODES = 10**6     # mesh nodes of one radial solve
+_DEFAULT_EPSILON_GRID = np.geomspace(1e-2, 1e-4, 8)   # shared by every config, so read-only
+_DEFAULT_EPSILON_GRID.flags.writeable = False
 PAIR_DELTAS = (4, 27)  # pair grid sizes n: > 3 fit parameters, delta >= 1.5e-9
 # rows formatted at a time by _write_csv; bounds its buffers (a tracemalloc
 # peak of 3.6 MB on a two-column table of any length).  Large, since a sweep
@@ -206,7 +208,7 @@ def _parse_scaling(raw, dims, radius, diags):
 
 def _parse_epsilon_grid(raw, diags):
     if raw is None:
-        return np.geomspace(1e-2, 1e-4, 8)
+        return _DEFAULT_EPSILON_GRID
     where = "reduction.epsilon_grid"
     if isinstance(raw, dict):
         start, stop, num = (raw.get(key) for key in ("start", "stop", "num"))

@@ -9,7 +9,8 @@ with beta_ii := mu_i.  For N=4 (p=3) this is linear in c_j^2.  For N=3
 (p=5) it reads sum_j beta_ij c_i c_j^3 = 1, which is genuinely nonlinear
 for k >= 2; we solve it by damped Newton seeded with the linear solve of
 sum_j beta_ij s_j = 1 (exact in the symmetric case).  k = 1 always has the
-closed form c = mu^(-1/(p-1)).
+closed form c = mu^(-1/(p-1)).  Groups are contiguous, so a group's block
+of beta is a slice copy.
 
 The linearization data lives in the k x k matrices
 
@@ -64,9 +65,9 @@ class CouplingSpec:
             raise ValueError("beta must be m x m")
         if not np.all(mu > 0):
             raise ValueError("all mu_i must be positive")
-        if not np.allclose(beta, beta.T, rtol=0, atol=0):
+        if not np.array_equal(beta, beta.T):
             raise ValueError("beta must be symmetric")
-        if not np.allclose(np.diag(beta), mu, rtol=0, atol=0):
+        if not np.array_equal(np.diag(beta), mu):
             raise ValueError("beta_ii must equal mu_i")
         dec = tuple(int(v) for v in self.decomposition)
         if (len(dec) < 2 or dec[0] != 0 or dec[-1] != self.m
@@ -91,8 +92,8 @@ class CouplingSpec:
         return range(lo, hi)
 
     def group_block(self, h):
-        idx = list(self.group_indices(h))
-        return self.beta[np.ix_(idx, idx)]
+        idx = self.group_indices(h)
+        return self.beta[idx.start:idx.stop, idx.start:idx.stop].copy()
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def solve_c_vector(spec, group):
 
     ones = np.ones(k)
     try:
-        s = np.linalg.solve(block, ones)  # s_j = c_j^((p+1)/2 - ... ) power vector
+        s = np.linalg.solve(block, ones)  # block @ s = 1: c^2 for N=4; c = s^(1/3) seeds N=3
     except np.linalg.LinAlgError as exc:
         raise NoPositiveSolution(f"group {group}: singular coupling block") from exc
 
@@ -173,10 +174,11 @@ def solve_c_vector(spec, group):
         raise NoPositiveSolution(f"group {group}: boundary case not supported for N=3")
     c = s ** (1.0 / 3.0)
     for _ in range(100):
-        F = block @ c**3 * c - 1.0
+        bc3 = block @ c**3
+        F = bc3 * c - 1.0
         if np.max(np.abs(F)) < 1e-14:
             break
-        J = np.diag(block @ c**3) + 3.0 * (c[:, None] * block * (c**2)[None, :])
+        J = np.diag(bc3) + 3.0 * (c[:, None] * block * (c**2)[None, :])
         step = np.linalg.solve(J, -F)
         lam = 1.0
         norm0 = np.max(np.abs(F))
@@ -263,8 +265,8 @@ def build_spectrum(spec, cvec):
     thetas = np.linalg.eigvalsh(matC)[::-1]
     lambdas = 1.0 + 2.0 * thetas
 
-    det_gap = abs(np.linalg.det(matC) - np.prod(c**2) * np.linalg.det(block))
-    scale = max(abs(np.linalg.det(matC)), 1e-300)
+    det_c = np.linalg.det(matC)
+    det_gap = abs(det_c - np.prod(c**2) * np.linalg.det(block)) / max(abs(det_c), 1e-300)
 
     verdict, reason = _verdict_from_lambdas(lambdas)
     return SpectrumReport(
@@ -273,5 +275,5 @@ def build_spectrum(spec, cvec):
         lambdas=lambdas,
         verdict=verdict,
         reason=reason,
-        det_identity_gap=det_gap / scale,
+        det_identity_gap=det_gap,
     )

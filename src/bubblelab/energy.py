@@ -33,6 +33,9 @@ which sums to Gamma(tau) = (omega_{N-1}/N) (1+s^2)^(-(N-2)/2).  The hole
 term w_i (alpha^(p+1) r_i^(N-2)/2) Gamma(tau_i) / (d_i^(N-2)
 (1+|tau_i|^2)^((N-2)/2)) is therefore the B_i term above, and Psi, its
 gradient and its Hessian at tau = 0 are elementary.
+
+Psi lives on the box X_eta = {eta < d_i < 1/eta, |tau_i| < 1/eta}.  A
+ReducedPoint checks eta in (0, 1) and decides its membership once, when built.
 """
 
 from __future__ import annotations
@@ -124,16 +127,20 @@ class ReducedPoint:
         tau = np.asarray(self.tau, float)
         if tau.ndim < 2 or tau.shape[0] != len(d):
             raise ValueError("tau must provide one offset vector per peak")
+        if not 0 < self.eta < 1:
+            raise ValueError("eta must lie in (0, 1)")
+        ub = 1.0 / self.eta
+        inside = bool(
+            np.all(d > self.eta)
+            and np.all(d < ub)
+            and np.all(np.linalg.norm(tau, axis=-1) < ub)
+        )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "_in_box", inside)
 
     def in_box(self):
-        ub = 1.0 / self.eta
-        return bool(
-            np.all(self.d > self.eta)
-            and np.all(self.d < ub)
-            and np.all(np.linalg.norm(self.tau, axis=-1) < ub)
-        )
+        return self._in_box
 
 
 def _check_box(pt):

@@ -37,6 +37,9 @@ from .greens import Ball, kernel_robin
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
 DEFAULT_NODES = 2000
+# the single-component system mu = beta = 1 of every radial solve, per N
+_SINGLE_SPEC = {N: CouplingSpec(N=N, m=1, mu=np.ones(1), beta=np.ones((1, 1)),
+                                decomposition=(0, 1)) for N in (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -301,15 +304,12 @@ def _metrics(grid, epsilon, ws):
     k = int(np.argmax(grid.values))
     umax = float(grid.values[k])
     delta_est = (dims.alphaN / umax) ** (2.0 / (dims.N - 2))
-    spec1 = CouplingSpec(
-        N=dims.N, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]), decomposition=(0, 1)
-    )
     return ConcentrationMetrics(
         umax=umax,
         rpeak=float(grid.nodes[k]),
         delta_est=delta_est,
         d_est=delta_est / math.sqrt(epsilon),
-        energy=energy_of_solution([grid], spec1, _workspace=ws),
+        energy=energy_of_solution([grid], _SINGLE_SPEC[dims.N], _workspace=ws),
     )
 
 

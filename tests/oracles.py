@@ -13,6 +13,8 @@ runs, kept beside the tests that use them.
   powers per node, which `asymptotics.pair_product_integral` matches to
   rounding; `_segments`, the sorted panel breaks it and the single-bubble
   reference rule take.
+* `reference_solve_c_vector`: the N=3 amplitude Newton of
+  `coupling.solve_c_vector` as first written, whose bits it keeps.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
   Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
@@ -316,6 +318,36 @@ def reference_pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         values.append(peak_piece(d1, q1, d2, q2, True) + peak_piece(d2, q2, d1, q1, False)
                       + rest)
     return _slice_area(dims) * np.reshape(values, deltas1.shape)
+
+
+# -------------------------------------------------------------- coupling
+
+
+def reference_solve_c_vector(block):
+    """The N=3 amplitude Newton on a multi-component block as
+    `coupling.solve_c_vector` wrote it with `block @ c**3` formed twice per
+    step: (c, the number of line-search halvings).  Seeded by the cube root
+    of the solution s of block @ s = 1; the caller checks the residual."""
+    c = np.linalg.solve(block, np.ones(block.shape[0])) ** (1.0 / 3.0)
+    halvings = 0
+    for _ in range(100):
+        F = block @ c**3 * c - 1.0
+        if np.max(np.abs(F)) < 1e-14:
+            break
+        J = np.diag(block @ c**3) + 3.0 * (c[:, None] * block * (c**2)[None, :])
+        step = np.linalg.solve(J, -F)
+        lam = 1.0
+        norm0 = np.max(np.abs(F))
+        while lam > 1e-8:
+            trial = c + lam * step
+            if np.all(trial > 0):
+                Ft = block @ trial**3 * trial - 1.0
+                if np.max(np.abs(Ft)) < norm0:
+                    break
+            lam *= 0.5
+            halvings += 1
+        c = c + lam * step
+    return c, halvings
 
 
 # ---------------------------------------------------------------- energy

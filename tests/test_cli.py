@@ -1344,6 +1344,17 @@ def test_probe_draws_unchanged_where_the_box_holds_them(tmp_path, eta):
     assert _outputs(summary, "reduced-energy")["probe_d"] == want.tolist()
 
 
+def test_default_epsilon_grid_is_one_read_only_geomspace():
+    config, _ = cli.parse_config(DEMO)   # DEMO sets no epsilon_grid
+    grid = config.epsilon_grid
+    assert grid.dtype == np.float64
+    assert grid.tobytes() == np.geomspace(1e-2, 1e-4, 8).tobytes()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
+    assert cli.parse_config(DEMO)[0].epsilon_grid is grid
+
+
 def test_failed_task_summary_is_the_oracle_encoding(tmp_path, monkeypatch):
     def fails(*args):
         raise FloatingPointError("overflow in a runner")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bubblelab.coupling import (
     _LADDER,
     _verdict_from_lambdas,
 )
+from oracles import reference_solve_c_vector
 
 RNG = np.random.default_rng(4242)
 
@@ -365,3 +368,89 @@ def test_spec_validation():
                      beta=np.array([[1.0, 0.2], [0.3, 1.0]]), decomposition=(0, 2))
     with pytest.raises(ValueError):
         two_component_spec(1.0, 2.0, 0.0).group_block(5)
+
+
+def _old_spec_predicate(mu, beta):
+    """CouplingSpec's symmetry and diagonal checks as first written."""
+    return bool(np.allclose(beta, beta.T, rtol=0, atol=0)
+                and np.allclose(np.diag(beta), mu, rtol=0, atol=0))
+
+
+def test_spec_accepts_exactly_what_the_old_predicate_did():
+    # off-diagonal pairs and diagonals over signed zeros, one-ulp neighbours,
+    # infinities and NaN: NaN is unequal to itself, equal infinities are equal
+    values = [0.0, -0.0, 1.5, np.nextafter(1.5, 2.0), -1.5, np.inf, -np.inf, np.nan]
+    outcomes = set()
+    for mu0 in (1.5, np.inf):
+        for b01, b10, d0 in itertools.product(values, values, values):
+            mu = np.array([mu0, 2.0])
+            beta = np.array([[d0, b01], [b10, 2.0]])
+            expected = _old_spec_predicate(mu, beta)
+            outcomes.add(expected)
+            if expected:
+                spec = CouplingSpec(N=4, m=2, mu=mu, beta=beta, decomposition=(0, 2))
+                assert spec.beta.tobytes() == beta.tobytes()
+            else:
+                refusal = "^beta( must be symmetric|_ii must equal mu_i)$"
+                with pytest.raises(ValueError, match=refusal):
+                    CouplingSpec(N=4, m=2, mu=mu, beta=beta, decomposition=(0, 2))
+    assert outcomes == {True, False}
+
+
+def _seeded_spec(rng, N, m, lo=-0.9, hi=0.9):
+    """mu in [0.5, 2], a random contiguous decomposition of m components
+    and symmetric couplings beta_ij = x sqrt(mu_i mu_j), x ~ U(lo, hi)."""
+    n_groups = int(rng.integers(1, m + 1))
+    cuts = sorted(rng.choice(np.arange(1, m), n_groups - 1, replace=False)) if m > 1 else []
+    mu = rng.uniform(0.5, 2.0, m)
+    beta = np.triu(rng.uniform(lo, hi, (m, m)) * np.sqrt(np.outer(mu, mu)), 1)
+    beta = beta + beta.T + np.diag(mu)
+    return CouplingSpec(N=N, m=m, mu=mu, beta=beta, decomposition=(0, *cuts, m))
+
+
+def test_group_block_is_the_fancy_indexed_copy():
+    rng = np.random.default_rng(26)
+    groups = 0
+    for _ in range(60):
+        spec = _seeded_spec(rng, int(rng.choice([3, 4])), int(rng.integers(1, 9)))
+        beta = spec.beta.copy()
+        for h in range(spec.n_groups):
+            idx = list(spec.group_indices(h))
+            block, old = spec.group_block(h), spec.beta[np.ix_(idx, idx)]
+            assert block.shape == old.shape and block.dtype == old.dtype
+            assert block.flags.c_contiguous and block.tobytes() == old.tobytes()
+            block[...] = np.nan   # a copy, not a view of beta
+            assert spec.beta.tobytes() == beta.tobytes()
+            groups += 1
+    assert groups >= 100
+
+
+def test_n3_newton_keeps_the_bits_of_the_reference_loop():
+    rng = np.random.default_rng(2603)
+    solved, halved, refused = 0, 0, 0
+    for trial in range(120):
+        # workload-like negative couplings, then wider ones whose Newton
+        # steps overshoot and halve
+        lo, hi = (-0.9 / 7, 0.0) if trial % 3 == 0 else (-1.0, 3.0)
+        spec = _seeded_spec(rng, 3, int(rng.integers(2, 9)), lo, hi)
+        for h in range(spec.n_groups):
+            block = spec.group_block(h)
+            if block.shape[0] < 2:
+                continue
+            try:
+                s = np.linalg.solve(block, np.ones(block.shape[0]))
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(s <= 1e-12):
+                continue
+            c, halvings = reference_solve_c_vector(block)
+            ok = np.max(np.abs(block @ c**3 * c - 1.0)) <= 1e-10 and np.all(c > 0)
+            if not ok:
+                with pytest.raises(NoPositiveSolution, match=f"^group {h}: Newton failed"):
+                    solve_c_vector(spec, h)
+                refused += 1
+                continue
+            assert solve_c_vector(spec, h).c.tobytes() == c.tobytes()
+            solved += 1
+            halved += halvings > 0
+    assert solved >= 50 and halved >= 1 and refused >= 1

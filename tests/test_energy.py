@@ -730,3 +730,44 @@ def test_scipy_loads_only_for_radial_solves(tmp_path):
         "import": none, "validate": none, "algebra": none, "scaling": none,
         "sweep": [True, True, False, True],
     }
+
+
+def _box_formula(d, tau, eta):
+    """X_eta membership as ReducedPoint.in_box computed it on each call."""
+    ub = 1.0 / eta
+    return bool(np.all(d > eta) and np.all(d < ub) and np.all(np.linalg.norm(tau, axis=-1) < ub))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.1, 0.3])
+def test_in_box_matches_the_formula_one_ulp_either_side_of_each_face(eta):
+    ub = 1.0 / eta
+    near = [x for face in (eta, ub)
+            for x in (np.nextafter(face, 0.0), face, np.nextafter(face, 2 * ub))]
+    points = []
+    for x in near:
+        points.append((np.array([1.0, x]), np.zeros((2, 3))))           # a face of d
+        points.append((np.array([x, 1.0]), np.zeros((2, 3))))
+        for tau in ([0.0, x, 0.0], [0.0, 0.0, -x]):                    # the face |tau_i| = 1/eta
+            points.append((np.ones(2), np.array([[0.1, 0.0, 0.0], tau])))
+    stack_d = np.array([p[0] for p in points])
+    stack_tau = np.array([p[1] for p in points])
+    inside = [_box_formula(d, tau, eta) for d, tau in points]
+    assert set(inside) == {True, False}
+    for (d, tau), expected in zip(points, inside):
+        assert ReducedPoint(d=d, tau=tau, eta=eta).in_box() is expected
+    # a stack is in the box when every point of it is
+    for rows in (np.flatnonzero(inside), np.arange(len(points))):
+        pt = ReducedPoint(d=stack_d[rows], tau=stack_tau[rows], eta=eta)
+        assert pt.in_box() is _box_formula(stack_d[rows], stack_tau[rows], eta)
+        assert pt.in_box() is all(inside[k] for k in rows)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1e-3, 1.0, 2.0, float("nan")])
+def test_eta_outside_the_unit_interval_is_refused(eta):
+    # the rule cli.parse_config applies to reduction.eta: outside (0, 1)
+    # the box X_eta is empty, or 1/eta is undefined
+    model = ReducedEnergyModel(dims=DIMS4, weights=[1.0], robin=[2.0], hole_r=[1.0])
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\)$"):
+        ReducedPoint(d=[1.0], tau=np.zeros((1, 4)), eta=eta)
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\)$"):
+        critical_point(model, eta=eta)
