@@ -227,7 +227,7 @@ def _parse_epsilon_grid(raw, diags):
         if grid is None:
             _err(diags, where, "entries must be finite numbers")
             return None
-        if len(grid) < 2 or not np.all(grid > 0):
+        if len(grid) < 2 or not (grid > 0).all():
             _err(diags, where, "need at least two positive finite values")
             return None
         if len(grid) > MAX_EPSILONS:
@@ -244,7 +244,7 @@ def _parse_epsilon_grid(raw, diags):
                                f"profile file names; {name} repeats")
             return None
         seen.add(name)
-    if np.max(grid) > 0.1:
+    if grid.max() > 0.1:
         _warn(diags, where, "epsilon above 0.1 is outside the asymptotic regime")
     return grid
 
@@ -292,9 +292,10 @@ def parse_config(data):
         _err(diags, "schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
 
     N = data.get("dims")
-    if N not in (3, 4):
+    if not (_is_integral(N) and N in (3, 4)):
         _err(diags, "dims", "dims must be 3 or 4")
         return None, diags
+    N = int(N)
     dims = dims_for(N)
 
     # ---- coupling block
@@ -318,10 +319,10 @@ def parse_config(data):
             decomposition = tuple(int(v) for v in decomposition)
             if beta is None:
                 _err(diags, "coupling.beta", f"beta must be {m}x{m}")
-            elif not np.array_equal(beta, beta.T):
+            elif not (beta == beta.T).all():
                 _err(diags, "coupling.beta", "beta must be symmetric")
             else:
-                if np.all(np.diag(beta) == 0.0):
+                if (beta.diagonal() == 0.0).all():
                     beta = beta + np.diag(mu)   # diagonal may be left implicit
                 try:
                     spec = CouplingSpec(
@@ -411,7 +412,7 @@ def parse_config(data):
         try:
             # far-off holes overflow to infinite distances, which fail the checks
             with np.errstate(over="ignore"):
-                check_holes(ball, centers, coeffs, float(np.max(grid)))
+                check_holes(ball, centers, coeffs, float(grid.max()))
         except ValueError as exc:
             _err(diags, "domain.holes", str(exc))
 
@@ -663,7 +664,7 @@ def _task_c_vector(cfg, ctx, rng, out):
                 "groups": _num(groups, "coupling", "solve_c_vector")
             }
         cvecs.append(cv)
-        res = np.max(np.abs(system_residual(spec.group_block(h), cv.c, spec.p)))
+        res = np.abs(system_residual(spec.group_block(h), cv.c, spec.p)).max()
         groups.append(
             {
                 "group": h,
@@ -712,10 +713,8 @@ def _task_spectrum(cfg, ctx, rng, out):
 
 
 def _task_reduced_energy(cfg, ctx, rng, out):
-    weights = np.array([float(np.sum(cv.c**2)) for cv in ctx["c-vector"]])
-    robin = np.array(
-        [kernel_robin(cfg.ball, a) for a in cfg.hole_centers]
-    )
+    weights = np.array([float((cv.c**2).sum()) for cv in ctx["c-vector"]])
+    robin = kernel_robin(cfg.ball, cfg.hole_centers)
     model = ReducedEnergyModel(
         dims=cfg.dims, weights=weights, robin=robin, hole_r=cfg.hole_coeffs
     )
@@ -788,7 +787,7 @@ def _family_verdict(slope_tol, fit):
     ratios = fit.ratios   # pair fits gate their value/bound ratios, not r^2
     if not constant and ratios is None and fit.r2 < 0.999:
         return "inconclusive", f"log-log fit r^2 = {fit.r2:.5f} < 0.999"
-    if ratios is not None and np.max(ratios) > 10.0 * np.min(ratios):
+    if ratios is not None and ratios.max() > 10.0 * ratios.min():
         return "inconclusive", "value/bound ratio spreads more than 10x"
     return "pass", "within tolerance"
 

@@ -63,11 +63,11 @@ class CouplingSpec:
             raise ValueError("mu must have one entry per component")
         if beta.shape != (self.m, self.m):
             raise ValueError("beta must be m x m")
-        if not np.all(mu > 0):
+        if not (mu > 0).all():
             raise ValueError("all mu_i must be positive")
-        if not np.array_equal(beta, beta.T):
+        if not (beta == beta.T).all():
             raise ValueError("beta must be symmetric")
-        if not np.array_equal(np.diag(beta), mu):
+        if not (beta.diagonal() == mu).all():
             raise ValueError("beta_ii must equal mu_i")
         dec = tuple(int(v) for v in self.decomposition)
         if (len(dec) < 2 or dec[0] != 0 or dec[-1] != self.m
@@ -157,12 +157,12 @@ def solve_c_vector(spec, group):
     except np.linalg.LinAlgError as exc:
         raise NoPositiveSolution(f"group {group}: singular coupling block") from exc
 
-    if np.any(s < -_BOUNDARY_TOL):
+    if (s < -_BOUNDARY_TOL).any():
         raise NoPositiveSolution(
             f"group {group}: linear solve gives negative power vector {s}"
         )
-    boundary = bool(np.any(np.abs(s) <= _BOUNDARY_TOL))
-    s = np.clip(s, 0.0, None)
+    boundary = bool((np.abs(s) <= _BOUNDARY_TOL).any())
+    s = np.maximum(s, 0.0)   # what np.clip(s, 0.0, None) computes, -0.0 included
 
     if spec.N == 4:
         c = np.sqrt(s)
@@ -176,22 +176,22 @@ def solve_c_vector(spec, group):
     for _ in range(100):
         bc3 = block @ c**3
         F = bc3 * c - 1.0
-        if np.max(np.abs(F)) < 1e-14:
+        if np.abs(F).max() < 1e-14:
             break
         J = np.diag(bc3) + 3.0 * (c[:, None] * block * (c**2)[None, :])
         step = np.linalg.solve(J, -F)
         lam = 1.0
-        norm0 = np.max(np.abs(F))
+        norm0 = np.abs(F).max()
         while lam > 1e-8:
             trial = c + lam * step
-            if np.all(trial > 0):
+            if (trial > 0).all():
                 Ft = block @ trial**3 * trial - 1.0
-                if np.max(np.abs(Ft)) < norm0:
+                if np.abs(Ft).max() < norm0:
                     break
             lam *= 0.5
         c = c + lam * step
     F = block @ c**3 * c - 1.0
-    if np.max(np.abs(F)) > 1e-10 or np.any(c <= 0):
+    if np.abs(F).max() > 1e-10 or (c <= 0).any():
         raise NoPositiveSolution(
             f"group {group}: Newton failed to find a positive solution (residual {F})"
         )
@@ -213,22 +213,25 @@ def _verdict_from_lambdas(lambdas):
     the verdict's condition, in descending order after the structural 3,
     numbered from lambda_2, or says that the structural 3 is missing."""
     nu1, nu2 = _LADDER
-    lam = np.sort(np.asarray(lambdas))[::-1]
+    lam = np.array(lambdas)
+    lam.sort()
+    lam = lam[::-1]
     near3 = np.abs(lam - nu2) <= DEGENERACY_TOL
-    if not np.any(near3):
+    if not near3.any():
         # M c = 3c whenever c solves the amplitude system: outside theory
         return "inconclusive", "inconclusive: the structural eigenvalue 3 is missing"
-    others = np.delete(lam, np.argmax(near3))
+    i = near3.argmax()
+    others = np.concatenate((lam[:i], lam[i + 1:]))
     hits = np.abs(others - nu2) <= DEGENERACY_TOL
     hits |= np.abs(others - nu1) <= DEGENERACY_TOL
     verdict, note = "degenerate", ""
-    if not np.any(hits):
+    if not hits.any():
         # the verdict would need ladder entries beyond (1, 3), which are not computed
         hits = (others >= nu2 + DEGENERACY_TOL) | (others <= -1.0 - DEGENERACY_TOL)
         verdict, note = "inconclusive", " outside the certified ladder range"
-    if not np.any(hits):
+    if not hits.any():
         return "nondegenerate", "nondegenerate"
-    k = int(np.argmax(hits))
+    k = int(hits.argmax())
     value = float(others[k])
     text = f"{value:.6g}"
     if float(text) in (-1.0, nu1, nu2) and float(text) != value:
@@ -251,11 +254,11 @@ def build_spectrum(spec, cvec):
     if block.shape[0] != c.shape[0]:
         raise ValueError("amplitude vector does not match the group block")
 
-    matC = block * np.outer(c, c)
+    matC = block * (c[:, None] * c)
 
     # structural identity C c = c (equivalently M c = 3c) holds whenever c
     # solves the amplitude system, boundary cases included
-    gap = np.max(np.abs(matC @ c - c)) / max(1.0, np.max(np.abs(c)))
+    gap = np.abs(matC @ c - c).max() / max(1.0, np.abs(c).max())
     if gap > 1e-8:
         raise ValueError(
             f"amplitude vector does not solve its system (|Cc - c| = {gap:.2e})"
@@ -266,7 +269,7 @@ def build_spectrum(spec, cvec):
     lambdas = 1.0 + 2.0 * thetas
 
     det_c = np.linalg.det(matC)
-    det_gap = abs(det_c - np.prod(c**2) * np.linalg.det(block)) / max(abs(det_c), 1e-300)
+    det_gap = abs(det_c - (c**2).prod() * np.linalg.det(block)) / max(abs(det_c), 1e-300)
 
     verdict, reason = _verdict_from_lambdas(lambdas)
     return SpectrumReport(

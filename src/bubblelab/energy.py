@@ -35,7 +35,8 @@ term w_i (alpha^(p+1) r_i^(N-2)/2) Gamma(tau_i) / (d_i^(N-2)
 gradient and its Hessian at tau = 0 are elementary.
 
 Psi lives on the box X_eta = {eta < d_i < 1/eta, |tau_i| < 1/eta}.  A
-ReducedPoint checks eta in (0, 1) and decides its membership once, when built.
+ReducedPoint checks eta in (0, 1) and decides its membership once, when built;
+a ReducedEnergyModel forms the coefficients A_i and B_i once, when built.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ def constant_b2(dims):
 
 def gamma_kernel(dims, tau):
     """Interaction kernel Gamma(tau) = (omega_{N-1}/N) (1+|tau|^2)^(-(N-2)/2)."""
-    return dims.omegaNm1 / dims.N * (1.0 + float(np.sum(np.square(tau)))) ** (-(dims.N - 2) / 2)
+    return dims.omegaNm1 / dims.N * (1.0 + float(np.square(tau).sum())) ** (-(dims.N - 2) / 2)
 
 
 @dataclass(frozen=True)
 class ReducedEnergyModel:
     """Everything needed to evaluate Psi: per-peak weights, Robin values
-    (plain-kernel normalization) and hole radius coefficients."""
+    (plain-kernel normalization) and hole radius coefficients, all three
+    kept as read-only copies, since Psi's coefficients are formed once."""
 
     dims: object
     weights: np.ndarray
@@ -80,16 +82,17 @@ class ReducedEnergyModel:
     hole_r: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, float))
-        H = np.atleast_1d(np.asarray(self.robin, float))
-        r = np.atleast_1d(np.asarray(self.hole_r, float))
+        w, H, r = (np.array(v, float, ndmin=1) for v in (self.weights, self.robin, self.hole_r))
         if not (w.shape == H.shape == r.shape):
             raise ValueError("weights, robin, hole_r must have one entry per peak")
-        if not (np.all(w > 0) and np.all(H > 0) and np.all(r > 0)):
+        if not ((w > 0).all() and (H > 0).all() and (r > 0).all()):
             raise ValueError("weights, robin values, hole radii must be positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "robin", H)
-        object.__setattr__(self, "hole_r", r)
+        b2 = self.b2
+        arrays = {"weights": w, "robin": H, "hole_r": r,
+                  "_hole_coeff": w * b2 * r ** (self.dims.N - 2), "_robin_coeff": w * b2 * H}
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def b1(self):
@@ -105,12 +108,12 @@ class ReducedEnergyModel:
 
     def hole_coeff(self):
         """B-side coefficients: w_i alpha^(p+1) r_i^(N-2) Gamma(0) / 2,
-        i.e. w_i b2 r_i^(N-2)."""
-        return self.weights * self.b2 * self.hole_r ** (self.dims.N - 2)
+        i.e. w_i b2 r_i^(N-2); read-only."""
+        return self._hole_coeff
 
     def robin_coeff(self):
-        """A-side coefficients: w_i b2 H_i."""
-        return self.weights * self.b2 * self.robin
+        """A-side coefficients: w_i b2 H_i; read-only."""
+        return self._robin_coeff
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class ReducedPoint:
     eta: float = 1e-3
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.d, float))
+        d = np.array(self.d, float, copy=None, ndmin=1)
         tau = np.asarray(self.tau, float)
         if tau.ndim < 2 or tau.shape[0] != len(d):
             raise ValueError("tau must provide one offset vector per peak")
@@ -131,9 +134,9 @@ class ReducedPoint:
             raise ValueError("eta must lie in (0, 1)")
         ub = 1.0 / self.eta
         inside = bool(
-            np.all(d > self.eta)
-            and np.all(d < ub)
-            and np.all(np.linalg.norm(tau, axis=-1) < ub)
+            (d > self.eta).all()
+            and (d < ub).all()
+            and (np.sqrt((tau * tau).sum(axis=-1)) < ub).all()   # |tau_i|, as np.linalg.norm
         )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "tau", tau)
@@ -150,7 +153,7 @@ def _check_box(pt):
 
 def _hole_terms(model, pt):
     """Per-peak hole terms B_i / (d_i (1+|tau_i|^2))^(N-2) and 1+|tau_i|^2."""
-    q = 1.0 + np.sum(pt.tau**2, axis=-1)
+    q = 1.0 + (pt.tau**2).sum(axis=-1)
     return model.hole_coeff() / (pt.d * q) ** (model.dims.N - 2), q
 
 
@@ -158,7 +161,7 @@ def _psi(model, pt):
     """Psi at pt, or at each point of a stack: d (..., m), tau (..., m, N)."""
     _check_box(pt)
     hole, _ = _hole_terms(model, pt)
-    return np.sum(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole, axis=-1)
+    return (model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole).sum(axis=-1)
 
 
 def psi_value(model, pt):
@@ -204,15 +207,15 @@ def gradient_check(model, pt):
     """Gap max|fd - grad| / (1 + max|grad|) between the analytic gradient
     and central differences of Psi with step GRAD_CHECK_STEP, at pt."""
     analytic = psi_grad(model, pt)
-    gap = np.max(np.abs(_fd_grad(model, pt, GRAD_CHECK_STEP) - analytic))
-    return float(gap / (1.0 + np.max(np.abs(analytic))))
+    gap = np.abs(_fd_grad(model, pt, GRAD_CHECK_STEP) - analytic).max()
+    return float(gap / (1.0 + np.abs(analytic).max()))
 
 
 def psi_hessian_at_flat(model, d):
     """Analytic Hessian blocks at (d, tau=0): returns (d-block diagonal,
     tau-block diagonal scalars per peak).  Mixed blocks vanish there."""
     k = model.dims.N - 2
-    d = np.atleast_1d(np.asarray(d, float))
+    d = np.array(d, float, copy=None, ndmin=1)
     B = model.hole_coeff()
     dd = k * ((k - 1) * model.robin_coeff() * d ** (k - 2) + (k + 1) * B / d ** (k + 2))
     return dd, -2 * k * B / d**k
@@ -242,8 +245,8 @@ def critical_point(model, eta=1e-3):
         point=pt,
         hess_d=hd,
         hess_tau=ht,
-        grad_norm=float(np.max(np.abs(grad))),
-        signature_ok=bool(np.all(hd > 0) and np.all(ht < 0)),
+        grad_norm=float(np.abs(grad).max()),
+        signature_ok=bool((hd > 0).all() and (ht < 0).all()),
         in_box=pt.in_box(),
     )
 
@@ -253,6 +256,6 @@ def energy_expansion(model, epsilon):
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     rep = critical_point(model)
-    return float(np.sum(model.weights)) * model.b1 + psi_value(model, rep.point) * epsilon ** (
+    return float(model.weights.sum()) * model.b1 + psi_value(model, rep.point) * epsilon ** (
         (model.dims.N - 2) / 2
     )

@@ -515,6 +515,38 @@ def test_parse_stores_integral_float_n_nodes_as_int():
     assert type(config.n_nodes) is int and config.n_nodes == 2000
 
 
+DEMO3 = _variant(
+    DEMO, dims=3, tasks=["c-vector", "reduced-energy", "critical-point"],
+    domain={"radius": 1.0, "holes": [{"center": [0.3, 0.0, 0.0], "radius_coeff": 1.0},
+                                     {"center": [-0.3, 0.0, 0.0], "radius_coeff": 1.0}]})
+
+
+@pytest.mark.parametrize("base", [DEMO3, DEMO], ids=["N3", "N4"])
+def test_integral_float_dims_run_as_integers(tmp_path, capsys, base):
+    results = []
+    for dims in (base["dims"], float(base["dims"])):
+        path = write_config(tmp_path, _variant(base, dims=dims), f"dims_{dims!r}.json")
+        out = tmp_path / f"out_{dims!r}"
+        codes = (cli.main(["validate", path]), cli.main(["run", path, "--out", str(out)]))
+        text = capsys.readouterr()
+        results.append((codes, text.out.replace(str(out), "<out>"), text.err,
+                        strip_timings(load_summary(out))))
+    assert results[0] == results[1]
+    validated, ran = results[0][0]
+    assert validated == cli.EXIT_PASS and ran != cli.EXIT_ERROR
+    config, _ = _parse_with(("dims",), 4.0)
+    assert type(config.dims.N) is int and type(config.coupling.N) is int
+
+
+@pytest.mark.parametrize("dims", [4.5, "4", True, None, []])
+def test_dims_other_than_three_or_four_is_one_diagnostic(tmp_path, capsys, dims):
+    path = write_config(tmp_path, _variant(DEMO, dims=dims))
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error[dims]: dims must be 3 or 4\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- csv writer
 
 
@@ -1585,3 +1617,37 @@ def test_output_dir_from_config(tmp_path):
     code = cli.main(["run", write_config(tmp_path, cfg)])
     assert code == 0
     assert (tmp_path / "from_config" / "summary.json").exists()
+
+
+def test_algebra_tasks_call_no_numpy_python_wrapper(tmp_path):
+    """On arrays of a few entries numpy's Python-level wrappers cost more
+    than the arithmetic: the algebra path calls none of the fromnumeric
+    functions (np.sum, np.max, np.all, np.clip, np.sort, ...),
+    np.linalg.norm or np.atleast_1d.  Counted with sys.setprofile over the
+    four algebra tasks on two groups, in N = 4 and (with the N = 3 Newton
+    iteration) N = 3."""
+    package = os.path.dirname(cli.__file__) + os.sep
+    fromnumeric = np.sum.__wrapped__.__code__.co_filename
+    wrappers = {np.linalg.norm.__wrapped__.__code__, np.atleast_1d.__wrapped__.__code__}
+    calls, frames = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code, caller = frame.f_code, frame.f_back
+        if code.co_filename.startswith(package):
+            frames.append(code.co_name)
+        elif (code.co_filename == fromnumeric or code in wrappers) and (
+                caller is not None and caller.f_code.co_filename.startswith(package)):
+            calls.append(f"{caller.f_code.co_name}:{caller.f_lineno} -> {code.co_name}")
+
+    for name, config in (("n4", DEMO), ("n3", DEMO3)):
+        path = write_config(tmp_path, config, f"{name}.json")
+        sys.setprofile(profile)
+        try:
+            code = cli.main(["run", path, "--out", str(tmp_path / name)])
+        finally:
+            sys.setprofile(None)
+        assert code != cli.EXIT_ERROR
+    assert {"solve_c_vector", "build_spectrum", "kernel_robin", "critical_point"} <= set(frames)
+    assert calls == []

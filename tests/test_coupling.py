@@ -454,3 +454,25 @@ def test_n3_newton_keeps_the_bits_of_the_reference_loop():
             solved += 1
             halved += halvings > 0
     assert solved >= 50 and halved >= 1 and refused >= 1
+
+
+def test_boundary_amplitudes_keep_the_bits_of_np_clip(monkeypatch):
+    # beta_12 = mu_1: the linear solve gives an exact zero, here -0.0 for
+    # the first, +0.0 for the second and -9.7e-17 for the third on x86-64;
+    # the amplitudes as first written were sqrt(np.clip(s, 0, None))
+    for mu1, mu2 in ((2.83, 0.79), (0.61, 2.56), (1.97, 0.83)):
+        spec = two_component_spec(mu1, mu2, mu1)
+        cv = solve_c_vector(spec, 0)
+        s = np.linalg.solve(spec.group_block(0), np.ones(2))
+        assert cv.boundary
+        assert cv.c.tobytes() == np.sqrt(np.clip(s, 0.0, None)).tobytes()
+    # signed zeros and values within the boundary tolerance, whatever the
+    # LAPACK build returns: np.clip makes -0.0 into +0.0, and so must the
+    # solve's replacement
+    s = np.array([0.5, -0.0, 0.0, -1e-13, 1e-13, 0.25])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: s.copy())
+    spec = CouplingSpec(N=4, m=6, mu=np.ones(6), beta=np.eye(6), decomposition=(0, 6))
+    cv = solve_c_vector(spec, 0)
+    assert cv.boundary
+    assert cv.c.tobytes() == np.sqrt(np.clip(s, 0.0, None)).tobytes()
+    assert not np.signbit(cv.c).any()

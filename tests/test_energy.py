@@ -771,3 +771,53 @@ def test_eta_outside_the_unit_interval_is_refused(eta):
         ReducedPoint(d=[1.0], tau=np.zeros((1, 4)), eta=eta)
     with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\)$"):
         critical_point(model, eta=eta)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_box_test_keeps_the_bits_of_np_linalg_norm(N):
+    # seeded offsets, the second of each point scaled to within three ulps
+    # of the face |tau_i| = 1/eta, where a norm off by one ulp moves the
+    # point across it
+    rng = np.random.default_rng(2720 + N)
+    eta, n = 0.3, 300
+    tau = rng.normal(size=(n, 2, N))
+    scale = np.stack([np.full(n, 0.5), 1.0 + rng.integers(-3, 4, n) * 2.0**-52], axis=1)
+    tau *= (scale / eta / np.linalg.norm(tau, axis=-1))[..., None]
+    d = np.ones((n, 2))
+    inside = np.array([_box_formula(d[k], tau[k], eta) for k in range(n)])
+    assert 0.2 * n < inside.sum() < 0.8 * n
+    for k in range(n):
+        assert ReducedPoint(d=d[k], tau=tau[k], eta=eta).in_box() is bool(inside[k])
+    # the stack of the points inside is in the box, and one point outside
+    # takes any stack out of it
+    rows = np.flatnonzero(inside)
+    assert ReducedPoint(d=d[rows], tau=tau[rows], eta=eta).in_box() is True
+    for k in np.flatnonzero(~inside):
+        stack = np.append(rows, k)
+        assert ReducedPoint(d=d[stack], tau=tau[stack], eta=eta).in_box() is False
+
+
+def test_coefficients_are_formed_once_read_only_with_the_bits_of_the_formulas():
+    rng = np.random.default_rng(2730)
+    for dims in (DIMS3, DIMS4):
+        for m in range(1, 9):
+            w, H, r = rng.uniform(0.5, 2.0, (3, m))
+            model = ReducedEnergyModel(dims=dims, weights=w, robin=H, hole_r=r)
+            # the formulas hole_coeff() and robin_coeff() evaluated on each call
+            hole = model.weights * model.b2 * model.hole_r ** (dims.N - 2)
+            robin = model.weights * model.b2 * model.robin
+            assert model.hole_coeff().tobytes() == hole.tobytes()
+            assert model.robin_coeff().tobytes() == robin.tobytes()
+            assert model.hole_coeff() is model.hole_coeff()
+            assert model.robin_coeff() is model.robin_coeff()
+            arrays = (model.hole_coeff(), model.robin_coeff(), model.weights, model.robin,
+                      model.hole_r)
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+            # the model holds copies: changing its inputs leaves it as built
+            w[0] = H[0] = r[0] = 5.0
+            assert model.hole_coeff().tobytes() == hole.tobytes()
+            assert model.weights[0] != 5.0
+    one = ReducedEnergyModel(dims=DIMS4, weights=2.0, robin=3.0, hole_r=0.5)
+    assert one.hole_coeff().shape == one.robin_coeff().shape == (1,)

@@ -123,3 +123,70 @@ def test_perforated_domain_validation():
     for eps in (0.0, -1e-3):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             check_holes(ball, np.array([a1, a2]), ones, eps)
+
+
+def _seeded_ball(rng, N):
+    dims = DIMS4 if N == 4 else DIMS3
+    return Ball(radius=float(rng.uniform(0.5, 3.0)), center=rng.uniform(-1.0, 1.0, N), dims=dims)
+
+
+def _points_in(rng, ball, n, reach=0.9):
+    """n seeded points of the ball, up to `reach` of its radius from its centre."""
+    x = rng.normal(size=(n, ball.dims.N))
+    scale = reach * ball.radius * rng.uniform(0.0, 1.0, n) / np.linalg.norm(x, axis=1)
+    return ball.center + scale[:, None] * x
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_robin_on_a_stack_of_points_is_the_per_point_loop(N):
+    # against the per-point formula as first written, on a np.float64: its **
+    # takes libm pow, which rounds x**2 otherwise than x*x in about 0.1 % of
+    # values, so 4000 points would show an array ** in kernel_robin
+    rng = np.random.default_rng(2700 + N)
+    for _ in range(4):
+        ball = _seeded_ball(rng, N)
+        R = ball.radius
+        points = _points_in(rng, ball, 1000, reach=0.99)
+        old = []
+        for a in points:
+            ar = np.asarray(a, float) - ball.center
+            old.append((R / (R**2 - np.sum(ar * ar, axis=-1))) ** (N - 2))
+        old = np.array(old)
+        loop = [kernel_robin(ball, a) for a in points]
+        assert all(type(v) is np.float64 for v in loop)
+        assert np.array(loop).tobytes() == old.tobytes()
+        stacked = kernel_robin(ball, points)
+        assert stacked.shape == (len(points),) and stacked.tobytes() == old.tobytes()
+    with pytest.raises(ValueError, match="point outside the ambient ball"):
+        kernel_robin(ball, np.vstack([points, ball.center + 2 * R]))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_distances_keep_the_bits_of_np_linalg_norm(N):
+    # each test below sits on the distance np.linalg.norm computes, or one
+    # ulp beside it, so a distance off by one ulp changes its outcome.  With
+    # axis=-1 norm sums the squares, without it it takes a dot product, and
+    # the two differ in the last bit at times: contains took the first, the
+    # hole checks the second
+    rng = np.random.default_rng(2710 + N)
+    ball = _seeded_ball(rng, N)
+    points = _points_in(rng, ball, 40)
+    for a in points:
+        r = np.linalg.norm(a - ball.center, axis=-1)
+        for radius, inside in ((np.nextafter(r, 0.0), False), (r, False),
+                               (np.nextafter(r, np.inf), True)):
+            near = Ball(radius=float(radius), center=ball.center, dims=ball.dims)
+            assert near.contains(a) == inside
+            expected = np.linalg.norm(points - ball.center, axis=-1) < radius
+            assert near.contains(points).tolist() == expected.tolist()
+        # a hole of radius epsilon stays below half its distance to the boundary
+        half = (ball.radius - np.linalg.norm(a - ball.center)) / 2
+        check_holes(ball, a[None], [1.0], np.nextafter(half, 0.0))
+        with pytest.raises(ValueError, match="too large: the radius of hole 0"):
+            check_holes(ball, a[None], [1.0], half)
+        # two holes of radius epsilon / 2 stay apart
+        b = a + rng.uniform(-1e-4, 1e-4, N)
+        gap = np.linalg.norm(a - b)
+        check_holes(ball, np.array([a, b]), [0.5, 0.5], np.nextafter(gap, 0.0))
+        with pytest.raises(ValueError, match="holes 0 and 1 overlap"):
+            check_holes(ball, np.array([a, b]), [0.5, 0.5], gap)
