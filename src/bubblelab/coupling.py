@@ -12,27 +12,26 @@ sum_j beta_ij s_j = 1 (exact in the symmetric case).  k = 1 always has the
 closed form c = mu^(-1/(p-1)).  Groups are contiguous, so a group's block
 of beta is a slice copy.
 
-The linearization data lives in the k x k matrices
+At u_i = c_i U the linearization is -Lap phi = U^(p-1) M phi, with
 
-    C_ij = beta_ij c_i c_j,      M = Id + 2C,
+    C_ij = beta_ij (c_i c_j)^((p-1)/2),      M = (p-1)/2 Id + (p+1)/2 C.
 
-whose eigenvalues Lambda_l = 1 + 2 Theta_l decide nondegeneracy: the
-construction is safe when, besides the always-present simple eigenvalue
-Lambda_1 = 3 (eigenvector c), no other Lambda_l hits the known ladder
-values 1 or 3.  Eigenvalues above 3 would have to be compared against
-ladder entries that are not computed here, so they yield "inconclusive".
-The spectral analysis is dimension-4 specific and refuses N=3 input.
+C c = c, so Lambda = p is always an eigenvalue of M.  The group is
+degenerate iff another eigenvalue of M equals a weighted eigenvalue
+nu_k = (2k+N)(2k+N-2) / (N(N-2)) of -Lap phi = nu U^(p-1) phi in
+D^{1,2}(R^N): 1, 3, 6, 10, ... for N=4 and 1, 5, 35/3, 21, ... for N=3
+(G. Bianchi and H. Egnell, J. Funct. Anal. 100 (1991)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEGENERACY_TOL = 1e-8
-_BOUNDARY_TOL = 1e-12
-_LADDER = (1.0, 3.0)   # known prefix (nu_1, nu_2) of the eigenvalue ladder
+_BOUNDARY_TOL = 1e-12   # relative to the largest entry of the power vector
 
 
 class NoPositiveSolution(ValueError):
@@ -140,8 +139,8 @@ def solve_c_vector(spec, group):
     N=4: linear solve for c^2.  N=3: k=1 closed form, else damped Newton on
     the full system (the N=3 system is not linear in any power of c for
     k >= 2).  Raises NoPositiveSolution when some power comes out negative;
-    an exact zero (within 1e-12) is returned flagged as boundary instead,
-    so degenerate edges remain analyzable downstream.
+    an exact zero (within 1e-12 of the largest power) is returned flagged as
+    boundary instead, so degenerate edges remain analyzable downstream.
     """
     block = spec.group_block(group)
     k = block.shape[0]
@@ -157,11 +156,12 @@ def solve_c_vector(spec, group):
     except np.linalg.LinAlgError as exc:
         raise NoPositiveSolution(f"group {group}: singular coupling block") from exc
 
-    if (s < -_BOUNDARY_TOL).any():
+    tol = _BOUNDARY_TOL * np.abs(s).max()
+    if (s < -tol).any():
         raise NoPositiveSolution(
             f"group {group}: linear solve gives negative power vector {s}"
         )
-    boundary = bool((np.abs(s) <= _BOUNDARY_TOL).any())
+    boundary = bool((np.abs(s) <= tol).any())
     s = np.maximum(s, 0.0)   # what np.clip(s, 0.0, None) computes, -0.0 included
 
     if spec.N == 4:
@@ -202,61 +202,57 @@ def solve_c_vector(spec, group):
 class SpectrumReport:
     matC: np.ndarray
     thetas: np.ndarray          # eigenvalues of C, descending
-    lambdas: np.ndarray         # eigenvalues 1 + 2*thetas of M = Id + 2C
+    lambdas: np.ndarray         # eigenvalues (p-1)/2 + (p+1)/2 thetas of M
     verdict: str
     reason: str                 # the verdict and the eigenvalue that decided it
-    det_identity_gap: float = 0.0   # |det C - prod(c^2) det(beta)| / scale
+    det_identity_gap: float = 0.0   # |det C - prod(c^(p-1)) det(beta)| / scale
 
 
-def _verdict_from_lambdas(lambdas):
-    """(verdict, reason).  The reason names the first eigenvalue that meets
-    the verdict's condition, in descending order after the structural 3,
-    numbered from lambda_2, or says that the structural 3 is missing."""
-    nu1, nu2 = _LADDER
-    lam = np.array(lambdas)
-    lam.sort()
-    lam = lam[::-1]
-    near3 = np.abs(lam - nu2) <= DEGENERACY_TOL
-    if not near3.any():
-        # M c = 3c whenever c solves the amplitude system: outside theory
-        return "inconclusive", "inconclusive: the structural eigenvalue 3 is missing"
-    i = near3.argmax()
-    others = np.concatenate((lam[:i], lam[i + 1:]))
-    hits = np.abs(others - nu2) <= DEGENERACY_TOL
-    hits |= np.abs(others - nu1) <= DEGENERACY_TOL
-    verdict, note = "degenerate", ""
-    if not hits.any():
-        # the verdict would need ladder entries beyond (1, 3), which are not computed
-        hits = (others >= nu2 + DEGENERACY_TOL) | (others <= -1.0 - DEGENERACY_TOL)
-        verdict, note = "inconclusive", " outside the certified ladder range"
-    if not hits.any():
-        return "nondegenerate", "nondegenerate"
-    k = int(hits.argmax())
-    value = float(others[k])
-    text = f"{value:.6g}"
-    if float(text) in (-1.0, nu1, nu2) and float(text) != value:
-        text = repr(value)   # not shown as the ladder value or edge it only lies near
-    return verdict, f"{verdict}: lambda_{k + 2} = {text}{note}"
+def _nearest_nu(lam, N):
+    """The weighted eigenvalue nu_k of the bubble nearest to lam:
+    nu N(N-2) + 1 = (2k+N-1)^2 solved for k, rounded, and k >= 0."""
+    n2 = N * (N - 2)
+    k = max(round((math.sqrt(max(lam * n2 + 1.0, 0.0)) - N + 1) / 2), 0)
+    return (2 * k + N) * (2 * k + N - 2) / n2
+
+
+def _verdict_from_lambdas(lambdas, N):
+    """(verdict, reason).  The reason names the first eigenvalue within
+    DEGENERACY_TOL of some nu_k, in descending order after the structural
+    p, numbered from lambda_2, or says that the structural p is missing."""
+    p = (N + 2) / (N - 2)
+    lam = sorted(map(float, lambdas), reverse=True)
+    i = next((i for i, value in enumerate(lam) if abs(value - p) <= DEGENERACY_TOL), None)
+    if i is None:
+        # M c = p c whenever c solves the amplitude system: outside theory
+        return "inconclusive", f"inconclusive: the structural eigenvalue {p:g} is missing"
+    del lam[i]
+    for k, value in enumerate(lam):
+        if abs(value - _nearest_nu(value, N)) <= DEGENERACY_TOL:
+            text = f"{value:.6g}"
+            shown = float(text)
+            if shown != value and shown == _nearest_nu(shown, N):
+                text = repr(value)   # not shown as the ladder value it only lies near
+            return "degenerate", f"degenerate: lambda_{k + 2} = {text}"
+    return "nondegenerate", "nondegenerate"
 
 
 def build_spectrum(spec, cvec):
-    """Assemble C_ij = beta_ij c_i c_j; its eigenvalues Theta give those of
-    M = Id + 2C as Lambda = 1 + 2 Theta.
+    """Assemble C_ij = beta_ij (c_i c_j)^((p-1)/2); its eigenvalues Theta
+    give those of M = (p-1)/2 Id + (p+1)/2 C as Lambda = (p-1)/2 + (p+1)/2 Theta.
 
-    Verifies the structural facts: Lambda = 3 appears with eigenvector c,
-    and det C = (prod c_i^2) det(beta block).  N=4 only — the ladder data
-    backing the verdicts is specific to dimension 4.
+    Verifies the structural facts: Lambda = p appears with eigenvector c,
+    and det C = (prod c_i^(p-1)) det(beta block).
     """
-    if spec.N != 4:
-        raise ValueError("spectral analysis is defined for N = 4 only")
     block = spec.group_block(cvec.group)
     c = np.asarray(cvec.c, dtype=float)
     if block.shape[0] != c.shape[0]:
         raise ValueError("amplitude vector does not match the group block")
+    p = spec.p
 
-    matC = block * (c[:, None] * c)
+    matC = block * (c[:, None] * c) ** ((p - 1) / 2)
 
-    # structural identity C c = c (equivalently M c = 3c) holds whenever c
+    # structural identity C c = c (equivalently M c = p c) holds whenever c
     # solves the amplitude system, boundary cases included
     gap = np.abs(matC @ c - c).max() / max(1.0, np.abs(c).max())
     if gap > 1e-8:
@@ -266,12 +262,12 @@ def build_spectrum(spec, cvec):
 
     # C is symmetric bit for bit (CouplingSpec requires beta == beta^T)
     thetas = np.linalg.eigvalsh(matC)[::-1]
-    lambdas = 1.0 + 2.0 * thetas
+    lambdas = (p - 1) / 2 + (p + 1) / 2 * thetas
 
     det_c = np.linalg.det(matC)
-    det_gap = abs(det_c - (c**2).prod() * np.linalg.det(block)) / max(abs(det_c), 1e-300)
+    det_gap = abs(det_c - (c ** (p - 1)).prod() * np.linalg.det(block)) / max(abs(det_c), 1e-300)
 
-    verdict, reason = _verdict_from_lambdas(lambdas)
+    verdict, reason = _verdict_from_lambdas(lambdas, spec.N)
     return SpectrumReport(
         matC=matC,
         thetas=thetas,

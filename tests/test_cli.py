@@ -1338,13 +1338,13 @@ OUTPUT_PATHS = {
     "boundary_amplitude": (
         _variant(PAIR, coupling=dict(PAIR["coupling"], beta=[[0.0, 1.0], [1.0, 0.0]])),
         ["degenerate", "degenerate"], _check_boundary),
-    "inconclusive_spectrum": (PAIR, ["pass", "inconclusive"], None),
+    "nondegenerate_spectrum": (PAIR, ["pass", "pass"], None),
     "critical_point_outside_box": (
         _variant(DEMO, reduction={"eta": 0.99}),
-        ["pass", "inconclusive", "pass", "inconclusive"], _check_outside_box),
+        ["pass", "pass", "pass", "inconclusive"], _check_outside_box),
     "reduced_energy_box_too_narrow": (
         _variant(DEMO, reduction={"eta": 0.9999995}),
-        ["pass", "inconclusive", "inconclusive", "inconclusive"], _check_narrow_box),
+        ["pass", "pass", "inconclusive", "inconclusive"], _check_narrow_box),
     "scaling_all_kinds": (
         _variant(PAIR, tasks=["scaling-checks"], scaling={
             "single": [{"q": 1}], "weighted": [{"q": 4, "nu2": 2}],
@@ -1426,19 +1426,39 @@ def test_demo_pipeline_reports_and_exit(tmp_path):
         groups[0]["c_squared"], [10.0 / 7.0, 6.0 / 7.0], rtol=1e-12
     )
     np.testing.assert_allclose(groups[1]["c"], [1.0], rtol=1e-12)
-    # second coupling eigenvalue 37/7 sits above the certified ladder prefix,
-    # so the spectrum stage reports inconclusive and the run exits 2
+    # second coupling eigenvalue 37/7 lies between the ladder values 3 and 6,
+    # so every group is nondegenerate and the run exits 0
     spectrum = summary["tasks"][1]
     lam = spectrum["outputs"]["groups"]["value"][0]["lambdas"]
     np.testing.assert_allclose(sorted(lam), [3.0, 37.0 / 7.0], rtol=1e-12)
-    assert spectrum["verdict"] == "inconclusive"
-    assert "lambda_2 = 5.28571" in spectrum["message"]
-    assert code == 2 and summary["exit_code"] == 2
+    assert spectrum["verdict"] == "pass"
+    assert spectrum["message"] == "all groups nondegenerate"
+    assert code == 0 and summary["exit_code"] == 0
     # the critical point is still reported downstream
     cp = summary["tasks"][3]
     assert cp["verdict"] == "pass"
     assert all(d > 0 for d in cp["outputs"]["d_tilde"]["value"])
     assert cp["outputs"]["signature_ok"]["value"] is True
+
+
+def test_n3_spectrum_exits_zero(tmp_path):
+    # two groups at N = 3: the structural eigenvalue of each is p = 5
+    cfg = _variant(PAIR, dims=3, coupling={
+        "mu": [1.0, 2.0, 1.5], "decomposition": [0, 2, 3],
+        "beta": [[0.0, -0.5, 0.1], [-0.5, 0.0, 0.1], [0.1, 0.1, 0.0]]},
+        domain={"radius": 1.0, "holes": [
+            {"center": [0.3, 0.0, 0.0], "radius_coeff": 1.0},
+            {"center": [-0.3, 0.0, 0.0], "radius_coeff": 1.0}]})
+    out = tmp_path / "out"
+    code = cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+    summary = load_summary(out)
+    assert code == 0 and summary["verdict"] == "pass"
+    spectrum = summary["tasks"][1]
+    assert (spectrum["verdict"], spectrum["message"]) == ("pass", "all groups nondegenerate")
+    pair, single = spectrum["outputs"]["groups"]["value"]
+    assert max(pair["lambdas"]) > 5.0 + 1e-3   # the competitive eigenvalue, off the ladder
+    assert min(abs(lam - 5.0) for lam in pair["lambdas"]) < 1e-10
+    assert single["lambdas"] == pytest.approx([5.0], abs=1e-12)
 
 
 def test_degenerate_coupling_exits_two_with_message(tmp_path):
@@ -1506,7 +1526,7 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = _outcomes(tmp_path, capsys, "fresh")
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 2, 2, 1, "SystemExit(2)", 0]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 1, "SystemExit(2)", 0]
     assert reused[1][2] != reused[2][2]   # the seed reaches the run
     assert "error[--seed]" in reused[3][1] and "invalid int value" in reused[4][1]
     monkeypatch.undo()
@@ -1601,7 +1621,7 @@ def test_reports_deterministic_given_seed(tmp_path):
     outs = []
     for k, seed in enumerate(["11", "11", "12"]):
         out = tmp_path / f"out{k}"
-        assert cli.main(["run", cfg_path, "--out", str(out), "--seed", seed]) == 2
+        assert cli.main(["run", cfg_path, "--out", str(out), "--seed", seed]) == 0
         outs.append(strip_timings(load_summary(out)))
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]  # the seeded gradient probe moves

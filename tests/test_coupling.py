@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from bubblelab.coupling import (
     DEGENERACY_TOL,
@@ -12,7 +13,6 @@ from bubblelab.coupling import (
     build_spectrum,
     solve_c_vector,
     system_residual,
-    _LADDER,
     _verdict_from_lambdas,
 )
 from oracles import reference_solve_c_vector
@@ -130,6 +130,30 @@ def test_boundary_case_flagged_not_raised():
     assert cv.c[1] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("beta12", [1e13, 1e15])
+def test_strong_coupling_is_an_interior_solution(N, beta12):
+    # beta_12 > max(mu) is admissible however large; the powers s = O(1/beta_12)
+    # are small but far from the boundary relative to their own size
+    spec = two_component_spec(1.0, 2.0, beta12, N)
+    cv = solve_c_vector(spec, 0)
+    assert not cv.boundary and np.all(cv.c > 0)
+    res = system_residual(spec.group_block(0), cv.c, spec.p)
+    assert np.max(np.abs(res)) <= 1e-10 * np.max(cv.c)
+    # nearly symmetric: beta_12 c^(p-1) -> 1
+    np.testing.assert_allclose(cv.c, beta12 ** (-1.0 / (spec.p - 1)), rtol=1e-6)
+    assert build_spectrum(spec, cv).verdict == "nondegenerate"
+
+
+@pytest.mark.parametrize("beta12", [1.0, 2.0])
+def test_coupling_at_mu_stays_a_boundary(beta12):
+    spec = two_component_spec(1.0, 2.0, beta12)
+    cv = solve_c_vector(spec, 0)
+    assert cv.boundary and np.min(cv.c) == 0.0
+    with pytest.raises(NoPositiveSolution, match="boundary case not supported for N=3"):
+        solve_c_vector(two_component_spec(1.0, 2.0, beta12, N=3), 0)
+
+
 def test_spectrum_reference_case():
     spec = two_component_spec(1.0, 2.0, -0.5)
     cv = solve_c_vector(spec, 0)
@@ -140,9 +164,9 @@ def test_spectrum_reference_case():
     matM = np.eye(2) + 2.0 * rep.matC
     np.testing.assert_allclose(matM @ cv.c, 3 * cv.c, atol=1e-12)
     # the competitive branch pushes the second eigenvalue above 3:
-    # Lambda_2 = 3 - 2*beta*(c1^2+c2^2) = 37/7
+    # Lambda_2 = 3 - 2*beta*(c1^2+c2^2) = 37/7, between the rungs 3 and 6
     assert np.max(rep.lambdas) == pytest.approx(37 / 7, rel=1e-12)
-    assert rep.verdict == "inconclusive"
+    assert rep.verdict == "nondegenerate"
     # the 2x2 closed form of M's eigenvalues (entries of M = Id + 2C
     # rewritten with the amplitude system) matches the dense eigensolve
     (mu1, b12), (_, mu2) = spec.group_block(0)
@@ -175,125 +199,154 @@ def test_degenerate_boundary_lambda2_equals_1():
     assert rep.verdict == "degenerate"
 
 
-def named(value):
+# The weighted eigenvalues nu_0..nu_3 of the bubble, written out by hand and
+# pinned by test_ladder_prefix's Poschl-Teller check, not by the library.
+LADDER = {4: (1.0, 3.0, 6.0, 10.0), 3: (1.0, 5.0, 35.0 / 3.0, 21.0)}
+# nu_4: the eigenvalues handed to the oracle stay below it
+LADDER_TOP = {4: 15.0, 3: 33.0}
+
+
+def named(value, N=4):
     """An eigenvalue as a reason writes it: .6g, but repr where the .6g text
-    reads as the ladder value or edge -1, 1 or 3 and the value is not it."""
+    reads as a ladder value and the value is not it."""
     text = f"{value:.6g}"
-    if text in ("-1", "1", "3") and value != float(text):
+    if float(text) in LADDER[N] + (LADDER_TOP[N],) and value != float(text):
         return repr(float(value))
     return text
 
 
-def spectrum_message(verdict, lambdas):
-    """The CLI's former message for a spectrum verdict, worked out again
-    from the eigenvalues: the first one, in descending order after the
-    structural 3, that meets the verdict's condition, written by named."""
-    lam = np.sort(lambdas)[::-1]
-    if verdict == "nondegenerate":
-        return "nondegenerate"
-    near3 = np.abs(lam - 3.0) <= 1e-8
-    if np.any(near3):
-        first = int(np.argmax(near3))
-        others = np.delete(lam, first)
-    else:
-        others = lam
+def spectrum_message(lambdas, N=4):
+    """(verdict, reason) worked out again from the eigenvalues against the
+    hand-written ladder: the structural p = nu_1 is taken out, and the first
+    other eigenvalue, in descending order, within 1e-8 of a ladder value
+    makes the group degenerate; the message is written as the spectrum
+    task has always written it."""
+    rungs = np.array(LADDER[N])
+    lam = np.sort(np.asarray(lambdas, dtype=float))[::-1]
+    assert lam.max() < LADDER_TOP[N] - 1.0   # the hand-written prefix covers them
+    near_p = np.abs(lam - rungs[1]) <= 1e-8
+    if not near_p.any():
+        return "inconclusive", f"inconclusive: the structural eigenvalue {rungs[1]:g} is missing"
+    others = np.delete(lam, int(np.argmax(near_p)))
     for k, v in enumerate(others):
-        if verdict == "degenerate" and (abs(v - 1.0) <= 1e-8 or abs(v - 3.0) <= 1e-8):
-            return f"degenerate: lambda_{k + 2} = {named(v)}"
-        if verdict == "inconclusive" and (v > 3.0 + 1e-8 or v < -1.0 - 1e-8):
-            return (
-                f"inconclusive: lambda_{k + 2} = {named(v)} outside the certified "
-                "ladder range"
-            )
-    return verdict
-
-
-MISSING_3 = ("inconclusive", "inconclusive: the structural eigenvalue 3 is missing")
-
-# Where the former message was wrong or bare: a missing structural 3, and
-# values exactly at a +-tol edge, named by the verdict's own >= / <= tests.
-PINNED_REASONS = {
-    (2.5, 0.5): MISSING_3,
-    (4.0, 2.5, -3.0): MISSING_3,
-    (3.0 + DEGENERACY_TOL, 3.0, 0.0): ("degenerate", "degenerate: lambda_2 = 3"),
-    (3.0, -1.0 - DEGENERACY_TOL, 0.5): (
-        "inconclusive",
-        "inconclusive: lambda_3 = -1.00000001 outside the certified ladder range"),
-}
-
-
-def has_structural_3(lambdas):
-    return bool(np.any(np.abs(np.asarray(lambdas) - 3.0) <= DEGENERACY_TOL))
+        if np.any(np.abs(v - rungs) <= 1e-8):
+            return "degenerate", f"degenerate: lambda_{k + 2} = {named(v, N)}"
+    return "nondegenerate", "nondegenerate"
 
 
 @pytest.mark.parametrize("lambdas", [
     [3.0, 0.5, -0.5],                  # nondegenerate
     [3.0, 3.0, 0.2],                   # second 3: degenerate
     [3.0 + 5e-9, 1.0 - 5e-9, 0.1],     # ladder hits within the tolerance
-    [4.0, 3.0, 1.0],                   # degenerate wins over beyond-ladder
-    [5.0, 3.0, 0.0],                   # inconclusive: above the ladder
-    [3.0, -2.0, -1.5],                 # inconclusive: below -1
+    [6.0, 3.0, 1.0],                   # the first hit in descending order is named
+    [5.0, 3.0, 0.0],                   # above 3 and off the ladder
+    [3.0, -2.0, -1.5],                 # below nu_0 = 1: no kernel
     [2.5, 0.5],                        # structural 3 missing
-    [4.0, 2.5, -3.0],                  # 3 missing, named outside values
+    [4.0, 2.5, -3.0],                  # 3 missing
     [3.0 + DEGENERACY_TOL, 3.0, 0.0],  # 3 + tol still counts as a second 3
-    [3.0, -1.0 - DEGENERACY_TOL, 0.5],  # exactly -1 - tol: named as the verdict tests it
-    [3.0, 1.0 + 2e-8, 1.0 - 2e-8],     # just off the ladder
+    [10.0 - 5e-9, 3.0, -1.0 - 1e-8],   # a hit on nu_3; -1 is no ladder value
+    [3.0, 6.0 + 2e-8, 6.0 - 2e-8],     # just off the ladder
 ])
 def test_spectrum_reason_matches_former_message(lambdas):
-    """The former message wherever it was right; the pinned reason where not."""
-    verdict, reason = _verdict_from_lambdas(np.array(lambdas))
-    pinned = PINNED_REASONS.get(tuple(lambdas))
-    if pinned is None:
-        assert reason == spectrum_message(verdict, np.array(lambdas))
-    else:
-        assert (verdict, reason) == pinned
+    """Verdict and reason meet the hand-written ladder, in the message form
+    the spectrum task has always written."""
+    assert _verdict_from_lambdas(np.array(lambdas), 4) == spectrum_message(lambdas)
 
 
 @pytest.mark.parametrize("lambdas, reason", [
-    ([3.0, -1.0 - 1e-8, 0.5],
-     "inconclusive: lambda_3 = -1.00000001 outside the certified ladder range"),
-    ([3.0, 3.0 + 2e-8, 0.0],
-     "inconclusive: lambda_2 = 3.00000002 outside the certified ladder range"),
+    # once "outside the certified ladder range"; -1 and values above 3 that
+    # miss every nu_k are nondegenerate
+    ([3.0, -1.0 - 1e-8, 0.5], "nondegenerate"),
+    ([3.0, 3.0 + 2e-8, 0.0], "nondegenerate"),
     ([3.0, 1.0 + 5e-9, 0.0], "degenerate: lambda_2 = 1.000000005"),
     ([3.0, 3.0 - 5e-9, 0.0], "degenerate: lambda_2 = 2.999999995"),
     # values the .6g text shows as they are keep their bytes
     ([3.0, 3.0, 0.0], "degenerate: lambda_2 = 3"),
     ([3.0, 1.0, 0.0], "degenerate: lambda_2 = 1"),
-    ([5.0, 3.0, 0.0], "inconclusive: lambda_2 = 5 outside the certified ladder range"),
-    ([3.0, -1.5, 0.0], "inconclusive: lambda_3 = -1.5 outside the certified ladder range"),
-    ([3.0, 37.0 / 7.0],
-     "inconclusive: lambda_2 = 5.28571 outside the certified ladder range"),
+    ([5.0, 3.0, 0.0], "nondegenerate"),
+    ([3.0, -1.5, 0.0], "nondegenerate"),
+    ([3.0, 37.0 / 7.0], "nondegenerate"),
+    # the higher ladder values are named as 1 and 3 are
+    ([3.0, 6.0 + 5e-9, 0.0], "degenerate: lambda_2 = 6.000000005"),
+    ([10.0, 3.0, 0.0], "degenerate: lambda_2 = 10"),
+    ([3.0, 15.0 - 2e-9, 0.0], "degenerate: lambda_2 = 14.999999998"),
 ])
 def test_spectrum_reason_never_shows_a_value_as_the_ladder_edge(lambdas, reason):
-    assert _verdict_from_lambdas(np.array(lambdas))[1] == reason
+    assert _verdict_from_lambdas(np.array(lambdas), 4)[1] == reason
+
+
+@pytest.mark.parametrize("lambdas, reason", [
+    ([5.0, 35.0 / 3.0 + 1e-9], "degenerate: lambda_2 = 11.6667"),
+    ([5.0, 21.0 - 1e-9, 0.0], "degenerate: lambda_2 = 20.999999999"),
+    ([5.0 + 5e-9, 1.0 - 5e-9], "degenerate: lambda_2 = 0.999999995"),
+    ([5.0, 5.0, 2.0], "degenerate: lambda_2 = 5"),
+    ([5.0, 6.0, 3.0, 10.0], "nondegenerate"),   # N=4 ladder values are not N=3 ones
+    ([3.0, 1.5], "inconclusive: the structural eigenvalue 5 is missing"),
+])
+def test_spectrum_reasons_at_n3(lambdas, reason):
+    assert _verdict_from_lambdas(np.array(lambdas), 3) == spectrum_message(lambdas, 3)
+    assert _verdict_from_lambdas(np.array(lambdas), 3)[1] == reason
 
 
 def test_random_spectrum_reasons_match_former_message():
     verdicts, missing = set(), 0
     for _ in range(2000):
+        N = int(RNG.choice([3, 4]))
         k = int(RNG.integers(1, 6))
-        lam = np.concatenate([[3.0], RNG.choice([-1.0, 1.0, 3.0], k) + RNG.choice(
+        lam = np.concatenate([[LADDER[N][1]], RNG.choice(LADDER[N], k) + RNG.choice(
             [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.7, -0.7, 3.0], k)])
         if RNG.random() < 0.2:
             lam = lam[1:] if k > 1 else lam + 0.1
-        verdict, reason = _verdict_from_lambdas(RNG.permutation(lam))
-        if has_structural_3(lam):
-            assert reason == spectrum_message(verdict, lam)
-        else:
-            missing += 1
-            assert (verdict, reason) == MISSING_3
+        verdict, reason = _verdict_from_lambdas(RNG.permutation(lam), N)
+        assert (verdict, reason) == spectrum_message(lam, N)
+        missing += verdict == "inconclusive"
         verdicts.add(verdict)
     assert verdicts == {"nondegenerate", "degenerate", "inconclusive"}
     assert 200 < missing < 600
 
 
 def test_spectrum_report_carries_reason():
-    for beta12, verdict in ((3.0, "nondegenerate"), (1.0, "degenerate"), (-0.5, "inconclusive")):
-        spec = two_component_spec(1.0, 2.0, beta12)
-        rep = build_spectrum(spec, solve_c_vector(spec, 0))
-        assert rep.verdict == verdict
-        assert rep.reason == spectrum_message(rep.verdict, rep.lambdas)
-        assert rep.reason.startswith(verdict)
+    for N in (3, 4):
+        for beta12, verdict in ((3.0, "nondegenerate"), (1.0, "degenerate"),
+                                (-0.5, "nondegenerate")):
+            spec = two_component_spec(1.0, 2.0, beta12, N)
+            if N == 3 and beta12 == 1.0:   # the N=3 solve refuses the boundary
+                continue
+            rep = build_spectrum(spec, solve_c_vector(spec, 0))
+            assert (rep.verdict, rep.reason) == spectrum_message(rep.lambdas, N)
+            assert rep.verdict == verdict
+
+
+def _two_component_report(beta12, N):
+    spec = two_component_spec(1.0, 2.0, beta12, N)
+    return build_spectrum(spec, solve_c_vector(spec, 0))
+
+
+def _tuned_report(target, N):
+    """Bisect beta_12 in (-sqrt(mu1 mu2), 0), where the second eigenvalue
+    falls from +inf to p, until it equals `target`."""
+    lo, hi = -np.sqrt(2.0) * (1 - 1e-9), 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return _two_component_report(hi, N)
+        if _two_component_report(mid, N).lambdas.max() > target:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("N, nu", [(4, 6.0), (3, 35.0 / 3.0)])
+def test_tuned_coupling_meets_the_ladder(N, nu):
+    # mu = (1, 2), beta_12 tuned so that the second eigenvalue is nu_2
+    rep = _tuned_report(nu, N)
+    assert rep.lambdas.max() == pytest.approx(nu, abs=1e-12)
+    assert rep.verdict == "degenerate"
+    assert rep.reason.startswith("degenerate: lambda_2 = ")
+    for off in (-1e-6, 1e-6):
+        rep = _tuned_report(nu + off, N)
+        assert rep.lambdas.max() == pytest.approx(nu + off, abs=1e-12)
+        assert (rep.verdict, rep.reason) == ("nondegenerate", "nondegenerate")
 
 
 def test_perron_frobenius_on_random_positive_blocks():
@@ -345,18 +398,79 @@ def test_alternative_lambda_formula_k2():
         np.testing.assert_allclose(np.sort(rep.lambdas), alt, rtol=1e-10)
 
 
-def test_spectrum_refuses_n3():
+def _coupled_jacobian(block, c, p, h=1e-6):
+    """Central differences of f_i(u) = sum_j beta_ij u_i^((p-1)/2) u_j^((p+1)/2)
+    at u = c: the matrix M of the linearization -Lap phi = U^(p-1) M phi."""
+    def f(u):
+        return block @ u ** ((p + 1) / 2) * u ** ((p - 1) / 2)
+    cols = [(f(c + h * e) - f(c - h * e)) / (2 * h) for e in np.eye(c.size)]
+    return np.array(cols).T
+
+
+def test_spectrum_is_the_jacobian_of_the_coupled_nonlinearity():
+    rng = np.random.default_rng(3)
+    checked = {3: 0, 4: 0}
+    while min(checked.values()) < 20:
+        spec = _seeded_spec(rng, int(rng.choice([3, 4])), int(rng.integers(1, 5)), -0.9, 0.0)
+        for h in range(spec.n_groups):
+            try:
+                cv = solve_c_vector(spec, h)
+            except NoPositiveSolution:
+                continue
+            rep = build_spectrum(spec, cv)
+            matM = _coupled_jacobian(spec.group_block(h), cv.c, spec.p)
+            np.testing.assert_allclose(np.sort(np.linalg.eigvals(matM).real),
+                                       np.sort(rep.lambdas), rtol=1e-7, atol=1e-7)
+            assert np.min(np.abs(rep.lambdas - spec.p)) < 1e-10
+            assert rep.det_identity_gap < 1e-10
+            checked[spec.N] += 1
+
+
+def test_spectrum_at_n3():
     spec = two_component_spec(1.0, 1.0, 0.3, N=3)
     cv = solve_c_vector(spec, 0)
-    with pytest.raises(ValueError, match="N = 4"):
-        build_spectrum(spec, cv)
+    rep = build_spectrum(spec, cv)
+    # M = 2 Id + 3C with C_ij = beta_ij c_i^2 c_j^2; c_1 = c_2 = 1.3^(-1/4)
+    c2 = 1.3 ** -0.5
+    np.testing.assert_allclose(rep.matC, [[c2**2, 0.3 * c2**2], [0.3 * c2**2, c2**2]],
+                               rtol=1e-12)
+    np.testing.assert_allclose(rep.lambdas, [5.0, 2.0 + 3.0 * 0.7 / 1.3], rtol=1e-12)
+    assert (rep.verdict, rep.reason) == ("nondegenerate", "nondegenerate")
+
+
+def poschl_teller_levels(nu, N, h):
+    """Bound states below -0.05 of -psi'' - nu N(N-2)/4 sech^2(t) psi on
+    [-30, 30] (Dirichlet), by second-order finite differences at step h."""
+    t = np.arange(-30.0 + h, 30.0 - h / 2, h)
+    diag = 2.0 / h**2 - nu * N * (N - 2) / 4.0 / np.cosh(t) ** 2
+    off = np.full(t.size - 1, -1.0 / h**2)
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, -0.05))
+
+
+def bound_states(nu, N):
+    """poschl_teller_levels, Richardson-extrapolated from h = 0.02 and 0.01."""
+    coarse, fine = poschl_teller_levels(nu, N, 0.02), poschl_teller_levels(nu, N, 0.01)
+    assert coarse.size == fine.size
+    return (4.0 * fine - coarse) / 3.0
 
 
 def test_ladder_prefix():
-    lad = _LADDER
-    assert lad == (1.0, 3.0)
-    assert list(lad) == sorted(lad)
-    assert len(lad) == 2
+    """With phi = r^(-a) psi(ln r) Y_l and a = (N-2)/2, -Lap phi = nu U^(p-1) phi
+    is a Poschl-Teller well, with a bound state at -(a+l)^2 exactly when nu
+    is a weighted eigenvalue of the bubble.  At each hand-written nu_k the
+    well holds the k+1 states l = 0..k, halfway to nu_(k+1) none of them, and
+    the verdict rule takes each nu_k, and nothing 1e-6 off it, as degenerate."""
+    for N, ladder in LADDER.items():
+        a, p = (N - 2) / 2, (N + 2) / (N - 2)
+        for k, nu in enumerate(ladder):
+            want = -(a + np.arange(k, -1, -1.0)) ** 2
+            np.testing.assert_allclose(bound_states(nu, N), want, atol=1e-6)
+            if k + 1 < len(ladder):
+                levels = bound_states(0.5 * (nu + ladder[k + 1]), N)
+                assert np.abs(levels[:, None] + (a + np.arange(5.0)) ** 2).min() > 0.1
+            assert _verdict_from_lambdas(np.array([p, nu]), N)[0] == "degenerate"
+            for off in (-1e-6, 1e-6):
+                assert _verdict_from_lambdas(np.array([p, nu + off]), N)[0] == "nondegenerate"
 
 
 def test_spec_validation():
