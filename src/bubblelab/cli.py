@@ -650,12 +650,31 @@ def _write_csv(path, header, columns):
 # --------------------------------------------------------------------- tasks
 
 
+# verdict -> (rank, exit status).  A task's verdict is the worst of its
+# checks, and a run's the worst of its tasks
+_VERDICTS = {
+    "pass": (0, EXIT_PASS),
+    "inconclusive": (1, EXIT_DEGENERATE),
+    "degenerate": (2, EXIT_DEGENERATE),
+    "error": (3, EXIT_ERROR),
+}
+
+
+def _fold(checks, passed):
+    """The worst verdict of the (verdict, reason) `checks` and the reasons
+    of those that fail, in order, joined by "; "; `passed` if all pass."""
+    failing = [(verdict, reason) for verdict, reason in checks if verdict != "pass"]
+    if not failing:
+        return "pass", passed
+    worst = max((verdict for verdict, _ in failing), key=_VERDICTS.__getitem__)
+    return worst, "; ".join(reason for _, reason in failing)
+
+
 def _task_c_vector(cfg, ctx, rng, out):
     spec = cfg.coupling
     cvecs = []
     groups = []
-    worst = "pass"
-    message = "positive amplitude vector in every group"
+    checks = []
     for h in range(spec.n_groups):
         try:
             cv = solve_c_vector(spec, h)
@@ -675,21 +694,17 @@ def _task_c_vector(cfg, ctx, rng, out):
                 "boundary": cv.boundary,
             }
         )
-        if cv.boundary:
-            worst = "degenerate"
-            message = f"degenerate: group {h} amplitude hits the existence boundary"
+        checks.append(("degenerate" if cv.boundary else "pass",
+                       f"degenerate: group {h} amplitude hits the existence boundary"))
     ctx["c-vector"] = cvecs
-    return worst, message, {"groups": _num(groups, "coupling", "solve_c_vector")}
-
-
-_VERDICT_RANK = {"pass": 0, "inconclusive": 1, "degenerate": 2, "error": 3}
+    verdict, message = _fold(checks, "positive amplitude vector in every group")
+    return verdict, message, {"groups": _num(groups, "coupling", "solve_c_vector")}
 
 
 def _task_spectrum(cfg, ctx, rng, out):
     spec = cfg.coupling
     groups = []
-    worst = "pass"
-    messages = []
+    checks = []
     for h, cv in enumerate(ctx["c-vector"]):
         report = build_spectrum(spec, cv)
         groups.append(
@@ -702,12 +717,10 @@ def _task_spectrum(cfg, ctx, rng, out):
                 "message": report.reason,
             }
         )
-        task_verdict = "pass" if report.verdict == "nondegenerate" else report.verdict
-        worst = max(worst, task_verdict, key=_VERDICT_RANK.__getitem__)
-        if task_verdict != "pass":
-            messages.append(f"group {h}: {report.reason}")
-    message = "; ".join(messages) if messages else "all groups nondegenerate"
-    return worst, message, {
+        checks.append(("pass" if report.verdict == "nondegenerate" else report.verdict,
+                       f"group {h}: {report.reason}"))
+    verdict, message = _fold(checks, "all groups nondegenerate")
+    return verdict, message, {
         "groups": _num(groups, "coupling", "build_spectrum"),
     }
 
@@ -752,21 +765,18 @@ def _task_critical_point(cfg, ctx, rng, out):
     model = ctx["reduced-energy"]
     rep = critical_point(model, eta=cfg.eta)
     psi_min = psi_value(model, rep.point) if rep.in_box else None   # Psi lives on X_eta
-    if not rep.in_box:
-        verdict = "inconclusive"
-        message = "inconclusive: critical point leaves the admissible box"
-    elif not rep.signature_ok:
-        verdict = "degenerate"
-        message = "degenerate: Hessian signature is not (d positive, tau negative)"
-    elif rep.grad_norm >= 1e-10:
-        verdict = "inconclusive"
-        message = f"inconclusive: gradient norm {rep.grad_norm:.3e} at the candidate"
-    else:
-        verdict = "pass"
-        message = (
-            f"critical point at d_tilde with |grad| = {rep.grad_norm:.3e}, "
-            "min-max signature confirmed"
-        )
+    checks = [
+        ("pass" if rep.in_box else "inconclusive",
+         "inconclusive: critical point leaves the admissible box"),
+        ("pass" if rep.signature_ok else "degenerate",
+         "degenerate: Hessian signature is not (d positive, tau negative)"),
+    ]
+    if rep.in_box:
+        checks.append(("inconclusive" if rep.grad_norm >= 1e-10 else "pass",
+                       f"inconclusive: gradient norm {rep.grad_norm:.3e} at the candidate"))
+    verdict, message = _fold(checks, (
+        f"critical point at d_tilde with |grad| = {rep.grad_norm:.3e}, "
+        "min-max signature confirmed"))
     return verdict, message, {
         "d_tilde": _num(rep.point.d.tolist(), "energy", "critical_point"),
         "psi_value": _num(psi_min, "energy", "psi_value"),
@@ -777,33 +787,32 @@ def _task_critical_point(cfg, ctx, rng, out):
     }
 
 
-def _family_verdict(slope_tol, fit):
-    if abs(fit.exponent_measured - fit.exponent_predicted) > slope_tol:
-        return "inconclusive", (
-            f"slope {fit.exponent_measured:.3f} vs predicted "
-            f"{fit.exponent_predicted:.3f}"
-        )
+def _family_checks(slope_tol, fit):
+    """The log-log slope, then the fit's r^2 or, for a pair, the spread of
+    its value/bound ratios; a constant fit has no r^2 to check."""
+    slope_off = abs(fit.exponent_measured - fit.exponent_predicted) > slope_tol
+    checks = [("inconclusive" if slope_off else "pass",
+               f"slope {fit.exponent_measured:.3f} vs predicted {fit.exponent_predicted:.3f}")]
     constant = abs(fit.exponent_predicted) < 1e-12 and not fit.has_log
-    ratios = fit.ratios   # pair fits gate their value/bound ratios, not r^2
-    if not constant and ratios is None and fit.r2 < 0.999:
-        return "inconclusive", f"log-log fit r^2 = {fit.r2:.5f} < 0.999"
-    if ratios is not None and ratios.max() > 10.0 * ratios.min():
-        return "inconclusive", "value/bound ratio spreads more than 10x"
-    return "pass", "within tolerance"
+    ratios = fit.ratios
+    if ratios is not None:
+        checks.append(("inconclusive" if ratios.max() > 10.0 * ratios.min() else "pass",
+                       "value/bound ratio spreads more than 10x"))
+    elif not constant:
+        checks.append(("inconclusive" if fit.r2 < 0.999 else "pass",
+                       f"log-log fit r^2 = {fit.r2:.5f} < 0.999"))
+    return checks
 
 
 def _task_scaling(cfg, ctx, rng, out):
     families = []
-    worst = "pass"
-    messages = []
+    checks = []
     for kind, params in cfg.scaling:
         family = _FAMILIES[kind]
         fit = family.fit(cfg.dims, cfg.ball.radius, params)
         name = family.name.format(**params)
-        verdict, note = _family_verdict(family.slope_tol, fit)
-        worst = max(worst, verdict, key=_VERDICT_RANK.__getitem__)
-        if verdict != "pass":
-            messages.append(f"{name}: {note}")
+        verdict, note = _fold(_family_checks(family.slope_tol, fit), "within tolerance")
+        checks.append((verdict, f"{name}: {note}"))
         families.append(
             {
                 "name": name,
@@ -823,9 +832,9 @@ def _task_scaling(cfg, ctx, rng, out):
             header.append("bound")
             columns.append(fit.bound_values)
         _write_csv(out / f"scaling_{name}.csv", header, columns)
-    message = "; ".join(messages) if messages else "all families within tolerance"
+    verdict, message = _fold(checks, "all families within tolerance")
     op = "scaling_law_single/weighted/pair"
-    return worst, message, {"families": _num(families, "asymptotics", op)}
+    return verdict, message, {"families": _num(families, "asymptotics", op)}
 
 
 def _task_radial_sweep(cfg, ctx, rng, out):
@@ -867,22 +876,17 @@ def _task_radial_sweep(cfg, ctx, rng, out):
     }
     if sweep.aborted:
         return "error", f"sweep aborted: {sweep.message}", outputs
-    ok_slope = abs(sweep.slope - 0.5) <= 0.05
-    ok_amp = abs(sweep.d_final / sweep.d_tilde - 1.0) <= 0.20
-    if ok_slope and ok_amp:
-        return "pass", (
-            f"slope {sweep.slope:.3f} (predicted 0.5), amplitude within "
-            f"{abs(sweep.d_final / sweep.d_tilde - 1) * 100:.1f}% of the "
-            "reduced-energy rate"
-        ), outputs
-    parts = []
-    if not ok_slope:
-        parts.append(f"slope {sweep.slope:.3f} outside 0.50 +/- 0.05")
-    if not ok_amp:
-        parts.append(
-            f"d_est {sweep.d_final:.4f} vs d_tilde {sweep.d_tilde:.4f} beyond 20%"
-        )
-    return "inconclusive", "; ".join(parts), outputs
+    gap = abs(sweep.d_final / sweep.d_tilde - 1.0)
+    checks = [
+        ("pass" if abs(sweep.slope - 0.5) <= 0.05 else "inconclusive",
+         f"slope {sweep.slope:.3f} outside 0.50 +/- 0.05"),
+        ("pass" if gap <= 0.20 else "inconclusive",
+         f"d_est {sweep.d_final:.4f} vs d_tilde {sweep.d_tilde:.4f} beyond 20%"),
+    ]
+    verdict, message = _fold(checks, (
+        f"slope {sweep.slope:.3f} (predicted 0.5), amplitude within {gap * 100:.1f}% "
+        "of the reduced-energy rate"))
+    return verdict, message, outputs
 
 
 # ----------------------------------------------------------------------- run
@@ -937,7 +941,6 @@ def run(config, out_dir, seed=0):
     rng = np.random.default_rng(seed)
     ctx = {}
     entries = []
-    worst = "pass"
     for task, info in _TASKS.items():
         if task not in config.tasks:
             continue
@@ -963,13 +966,8 @@ def run(config, out_dir, seed=0):
                 "time_s": round(elapsed, 6),
             }
         )
-        worst = max(worst, verdict, key=_VERDICT_RANK.__getitem__)
-    exit_code = {
-        "pass": EXIT_PASS,
-        "inconclusive": EXIT_DEGENERATE,
-        "degenerate": EXIT_DEGENERATE,
-        "error": EXIT_ERROR,
-    }[worst]
+    worst, _ = _fold([(entry["verdict"], entry["message"]) for entry in entries], None)
+    exit_code = _VERDICTS[worst][1]
     summary = {
         "schema": SUMMARY_SCHEMA,
         "package_version": __version__,

@@ -7,10 +7,10 @@ vector c > 0 solving
 
 with beta_ii := mu_i.  For N=4 (p=3) this is linear in c_j^2.  For N=3
 (p=5) it reads sum_j beta_ij c_i c_j^3 = 1, which is genuinely nonlinear
-for k >= 2; we solve it by damped Newton seeded with the linear solve of
-sum_j beta_ij s_j = 1 (exact in the symmetric case).  k = 1 always has the
-closed form c = mu^(-1/(p-1)).  Groups are contiguous, so a group's block
-of beta is a slice copy.
+for k >= 2; we solve it by damped Newton seeded with c = s^(1/3), where s
+solves sum_j beta_ij s_j = 1 (an approximate seed: the symmetric root is
+c = s^(1/4)).  k = 1 always has the closed form c = mu^(-1/(p-1)).  Groups
+are contiguous, so a group's block of beta is a slice copy.
 
 At u_i = c_i U the linearization is -Lap phi = U^(p-1) M phi, with
 

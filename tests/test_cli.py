@@ -1,15 +1,19 @@
 import copy
 import csv
+import dataclasses
 import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ import bubblelab
 from bubblelab import cli, solver
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS4
+from bubblelab.energy import critical_point
 from bubblelab.solver import solve_radial
 
 DEMO = {
@@ -1493,6 +1498,84 @@ def test_empty_task_list_exits_zero(tmp_path):
     assert code == 0
     assert summary["tasks"] == []
     assert summary["verdict"] == "pass"
+
+
+def test_readme_example_config_exits_zero_with_its_eigenvalues(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)   # the first JSON block
+    out = tmp_path / "out"
+    code = cli.main(["run", write_config(tmp_path, json.loads(block)), "--out", str(out)])
+    assert code == 0
+    group = _outputs(load_summary(out), "spectrum")["groups"][0]
+    np.testing.assert_allclose(sorted(group["lambdas"]), [3.0, 37.0 / 7.0], rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------- verdict fold
+
+
+@pytest.mark.parametrize("checks, want", [
+    ([], ("pass", "all fine")),
+    ([("pass", "a"), ("pass", "b")], ("pass", "all fine")),
+    ([("inconclusive", "a"), ("pass", "b"), ("inconclusive", "c")], ("inconclusive", "a; c")),
+    ([("inconclusive", "a"), ("degenerate", "b")], ("degenerate", "a; b")),
+    ([("degenerate", "a"), ("inconclusive", "b")], ("degenerate", "a; b")),
+    ([("degenerate", "a"), ("error", "b"), ("inconclusive", "c")], ("error", "a; b; c")),
+])
+def test_fold_takes_the_worst_verdict_and_every_failing_reason_in_order(checks, want):
+    assert cli._fold(checks, "all fine") == want
+
+
+@pytest.mark.parametrize("verdict, code", [
+    ("pass", 0), ("inconclusive", 2), ("degenerate", 2), ("error", 1)])
+def test_every_verdict_keeps_its_exit_code(tmp_path, monkeypatch, verdict, code):
+    task = cli._TASKS["spectrum"]
+    monkeypatch.setitem(cli._TASKS, "spectrum", task._replace(
+        runner=lambda *args: (verdict, "set by the test", {})))
+    config, _ = cli.parse_config(PAIR)
+    assert cli.run(config, tmp_path)[0] == code
+    summary = load_summary(tmp_path)
+    assert (summary["verdict"], summary["exit_code"]) == (verdict, code)
+
+
+def test_family_names_every_failing_check():
+    fit = types.SimpleNamespace(exponent_measured=3.0, exponent_predicted=4.0, has_log=False,
+                                r2=0.5, ratios=np.array([1.0, 20.0]))
+    checks = cli._family_checks(0.25, fit)
+    assert cli._fold(checks, "within tolerance") == ("inconclusive", (
+        "slope 3.000 vs predicted 4.000; value/bound ratio spreads more than 10x"))
+    fit.ratios = None   # a single or weighted fit: r^2 in the ratios' place
+    assert cli._fold(cli._family_checks(0.25, fit), "within tolerance")[1] == (
+        "slope 3.000 vs predicted 4.000; log-log fit r^2 = 0.50000 < 0.999")
+
+
+def test_every_boundary_group_is_named(tmp_path):
+    # both groups are the two-component boundary beta_12 = mu_1 = 1
+    cross = 0.1
+    beta = [[0.0, 1.0, cross, cross], [1.0, 0.0, cross, cross],
+            [cross, cross, 0.0, 1.0], [cross, cross, 1.0, 0.0]]
+    cfg = _variant(PAIR, tasks=["c-vector"], coupling={
+        "mu": [1.0, 2.0, 1.0, 2.0], "beta": beta, "decomposition": [0, 2, 4]})
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    (entry,) = load_summary(out)["tasks"]
+    assert (entry["verdict"], entry["message"]) == ("degenerate", (
+        "degenerate: group 0 amplitude hits the existence boundary; "
+        "degenerate: group 1 amplitude hits the existence boundary"))
+
+
+def test_critical_point_names_every_failing_check(tmp_path, monkeypatch):
+    def flawed(model, eta):   # inside the box, with a bad signature and gradient
+        rep = critical_point(model, eta=eta)
+        assert rep.in_box
+        return dataclasses.replace(rep, signature_ok=False, grad_norm=1e-3)
+
+    monkeypatch.setattr(cli, "critical_point", flawed)
+    config, _ = cli.parse_config(DEMO)
+    assert cli.run(config, tmp_path)[0] == 2
+    entry = load_summary(tmp_path)["tasks"][3]
+    assert entry["verdict"] == "degenerate"
+    assert "degenerate: Hessian signature is not (d positive, tau negative)" in entry["message"]
+    assert "inconclusive: gradient norm 1.000e-03 at the candidate" in entry["message"]
 
 
 def _outcomes(tmp_path, capsys, base):
