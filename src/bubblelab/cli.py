@@ -9,13 +9,13 @@ exit status: 0 all tasks pass, 1 error, 2 degenerate or inconclusive.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ from .greens import Ball, check_holes, kernel_robin
 from .solver import DEFAULT_NODES, rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
-SUMMARY_SCHEMA = "bubblelab-summary/2"
+SUMMARY_SCHEMA = "bubblelab-summary/3"
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
@@ -266,6 +266,8 @@ def _is_integral(value):
 
 def _all_finite(raw):
     """True if `raw` is a list of finite JSON numbers."""
+    if isinstance(raw, (list, tuple)) and set(map(type, raw)) == {float}:
+        return all(map(math.isfinite, raw))   # the common case, in C-level passes
     return isinstance(raw, (list, tuple)) and all(map(_is_finite, raw))
 
 
@@ -332,20 +334,17 @@ def parse_config(data):
                     _err(diags, "coupling", str(exc))
     if spec is not None:
         for h in range(spec.n_groups):
-            idx = list(spec.group_indices(h))
-            for a in range(len(idx)):
-                for b in range(a + 1, len(idx)):
-                    i, j = idx[a], idx[b]
-                    admissible = admissible_beta_range(spec.mu[i], spec.mu[j])
-                    if not admissible(spec.beta[i, j]):
-                        _warn(
-                            diags,
-                            f"coupling.beta[{i}][{j}]",
-                            f"beta = {spec.beta[i, j]:g} is outside the "
-                            f"two-component admissible range for mu = "
-                            f"({spec.mu[i]:g}, {spec.mu[j]:g}); degenerate "
-                            "regions may be probed deliberately",
-                        )
+            for i, j in itertools.combinations(spec.group_indices(h), 2):
+                admissible = admissible_beta_range(spec.mu[i], spec.mu[j])
+                if not admissible(spec.beta[i, j]):
+                    _warn(
+                        diags,
+                        f"coupling.beta[{i}][{j}]",
+                        f"beta = {spec.beta[i, j]:g} is outside the "
+                        f"two-component admissible range for mu = "
+                        f"({spec.mu[i]:g}, {spec.mu[j]:g}); degenerate "
+                        "regions may be probed deliberately",
+                    )
 
     # ---- domain block
     domain = data.get("domain")
@@ -496,47 +495,20 @@ def load_config(path):
 # ------------------------------------------------------------------- reports
 
 
-def _encode(obj, out, indent):
-    """Append to the list `out` the JSON text of `obj`, as json.dump(obj,
-    fh, indent=2, sort_keys=True) writes it, with non-finite floats as
-    null; `indent` is the newline and the indentation of the line `obj` is
-    on.  `obj` is built of dicts with str keys, lists, str, int, float,
-    bool and None; anything else, numpy values and tuples too, is a
-    TypeError."""
-    kind = type(obj)
-    if kind is float:
-        out.append(float.__repr__(obj) if math.isfinite(obj) else "null")
-    elif kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif kind is dict or kind is list:
-        inner = indent + "  "
-        if not obj:
-            out.append("{}" if kind is dict else "[]")
-        elif kind is dict:
-            for key in obj:
-                if type(key) is not str:
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = "{" + inner
-            for key in sorted(obj):
-                out.append(head + encode_basestring_ascii(key) + ": ")
-                _encode(obj[key], out, inner)
-                head = "," + inner
-            out.append(indent + "}")
-        elif all(type(v) is float and math.isfinite(v) for v in obj):
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + indent + "]")
-        else:
-            head = "[" + inner
-            for value in obj:
-                out.append(head)
-                _encode(value, out, inner)
-                head = "," + inner
-            out.append(indent + "]")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+# summary.json's text: compact, keys sorted, ASCII only, through the
+# standard library's C encoder; a non-finite float is a ValueError
+_SUMMARY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _finite_or_none(obj):
+    """A copy of `obj` with each non-finite float replaced by None (null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(value) for value in obj]
+    return obj
 
 
 def _num(value, module, operation):
@@ -772,7 +744,11 @@ def _task_critical_point(cfg, ctx, rng, out):
          "degenerate: Hessian signature is not (d positive, tau negative)"),
     ]
     if rep.in_box:
-        checks.append(("inconclusive" if rep.grad_norm >= 1e-10 else "pass",
+        # at the exact d_tilde the gradient is the roundoff of the terms it
+        # cancels, k A_i d^(k-1) and k B_i d^(-k-1), which scale with the weights
+        k, d = cfg.dims.N - 2, rep.point.d
+        scale = k * (model.robin_coeff() * d ** (k - 1) + model.hole_coeff() / d ** (k + 1))
+        checks.append(("inconclusive" if rep.grad_norm >= 1e-10 * scale.max() else "pass",
                        f"inconclusive: gradient norm {rep.grad_norm:.3e} at the candidate"))
     verdict, message = _fold(checks, (
         f"critical point at d_tilde with |grad| = {rep.grad_norm:.3e}, "
@@ -976,11 +952,11 @@ def run(config, out_dir, seed=0):
         "verdict": worst,
         "exit_code": exit_code,
     }
-    text = []
-    _encode(summary, text, "\n")   # before the file opens: no partial file
-    text.append("\n")
-    with open(out / "summary.json", "w") as fh:
-        fh.write("".join(text))
+    try:   # the text is built before the file opens: no partial file
+        text = _SUMMARY_ENCODER.encode(summary)
+    except ValueError:   # a non-finite float; the summary itself keeps it
+        text = _SUMMARY_ENCODER.encode(_finite_or_none(summary))
+    (out / "summary.json").write_text(text + "\n")
     return exit_code, summary
 
 

@@ -45,28 +45,26 @@ class Ball:
 def check_holes(ball, centers, coeffs, epsilon):
     """Raise ValueError unless the holes B(a_k, r_k epsilon), a_k = centers[k]
     and r_k = coeffs[k] > 0, are disjoint and each lies in the ball with its
-    radius below half the distance from a_k to the boundary."""
+    radius below half the distance from a_k to the boundary.  The first
+    failure is raised: hole by hole, then pair by pair in (i, j) order."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    for k, (a, r) in enumerate(zip(centers, coeffs)):
-        v = a - ball.center
-        d_bdry = ball.radius - math.sqrt(v.dot(v))   # np.linalg.norm's bits
+    centers, coeffs = np.asarray(centers, float), np.asarray(coeffs, float)
+    v = centers - ball.center
+    for k, (sq, r) in enumerate(zip(np.vecdot(v, v).tolist(), coeffs.tolist())):
+        d_bdry = ball.radius - math.sqrt(sq)   # vecdot has v.dot(v)'s bits
         if not d_bdry > 0:
             raise ValueError(f"hole {k} touches or leaves the ambient boundary")
         if not r * epsilon < d_bdry / 2:
-            raise ValueError(
-                f"epsilon {epsilon:g} too large: the radius of hole {k} "
-                "exceeds half its distance to the ambient boundary"
-            )
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            v = centers[i] - centers[j]
-            gap = math.sqrt(v.dot(v))
-            if not gap > (coeffs[i] + coeffs[j]) * epsilon:
-                raise ValueError(
-                    f"holes {i} and {j} overlap at eps={epsilon:g}; "
-                    "holes must be disjoint"
-                )
+            raise ValueError(f"epsilon {epsilon:g} too large: the radius of hole {k} "
+                             "exceeds half its distance to the ambient boundary")
+    m = len(coeffs)
+    v = centers[:, None] - centers   # every pair, in one pass
+    overlap = ~(np.sqrt(np.vecdot(v, v)) > (coeffs[:, None] + coeffs) * epsilon)
+    bad = (overlap & (np.arange(m)[:, None] < np.arange(m))).ravel().nonzero()[0]
+    if len(bad):
+        i, j = divmod(int(bad[0]), m)
+        raise ValueError(f"holes {i} and {j} overlap at eps={epsilon:g}; holes must be disjoint")
 
 
 def kernel_robin(ball, a):

@@ -23,6 +23,8 @@ runs, kept beside the tests that use them.
   `reference_newton_system`, the Jacobian and right-hand side of a step.
 * `exact_radial`: the radial solution from the first integral of its
   Emden-Fowler form, by root-finding and quadrature, with no mesh.
+* `reference_check_holes`: `greens.check_holes` as a loop over the holes
+  and then over the pairs, one `v.dot(v)` each, whose outcomes it keeps.
 """
 
 import math
@@ -318,6 +320,34 @@ def reference_pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         values.append(peak_piece(d1, q1, d2, q2, True) + peak_piece(d2, q2, d1, q1, False)
                       + rest)
     return _slice_area(dims) * np.reshape(values, deltas1.shape)
+
+
+# ---------------------------------------------------------------- greens
+
+
+def reference_check_holes(ball, centers, coeffs, epsilon):
+    """`greens.check_holes` one hole and then one pair at a time."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    for k, (a, r) in enumerate(zip(centers, coeffs)):
+        v = a - ball.center
+        d_bdry = ball.radius - math.sqrt(v.dot(v))
+        if not d_bdry > 0:
+            raise ValueError(f"hole {k} touches or leaves the ambient boundary")
+        if not r * epsilon < d_bdry / 2:
+            raise ValueError(
+                f"epsilon {epsilon:g} too large: the radius of hole {k} "
+                "exceeds half its distance to the ambient boundary"
+            )
+    for i in range(len(coeffs)):
+        for j in range(i + 1, len(coeffs)):
+            v = centers[i] - centers[j]
+            gap = math.sqrt(v.dot(v))
+            if not gap > (coeffs[i] + coeffs[j]) * epsilon:
+                raise ValueError(
+                    f"holes {i} and {j} overlap at eps={epsilon:g}; "
+                    "holes must be disjoint"
+                )
 
 
 # -------------------------------------------------------------- coupling

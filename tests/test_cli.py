@@ -2,7 +2,6 @@ import copy
 import csv
 import dataclasses
 import errno
-import io
 import json
 import math
 import os
@@ -513,6 +512,17 @@ def test_unusable_output_dir_is_a_diagnostic(tmp_path, capsys, field_name, out, 
     captured = capsys.readouterr()
     assert captured.err == f"error[{field_name}]: [Errno {code}] {os.strerror(code)}: {path!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("raw", [
+    [], [0.5, -2.0], [1.0, math.nan], [math.inf], [1, 2.0], [True, 1.0], [1.0, "2"],
+    [10**400, 1.0], [2**1023 * 2 - 1, 0.0], [1.7976931348623157e308, -0.0],
+    [np.float64(1.5), 2.0], [np.float64(np.inf), 2.0], [None], [[1.0]], (1.0, 2.0),
+])
+def test_all_finite_is_the_rule_of_each_value(raw):
+    # a list of floats alone takes the fast path; any other list takes
+    # _is_finite one value at a time, so both give the same answer
+    assert cli._all_finite(raw) == all(map(cli._is_finite, raw))
 
 
 def test_parse_stores_integral_float_n_nodes_as_int():
@@ -1063,17 +1073,20 @@ def _finite_or_none(obj):
 
 
 def json_oracle(obj):
-    """The stdlib encoding of `obj` with non-finite floats as null."""
-    fh = io.StringIO()
-    json.dump(_finite_or_none(obj), fh, indent=2, sort_keys=True)
-    fh.write("\n")
-    return fh.getvalue()
+    """The compact stdlib encoding of `obj`, non-finite floats as null."""
+    return json.dumps(_finite_or_none(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def encoded(obj):
-    out = []
-    cli._encode(obj, out, "\n")
-    return "".join(out) + "\n"
+def _run_reporting(monkeypatch, out, value):
+    """Run PAIR's c-vector task with its runner replaced by one that reports
+    `value` as its output "x"; returns run's summary and summary.json's text."""
+    task = cli._TASKS["c-vector"]
+    monkeypatch.setitem(cli._TASKS, "c-vector", task._replace(
+        runner=lambda *args: ("pass", "ok", {"x": value})))
+    config, _ = cli.parse_config(_variant(PAIR, tasks=["c-vector"]))
+    _, summary = cli.run(config, out)
+    assert summary["tasks"][0]["outputs"]["x"] is value   # not a nulled copy
+    return summary, (out / "summary.json").read_text()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -1084,38 +1097,25 @@ NUMPY_ARRAYS = {"v": np.array([1.0, np.nan, -0.0, np.inf]), "m": np.arange(6.0).
                 "i": np.arange(4), "b": np.array([True, False]), "e": np.array([], dtype=float),
                 "f32": np.array([0.1, 0.2], dtype=np.float32)}
 
-NOT_JSON = "Object of type %s is not JSON serializable"
-
-# name -> (a value of a type that run never builds, the TypeError it gives,
-# the plain value a task builds in its place with .tolist(), .item(), a
-# list or a str key)
+# name -> (a value of a type that run never builds, the plain value a task
+# builds in its place with .tolist(), .item(), a list or a str key)
 UNBUILT_CASES = {
-    "empty_tuple": ((), NOT_JSON % "tuple", []),
+    "empty_tuple": ((), []),
     "nested_empty": ({"a": {}, "b": [], "c": [[], {}, [[]], ({},)], "d": {"e": {}}},
-                     NOT_JSON % "tuple",
                      {"a": {}, "b": [], "c": [[], {}, [[]], [{}]], "d": {"e": {}}}),
-    "tuples": ((1.0, (2, 3), ("x", (4.5,)), ()), NOT_JSON % "tuple",
-               [1.0, [2, 3], ["x", [4.5]], []]),
-    "float_tuple": ((0.1, 0.2, 1e300), NOT_JSON % "tuple", [0.1, 0.2, 1e300]),
+    "tuples": ((1.0, (2, 3), ("x", (4.5,)), ()), [1.0, [2, 3], ["x", [4.5]], []]),
+    "float_tuple": ((0.1, 0.2, 1e300), [0.1, 0.2, 1e300]),
     "non_string_keys": ({2: "two", 10: "ten", 1.5: [1.0], None: 0, True: 1},
-                        "keys must be str, not int",
                         {"2": "two", "10": "ten", "1.5": [1.0], "None": 0, "True": 1}),
-    "numpy_scalars": (NUMPY_SCALARS, NOT_JSON % "float64",
-                      [v.item() for v in NUMPY_SCALARS]),
-    "numpy_scalar_alone": (np.float64(2.0) / 3, NOT_JSON % "float64",
-                           (np.float64(2.0) / 3).item()),
-    "numpy_int_alone": (np.int32(12), NOT_JSON % "int32", 12),
-    "numpy_floats_in_list": ([np.float64(0.1), 0.2, np.float64(1e-300)],
-                             NOT_JSON % "float64", [0.1, 0.2, 1e-300]),
-    "numpy_arrays": (NUMPY_ARRAYS, NOT_JSON % "ndarray",
-                     {key: value.tolist() for key, value in NUMPY_ARRAYS.items()}),
-    "numpy_array_alone": (np.linspace(0.0, 1.0, 7), NOT_JSON % "ndarray",
-                          np.linspace(0.0, 1.0, 7).tolist()),
-    "numpy_in_tuple": ((np.float64(3.0), np.array([[1, 2]]), "x"), NOT_JSON % "tuple",
-                       [3.0, [[1, 2]], "x"]),
-    "numpy_strings": ({"k": [np.str_("v\u00e9"), np.str_('"')]}, NOT_JSON % "str_",
-                      {"k": ["v\u00e9", '"']}),
-    "numpy_string_key": ({np.str_("k"): 1}, "keys must be str, not str_", {"k": 1}),
+    "numpy_scalars": (NUMPY_SCALARS, [v.item() for v in NUMPY_SCALARS]),
+    "numpy_scalar_alone": (np.float64(2.0) / 3, (np.float64(2.0) / 3).item()),
+    "numpy_int_alone": (np.int32(12), 12),
+    "numpy_floats_in_list": ([np.float64(0.1), 0.2, np.float64(1e-300)], [0.1, 0.2, 1e-300]),
+    "numpy_arrays": (NUMPY_ARRAYS, {key: value.tolist() for key, value in NUMPY_ARRAYS.items()}),
+    "numpy_array_alone": (np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7).tolist()),
+    "numpy_in_tuple": ((np.float64(3.0), np.array([[1, 2]]), "x"), [3.0, [[1, 2]], "x"]),
+    "numpy_strings": ({"k": [np.str_("v\u00e9"), np.str_('"')]}, {"k": ["v\u00e9", '"']}),
+    "numpy_string_key": ({np.str_("k"): 1}, {"k": 1}),
 }
 
 ENCODER_CASES = {
@@ -1145,40 +1145,51 @@ ENCODER_CASES = {
     "control_characters": "".join(map(chr, range(32))) + "\x7f\u2028\u2029",
     "awkward_keys": {"\u00e9": 1, '"q"': 2, "\\": 3, "\n": 4, "": 5, "A": 6, "a": 7,
                      "\x00": 8, "\U0001d11e": 9},
-    **{name: plain for name, (_, _, plain) in UNBUILT_CASES.items()},
+    **{name: plain for name, (_, plain) in UNBUILT_CASES.items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(ENCODER_CASES))
-def test_encoder_matches_json_dump(case):
-    assert encoded(ENCODER_CASES[case]) == json_oracle(ENCODER_CASES[case])
+def test_encoder_matches_json_dump(tmp_path, monkeypatch, case):
+    # summary.json is the compact stdlib text with each non-finite float as
+    # null, and run returns the value itself, nan and all
+    summary, text = _run_reporting(monkeypatch, tmp_path, ENCODER_CASES[case])
+    assert text == json_oracle(summary)
+    nulled = _finite_or_none(ENCODER_CASES[case])
+    assert json.loads(text)["tasks"][0]["outputs"]["x"] == nulled
 
 
 @pytest.mark.parametrize("value", [object(), {"a": [1.0, {1, 2}]}, [b"bytes"], 1j,
                                    [np.complex128(1j)], np.array(1.0)])
-def test_encoder_rejects_what_json_dump_rejects(value):
+def test_encoder_rejects_what_json_dump_rejects(tmp_path, monkeypatch, value):
     with pytest.raises(TypeError) as expected:
         json_oracle(value)
     with pytest.raises(TypeError) as got:
-        encoded(value)
+        _run_reporting(monkeypatch, tmp_path, value)
     assert str(got.value) == str(expected.value)
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("case", sorted(UNBUILT_CASES))
-def test_encoder_rejects_types_run_never_builds(case):
-    # json.dump would take these (a tuple as a list, a float64 as a float,
-    # an int key as a string): the summary holds none of them
-    value, message, _ = UNBUILT_CASES[case]
-    with pytest.raises(TypeError) as got:
-        encoded(value)
-    assert str(got.value) == message
+def test_encoder_rejects_types_run_never_builds(tmp_path, monkeypatch, case):
+    # the stdlib encoder writes some of these (a tuple as a list, a float64
+    # as a float, an int key as a string) and rejects the rest; the check
+    # that every run of these tests makes (_every_summary_is_plain) refuses
+    # each, and takes the plain value a task builds in its place
+    value, plain = UNBUILT_CASES[case]
+    with pytest.raises((AssertionError, TypeError)):
+        _run_reporting(monkeypatch, tmp_path, value)
+    _, text = _run_reporting(monkeypatch, tmp_path, plain)
+    assert json.loads(text)["tasks"][0]["outputs"]["x"] == _finite_or_none(plain)
 
 
-def test_encoder_property():
+def test_encoder_property(tmp_path, monkeypatch):
+    # random trees with nan and inf at any depth: the text written is the
+    # compact stdlib encoding of the nulled tree, and it parses back to it
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     leaves = st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | \
-        st.floats() | st.text()
+        st.floats() | st.sampled_from([NAN, INF, -INF]) | st.text()
     values = st.recursive(
         leaves,
         lambda children: st.lists(children) | st.lists(st.floats())
@@ -1189,7 +1200,10 @@ def test_encoder_property():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(values)
     def check(value):
-        assert encoded(value) == json_oracle(value)
+        summary, text = _run_reporting(monkeypatch, tmp_path, value)
+        nulled = _finite_or_none(summary)
+        assert text == json.dumps(nulled, sort_keys=True, separators=(",", ":")) + "\n"
+        assert json.loads(text) == nulled
 
     check()
 
@@ -1209,7 +1223,8 @@ def _capture_run(monkeypatch):
 
 
 def _assert_plain(obj):
-    """Only the types cli._encode takes: no numpy value or tuple is left."""
+    """Only the types the tasks build: no numpy value, tuple or non-str key
+    is left, though the stdlib encoder would write some of them."""
     if isinstance(obj, dict):
         assert all(type(key) is str for key in obj)
         for value in obj.values():
@@ -1417,6 +1432,13 @@ def test_unencodable_summary_leaves_no_file(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_unencodable_summary_with_a_nan_leaves_no_file(tmp_path, monkeypatch):
+    # the nan sends the encoding to the nulled copy, which fails in its turn
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _run_reporting(monkeypatch, tmp_path, {"a": NAN, "b": [1.0, object()]})
+    assert not (tmp_path / "summary.json").exists()
+
+
 # ----------------------------------------------------------------- pipeline
 
 
@@ -1576,6 +1598,43 @@ def test_critical_point_names_every_failing_check(tmp_path, monkeypatch):
     assert entry["verdict"] == "degenerate"
     assert "degenerate: Hessian signature is not (d positive, tau negative)" in entry["message"]
     assert "inconclusive: gradient norm 1.000e-03 at the candidate" in entry["message"]
+
+
+SMALL_MU = {   # weights 1/mu = 1e6 scale Psi's terms, and their roundoff, to 1e8
+    "schema": "bubblelab-config/1",
+    "dims": 4,
+    "coupling": {"mu": [1e-6], "beta": [[1e-6]], "decomposition": [0, 1]},
+    "domain": {"radius": 1.0, "holes": [{"center": [0.3, 0.0, 0.0, 0.0], "radius_coeff": 1.0}]},
+    "tasks": ["c-vector", "reduced-energy", "critical-point"],
+}
+
+
+def test_gradient_gate_is_relative_to_the_terms_it_cancels(tmp_path):
+    # an absolute gate of 1e-10 read this roundoff (5.96e-08 here) as a
+    # gradient and exited 2; the reported norm stays absolute
+    path = write_config(tmp_path, SMALL_MU)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    entry = load_summary(tmp_path / "out")["tasks"][2]
+    assert entry["verdict"] == "pass"
+    assert entry["outputs"]["grad_norm"]["value"] < 1e-15 * entry["outputs"]["psi_value"]["value"]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_no_weight_makes_the_exact_critical_point_inconclusive(tmp_path, N):
+    # one peak, mu = 10^U(-8, 2): at N = 4 the absolute gate failed 21 of these 60
+    rng = np.random.default_rng(31 + N)
+    for _ in range(60):
+        mu = float(10 ** rng.uniform(-8, 2))
+        center = rng.uniform(-1, 1, N)
+        center *= rng.uniform(0, 0.8) / math.sqrt(center.dot(center))
+        config, diags = cli.parse_config(_variant(
+            SMALL_MU, dims=N,
+            coupling={"mu": [mu], "beta": [[mu]], "decomposition": [0, 1]},
+            domain={"radius": 1.0, "holes": [
+                {"center": center.tolist(), "radius_coeff": float(rng.uniform(0.2, 5))}]}))
+        assert config is not None, diags
+        code, summary = cli.run(config, tmp_path)
+        assert code == 0, (mu, summary["tasks"][2]["message"])
 
 
 def _outcomes(tmp_path, capsys, base):

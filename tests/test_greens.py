@@ -3,7 +3,7 @@ import pytest
 
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.greens import Ball, check_holes, kernel_robin
-from oracles import fd_laplacian, kernel_regular_part
+from oracles import fd_laplacian, kernel_regular_part, reference_check_holes
 
 RNG = np.random.default_rng(99)
 
@@ -125,6 +125,26 @@ def test_perforated_domain_validation():
             check_holes(ball, np.array([a1, a2]), ones, eps)
 
 
+def test_hole_checks_raise_the_first_failure_in_order():
+    ball = unit_ball(4)
+    e = np.eye(4)
+    # holes 0 and 3 overlap, as do 1 and 2: (0, 3) comes first in (i, j) order
+    centers = np.array([0.5 * e[0], 0.5 * e[1], 0.5 * e[1] + 1e-3, 0.5 * e[0] + 1e-3])
+    with pytest.raises(ValueError, match="holes 0 and 3 overlap at eps=0.01"):
+        check_holes(ball, centers, np.ones(4), 1e-2)
+    with pytest.raises(ValueError, match="holes 1 and 2 overlap at eps=0.01"):
+        check_holes(ball, centers[:3], np.ones(3), 1e-2)
+    # every hole is checked before any pair, each hole in order
+    far = np.vstack([centers, [0.0, 0.0, 0.985, 0.0], 2 * e[0]])
+    with pytest.raises(ValueError, match="epsilon 0.01 too large: the radius of hole 4"):
+        check_holes(ball, far, np.ones(6), 1e-2)
+    with pytest.raises(ValueError, match="hole 2 touches or leaves"):
+        check_holes(ball, far[[0, 3, 5, 4]], np.ones(4), 1e-2)
+    # a hole outside the ball is named as such, whatever its radius
+    with pytest.raises(ValueError, match="hole 0 touches or leaves"):
+        check_holes(ball, [e[0]], [100.0], 1e-2)
+
+
 def _seeded_ball(rng, N):
     dims = DIMS4 if N == 4 else DIMS3
     return Ball(radius=float(rng.uniform(0.5, 3.0)), center=rng.uniform(-1.0, 1.0, N), dims=dims)
@@ -159,6 +179,39 @@ def test_robin_on_a_stack_of_points_is_the_per_point_loop(N):
         assert stacked.shape == (len(points),) and stacked.tobytes() == old.tobytes()
     with pytest.raises(ValueError, match="point outside the ambient ball"):
         kernel_robin(ball, np.vstack([points, ball.center + 2 * R]))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_hole_checks_match_the_loop_at_every_threshold(N):
+    # 1-8 holes, some of them close; each epsilon sits on the threshold of
+    # one check, or one ulp beside it, so a distance off by one ulp or a
+    # failure named out of order changes the outcome
+    rng = np.random.default_rng(4410 + N)
+    outcomes = set()
+    for _ in range(60):
+        ball = _seeded_ball(rng, N)
+        m = int(rng.integers(1, 9))
+        centers = _points_in(rng, ball, m, reach=1.05)
+        close = rng.random(m) < 0.3
+        centers[close] = centers[0] + rng.uniform(-1e-2, 1e-2, (close.sum(), N))
+        coeffs = rng.uniform(0.2, 3.0, m)
+        v = centers - ball.center
+        halves = (ball.radius - np.sqrt((v * v).sum(axis=-1))) / 2 / coeffs
+        gaps = np.linalg.norm(centers[:, None] - centers, axis=-1) / (coeffs[:, None] + coeffs)
+        for eps in rng.choice(np.concatenate([halves, gaps[np.triu_indices(m, 1)]]), 3):
+            for eps in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf), -eps):
+                want = _outcome(reference_check_holes, ball, centers, coeffs, eps)
+                assert _outcome(check_holes, ball, centers, coeffs, eps) == want
+                outcomes.add(want.split()[0] if want else None)
+    assert outcomes == {None, "hole", "holes", "epsilon"}
 
 
 @pytest.mark.parametrize("N", [3, 4])
