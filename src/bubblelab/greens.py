@@ -43,15 +43,18 @@ class Ball:
 
 
 def check_holes(ball, centers, coeffs, epsilon):
-    """Raise ValueError unless the holes B(a_k, r_k epsilon), a_k = centers[k]
-    and r_k = coeffs[k] > 0, are disjoint and each lies in the ball with its
-    radius below half the distance from a_k to the boundary.  The first
-    failure is raised: hole by hole, then pair by pair in (i, j) order."""
+    """Raise ValueError unless every r_k = coeffs[k] is positive and the holes
+    B(a_k, r_k epsilon), a_k = centers[k], are disjoint and each lies in the
+    ball with its radius below half the distance from a_k to the boundary.
+    The first failure is raised: hole by hole, then pair by pair in (i, j)
+    order."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     centers, coeffs = np.asarray(centers, float), np.asarray(coeffs, float)
     v = centers - ball.center
     for k, (sq, r) in enumerate(zip(np.vecdot(v, v).tolist(), coeffs.tolist())):
+        if not r > 0:
+            raise ValueError(f"hole {k} radius coefficient must be positive")
         d_bdry = ball.radius - math.sqrt(sq)   # vecdot has v.dot(v)'s bits
         if not d_bdry > 0:
             raise ValueError(f"hole {k} touches or leaves the ambient boundary")

@@ -387,7 +387,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
         slope = float(np.polyfit(np.log(used), np.log(deltas), 1)[0])
     else:
         slope = float("nan")
-    d_ests = deltas / np.sqrt(used) if len(used) else np.array([])
+    d_ests = np.asarray([m.d_est for m in metrics])
     return RateSweepReport(
         epsilons=used,
         delta_ests=deltas,

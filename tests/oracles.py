@@ -330,6 +330,8 @@ def reference_check_holes(ball, centers, coeffs, epsilon):
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     for k, (a, r) in enumerate(zip(centers, coeffs)):
+        if not r > 0:
+            raise ValueError(f"hole {k} radius coefficient must be positive")
         v = a - ball.center
         d_bdry = ball.radius - math.sqrt(v.dot(v))
         if not d_bdry > 0:

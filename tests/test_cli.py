@@ -1,6 +1,5 @@
 import copy
 import csv
-import dataclasses
 import errno
 import json
 import math
@@ -21,7 +20,6 @@ import bubblelab
 from bubblelab import cli, solver
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS4
-from bubblelab.energy import critical_point
 from bubblelab.solver import solve_radial
 
 DEMO = {
@@ -1585,21 +1583,6 @@ def test_every_boundary_group_is_named(tmp_path):
         "degenerate: group 1 amplitude hits the existence boundary"))
 
 
-def test_critical_point_names_every_failing_check(tmp_path, monkeypatch):
-    def flawed(model, eta):   # inside the box, with a bad signature and gradient
-        rep = critical_point(model, eta=eta)
-        assert rep.in_box
-        return dataclasses.replace(rep, signature_ok=False, grad_norm=1e-3)
-
-    monkeypatch.setattr(cli, "critical_point", flawed)
-    config, _ = cli.parse_config(DEMO)
-    assert cli.run(config, tmp_path)[0] == 2
-    entry = load_summary(tmp_path)["tasks"][3]
-    assert entry["verdict"] == "degenerate"
-    assert "degenerate: Hessian signature is not (d positive, tau negative)" in entry["message"]
-    assert "inconclusive: gradient norm 1.000e-03 at the candidate" in entry["message"]
-
-
 SMALL_MU = {   # weights 1/mu = 1e6 scale Psi's terms, and their roundoff, to 1e8
     "schema": "bubblelab-config/1",
     "dims": 4,
@@ -1610,8 +1593,9 @@ SMALL_MU = {   # weights 1/mu = 1e6 scale Psi's terms, and their roundoff, to 1e
 
 
 def test_gradient_gate_is_relative_to_the_terms_it_cancels(tmp_path):
-    # an absolute gate of 1e-10 read this roundoff (5.96e-08 here) as a
-    # gradient and exited 2; the reported norm stays absolute
+    # small-mu regression: Psi's terms, and their roundoff (5.96e-08 here),
+    # scale with the weights, and an absolute gradient gate of 1e-10 read
+    # that roundoff as a gradient and exited 2; grad_norm stays absolute
     path = write_config(tmp_path, SMALL_MU)
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
     entry = load_summary(tmp_path / "out")["tasks"][2]
@@ -1621,7 +1605,8 @@ def test_gradient_gate_is_relative_to_the_terms_it_cancels(tmp_path):
 
 @pytest.mark.parametrize("N", [3, 4])
 def test_no_weight_makes_the_exact_critical_point_inconclusive(tmp_path, N):
-    # one peak, mu = 10^U(-8, 2): at N = 4 the absolute gate failed 21 of these 60
+    # one peak, mu = 10^U(-8, 2): at N = 4 an absolute gradient gate of
+    # 1e-10 read roundoff as a gradient on 21 of these 60
     rng = np.random.default_rng(31 + N)
     for _ in range(60):
         mu = float(10 ** rng.uniform(-8, 2))

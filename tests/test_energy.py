@@ -11,6 +11,7 @@ from scipy.special import beta as B
 
 from bubblelab import energy
 from bubblelab.bubbles import DIMS3, DIMS4
+from bubblelab.greens import Ball, kernel_robin
 from bubblelab.energy import (
     GRAD_CHECK_STEP,
     ReducedEnergyModel,
@@ -617,6 +618,63 @@ def test_n3_critical_point():
     # N=3: the d-block loses the Robin term ((N-3) factor) but stays positive
     expected = 2 * m.hole_coeff()[0] / rep.point.d[0] ** 3
     assert rep.hess_d[0] == pytest.approx(expected, rel=1e-10)
+
+
+def _ball_models(st):
+    """Models the constructor accepts, from ball data: N = 3 or 4, 1-8
+    peaks, weights 10^U(-2, 8), r_i = e^U(-3, 3), R = e^U(-1, 1) and hole
+    centres |a_i| < 0.95 R, with H_i = kernel_robin(ball, a_i)."""
+
+    @st.composite
+    def models(draw):
+        dims = draw(st.sampled_from([DIMS3, DIMS4]))
+        m = draw(st.integers(1, 8))
+
+        def values(lo, hi, size=m):
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+        ball = Ball(radius=math.exp(draw(st.floats(-1, 1))), center=np.zeros(dims.N), dims=dims)
+        centers = []
+        for _ in range(m):
+            u = values(-1, 1, dims.N)
+            norm = math.sqrt(u.dot(u))
+            u = u / norm if norm > 1e-3 else np.eye(dims.N)[0]
+            centers.append(draw(st.floats(0, 0.95, exclude_max=True)) * ball.radius * u)
+        return ReducedEnergyModel(dims=dims, weights=10 ** values(-2, 8),
+                                  robin=kernel_robin(ball, np.array(centers)),
+                                  hole_r=np.exp(values(-3, 3)))
+
+    return models()
+
+
+def test_critical_point_signature_is_min_max_for_every_accepted_model():
+    # every A_i, B_i > 0, so the d-block is positive and the tau-block negative
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_ball_models(hypothesis.strategies))
+    def check(model):
+        assert critical_point(model).signature_ok
+
+    check()
+
+
+def test_critical_point_gradient_is_the_roundoff_of_the_terms_it_cancels():
+    # at the exact d_tilde the gradient is the roundoff of k A_i d^(k-1) and
+    # k B_i d^(-k-1), which scale with the weights.  These ranges put
+    # d_tilde = sqrt(r (R^2 - |a|^2) / R) in [0.04, 7.4], inside X_eta
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_ball_models(hypothesis.strategies))
+    def check(model):
+        rep = critical_point(model)
+        assert rep.in_box
+        k, d = model.dims.N - 2, rep.point.d
+        scale = k * (model.robin_coeff() * d ** (k - 1) + model.hole_coeff() / d ** (k + 1))
+        assert rep.grad_norm < 1e-10 * scale.max()
+
+    check()
 
 
 def test_energy_expansion():

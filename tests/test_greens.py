@@ -145,6 +145,19 @@ def test_hole_checks_raise_the_first_failure_in_order():
         check_holes(ball, [e[0]], [100.0], 1e-2)
 
 
+@pytest.mark.parametrize("centers, coeffs, k", [
+    ([[0.5, 0, 0, 0]], [-1.0], 0),
+    ([[0.5, 0, 0, 0]], [0.0], 0),
+    # the negative sum -4 eps would pass the disjointness test
+    ([[0.5, 0, 0, 0], [0.51, 0, 0, 0]], [1.0, -5.0], 1),
+    # nan once read as "epsilon 0.01 too large"
+    ([[0.5, 0, 0, 0]], [float("nan")], 0),
+])
+def test_hole_radius_coefficients_must_be_positive(centers, coeffs, k):
+    with pytest.raises(ValueError, match=f"^hole {k} radius coefficient must be positive$"):
+        check_holes(unit_ball(4), np.array(centers), coeffs, 1e-2)
+
+
 def _seeded_ball(rng, N):
     dims = DIMS4 if N == 4 else DIMS3
     return Ball(radius=float(rng.uniform(0.5, 3.0)), center=rng.uniform(-1.0, 1.0, N), dims=dims)
