@@ -52,7 +52,7 @@ from .greens import Ball, check_holes, kernel_robin
 from .solver import DEFAULT_NODES, rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
-SUMMARY_SCHEMA = "bubblelab-summary/3"
+SUMMARY_SCHEMA = "bubblelab-summary/4"
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
@@ -424,6 +424,8 @@ def parse_config(data):
     for t in tasks_raw:
         if t not in TASK_ORDER:
             _err(diags, "tasks", f"unknown task {t!r} (known: {', '.join(TASK_ORDER)})")
+        elif t in tasks:   # run would execute it once
+            _err(diags, "tasks", f"task {t!r} is listed more than once")
         else:
             tasks.append(t)
     for t in tasks:
@@ -707,7 +709,6 @@ def _task_reduced_energy(cfg, ctx, rng, out):
     outputs = {
         "weights": _num(weights.tolist(), "coupling", "solve_c_vector"),
         "robin": _num(robin.tolist(), "greens", "kernel_robin"),
-        "hole_r": _num(cfg.hole_coeffs.tolist(), "cli", "config"),
         "b1": _num(model.b1, "energy", "constant_b1"),
         "b2": _num(model.b2, "energy", "constant_b2"),
     }
@@ -742,8 +743,8 @@ def _task_critical_point(cfg, ctx, rng, out):
     if not rep.in_box:
         verdict, message = "inconclusive", "inconclusive: critical point leaves the admissible box"
     else:
-        verdict, message = "pass", (f"critical point at d_tilde with |grad| = {rep.grad_norm:.3e}, "
-                                    "min-max signature confirmed")
+        verdict, message = "pass", (
+            f"critical point d_tilde inside X_eta, |grad| = {rep.grad_norm:.3e}")
     psi_min = psi_value(model, rep.point) if rep.in_box else None   # Psi lives on X_eta
     return verdict, message, {
         "d_tilde": _num(rep.point.d.tolist(), "energy", "critical_point"),
@@ -860,42 +861,31 @@ def _task_radial_sweep(cfg, ctx, rng, out):
 # ----------------------------------------------------------------------- run
 
 
-def _coupling_inputs(cfg):
-    spec = cfg.coupling
-    return {"mu": spec.mu.tolist(), "beta": spec.beta.tolist(),
-            "decomposition": list(spec.decomposition)}
-
-
-def _domain_inputs(cfg):
-    return {"ball_radius": cfg.ball.radius, "hole_centers": cfg.hole_centers.tolist(),
-            "hole_coeffs": cfg.hole_coeffs.tolist(), "eta": cfg.eta}
-
-
-def _scaling_inputs(cfg):
-    return {"families": [{"kind": kind, **params} for kind, params in cfg.scaling]}
-
-
-def _sweep_inputs(cfg):
-    return {"ball_radius": cfg.ball.radius, "hole_coeff": float(cfg.hole_coeffs[0]),
-            "epsilon_grid": cfg.epsilon_grid.tolist(), "n_nodes": cfg.n_nodes}
+def _inputs(cfg):
+    """The validated config but its task list, which the summary's tasks
+    record, and its output directory: every field a run's numbers come
+    from, beta with the diagonal the parser filled in."""
+    spec, ball = cfg.coupling, cfg.ball
+    return {"dims": cfg.dims.N, "mu": spec.mu.tolist(), "beta": spec.beta.tolist(),
+            "decomposition": list(spec.decomposition), "ball_radius": ball.radius,
+            "ball_center": ball.center.tolist(), "hole_centers": cfg.hole_centers.tolist(),
+            "hole_coeffs": cfg.hole_coeffs.tolist(), "eta": cfg.eta,
+            "epsilon_grid": cfg.epsilon_grid.tolist(), "n_nodes": cfg.n_nodes,
+            "families": [{"kind": kind, **params} for kind, params in cfg.scaling]}
 
 
 # task -> module and operation it is reported under, the task it needs,
-# its inputs beside "dims", and its runner; tasks run in this order.  A
-# runner leaves what later tasks build on in ctx under its own task name;
-# a task whose prerequisite left nothing there is skipped as degenerate.
-_Task = namedtuple("_Task", "module operation prerequisite inputs runner")
+# and its runner; tasks run in this order.  A runner leaves what later
+# tasks build on in ctx under its own task name; a task whose prerequisite
+# left nothing there is skipped as degenerate.
+_Task = namedtuple("_Task", "module operation prerequisite runner")
 _TASKS = {
-    "c-vector": _Task("coupling", "solve_c_vector", None, _coupling_inputs, _task_c_vector),
-    "spectrum": _Task("coupling", "build_spectrum", "c-vector", _coupling_inputs,
-                      _task_spectrum),
-    "reduced-energy": _Task("energy", "ReducedEnergyModel", "c-vector", _domain_inputs,
-                            _task_reduced_energy),
-    "critical-point": _Task("energy", "critical_point", "reduced-energy", _domain_inputs,
-                            _task_critical_point),
-    "scaling-checks": _Task("asymptotics", "scaling_law fits", None, _scaling_inputs,
-                            _task_scaling),
-    "radial-sweep": _Task("solver", "rate_sweep", None, _sweep_inputs, _task_radial_sweep),
+    "c-vector": _Task("coupling", "solve_c_vector", None, _task_c_vector),
+    "spectrum": _Task("coupling", "build_spectrum", "c-vector", _task_spectrum),
+    "reduced-energy": _Task("energy", "ReducedEnergyModel", "c-vector", _task_reduced_energy),
+    "critical-point": _Task("energy", "critical_point", "reduced-energy", _task_critical_point),
+    "scaling-checks": _Task("asymptotics", "scaling_law fits", None, _task_scaling),
+    "radial-sweep": _Task("solver", "rate_sweep", None, _task_radial_sweep),
 }
 TASK_ORDER = tuple(_TASKS)
 
@@ -927,7 +917,6 @@ def run(config, out_dir, seed=0):
                 "task": task,
                 "module": info.module,
                 "operation": info.operation,
-                "inputs": {"dims": config.dims.N, **info.inputs(config)},
                 "outputs": outputs,
                 "verdict": verdict,
                 "message": message,
@@ -940,6 +929,7 @@ def run(config, out_dir, seed=0):
         "schema": SUMMARY_SCHEMA,
         "package_version": __version__,
         "seed": int(seed),
+        "inputs": _inputs(config),
         "tasks": entries,
         "verdict": worst,
         "exit_code": exit_code,

@@ -155,6 +155,16 @@ def test_validate_rejects_unknown_task_and_missing_prerequisite(tmp_path, capsys
     assert "'spectrum' requires 'c-vector'" in err
 
 
+def test_repeated_task_is_a_diagnostic(tmp_path, capsys):
+    # run executes each task once, so validate must not count a repeat
+    cfg = _variant(PAIR, tasks=["c-vector", "c-vector", "spectrum"])
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 1
+    assert capsys.readouterr().err == "error[tasks]: task 'c-vector' is listed more than once\n"
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_rejects_offcenter_sweep(tmp_path, capsys):
     cfg = copy.deepcopy(SWEEP)
     cfg["domain"]["holes"][0]["center"] = [0.2, 0.0, 0.0, 0.0]
@@ -252,13 +262,18 @@ def test_validate_rejects_hole_group_mismatch(tmp_path, capsys):
     assert "one hole per group" in capsys.readouterr().err
 
 
-def _parse_with(path, value):
-    cfg = copy.deepcopy(DEMO)
+def _moved(base, path, value):
+    """A deep copy of the config `base` with the value at `path` replaced."""
+    cfg = copy.deepcopy(base)
     node = cfg
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    return cli.parse_config(cfg)
+    return cfg
+
+
+def _parse_with(path, value):
+    return cli.parse_config(_moved(DEMO, path, value))
 
 
 @pytest.mark.parametrize("path, value, field_name", [
@@ -1330,8 +1345,7 @@ def _check_narrow_box(summary, written):
 def _check_families(summary, written):
     families = _outputs(summary, "scaling-checks")["families"]
     assert [f["kind"] for f in families] == ["single", "weighted", "pair"]
-    (entry,) = written["tasks"]
-    assert entry["inputs"]["families"] == [
+    assert written["inputs"]["families"] == [
         {"kind": "single", "q": 1.0},
         {"kind": "weighted", "q": 4.0, "nu1": 0.0, "nu2": 2.0},
         {"kind": "pair", "q1": 2.0, "q2": 2.0, "separation": 0.5, "n": 4.0},
@@ -1755,6 +1769,62 @@ def test_reports_deterministic_given_seed(tmp_path):
     # but the deterministic verdicts and closed forms do not
     assert outs[0]["verdict"] == outs[2]["verdict"]
     assert outs[0]["tasks"][3] == outs[2]["tasks"][3]
+
+
+def test_critical_point_pass_message_names_what_it_judges(tmp_path):
+    # the verdict is the box X_eta alone: the signature and the gradient's
+    # roundoff hold there by construction, so they are reported, not judged
+    config, _ = cli.parse_config(DEMO)
+    _, summary = cli.run(config, tmp_path)
+    entry = summary["tasks"][3]
+    grad_norm = entry["outputs"]["grad_norm"]["value"]
+    assert (entry["verdict"], entry["message"]) == (
+        "pass", f"critical point d_tilde inside X_eta, |grad| = {grad_norm:.3e}")
+
+
+# the documented keys of summary["inputs"]: every config field but the task
+# list and the output directory
+INPUT_KEYS = {"dims", "mu", "beta", "decomposition", "ball_radius", "ball_center",
+              "hole_centers", "hole_coeffs", "eta", "epsilon_grid", "n_nodes", "families"}
+
+
+def test_inputs_record_the_validated_config(tmp_path):
+    config, _ = cli.parse_config(DEMO)
+    _, summary = cli.run(config, tmp_path)
+    inputs = load_summary(tmp_path)["inputs"]
+    assert set(inputs) == INPUT_KEYS and inputs == summary["inputs"]
+    assert inputs["beta"] == [[1.0, -0.5, -0.1], [-0.5, 2.0, -0.1], [-0.1, -0.1, 1.0]]
+    assert inputs["ball_center"] == [0.0] * 4   # the default centre
+    assert inputs["epsilon_grid"] == np.geomspace(1e-2, 1e-4, 8).tolist()
+    assert (inputs["n_nodes"], inputs["families"]) == (solver.DEFAULT_NODES, [])
+    assert "inputs" not in summary["tasks"][0]
+
+
+SINGLE_SCALING = _variant(PAIR, tasks=["scaling-checks"], scaling={"single": [{"q": 1}]})
+# config field -> (a config whose tasks read it, its path, a new value, the
+# keys of summary["inputs"] that move with it)
+MOVED_INPUTS = {
+    "domain.center": (DEMO, ("domain", "center"), [0.1, 0.0, 0.0, 0.0], {"ball_center"}),
+    "domain.radius": (SINGLE_SCALING, ("domain", "radius"), 2.0, {"ball_radius"}),
+    "reduction.eta": (DEMO, ("reduction", "eta"), 0.7, {"eta"}),
+    "reduction.n_nodes": (SMALL_SWEEP, ("reduction", "n_nodes"), 3000, {"n_nodes"}),
+    "radius_coeff": (DEMO, ("domain", "holes", 0, "radius_coeff"), 2.0, {"hole_coeffs"}),
+    "mu": (DEMO, ("coupling", "mu", 2), 1.5, {"mu", "beta"}),   # beta's implicit diagonal
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVED_INPUTS))
+def test_every_input_that_moves_a_number_is_recorded(tmp_path, name):
+    base, path, value, keys = MOVED_INPUTS[name]
+    summaries = []
+    for k, cfg in enumerate([base, _moved(base, path, value)]):
+        out = tmp_path / f"out{k}"
+        cli.main(["run", write_config(tmp_path, cfg, f"config{k}.json"), "--out", str(out)])
+        summaries.append(load_summary(out))
+    before, after = summaries
+    assert set(before["inputs"]) == set(after["inputs"]) == INPUT_KEYS
+    assert [t["outputs"] for t in before["tasks"]] != [t["outputs"] for t in after["tasks"]]
+    assert {key for key in INPUT_KEYS if before["inputs"][key] != after["inputs"][key]} == keys
 
 
 def test_output_dir_from_config(tmp_path):
