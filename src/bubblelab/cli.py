@@ -88,6 +88,16 @@ def _warn(diags, field_name, message):
     diags.append(Diagnostic("warning", field_name, message))
 
 
+def _unknown_keys(diags, field_name, block, known, what="key"):
+    """An error for each key of the config object `block` not in `known`, in
+    the config's order, since a misspelt key would otherwise be ignored;
+    true if there was one."""
+    unknown = [key for key in block if key not in known]
+    for key in unknown:
+        _err(diags, field_name, f"unknown {what} {key!r}")
+    return bool(unknown)
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -166,6 +176,7 @@ def _parse_scaling(raw, dims, radius, diags):
     if not isinstance(raw, dict):
         _err(diags, "scaling", "must be an object with single/weighted/pair lists")
         return ()
+    _unknown_keys(diags, "scaling", raw, _FAMILIES.keys())
     families = []
     taken = {}   # family name -> the entry that has it; names key the CSV files
     for kind, family in _FAMILIES.items():
@@ -179,12 +190,12 @@ def _parse_scaling(raw, dims, radius, diags):
             if not isinstance(entry, dict):
                 _err(diags, where, "must be an object")
                 continue
-            problems = [f"unknown parameter {key!r}" for key in entry if key not in table]
-            problems += [f"missing parameter {key!r}" for key, default in table.items()
-                         if default is None and key not in entry]
-            for problem in problems:
-                _err(diags, where, problem)
-            if problems:
+            unknown = _unknown_keys(diags, where, entry, table, "parameter")
+            missing = [key for key, default in table.items()
+                       if default is None and key not in entry]
+            for key in missing:
+                _err(diags, where, f"missing parameter {key!r}")
+            if unknown or missing:
                 continue
             if not all(_is_finite(v) for v in entry.values()):
                 _err(diags, where, "parameters must be finite numbers")
@@ -211,6 +222,7 @@ def _parse_epsilon_grid(raw, diags):
         return _DEFAULT_EPSILON_GRID
     where = "reduction.epsilon_grid"
     if isinstance(raw, dict):
+        _unknown_keys(diags, where, raw, {"start", "stop", "num"})
         start, stop, num = (raw.get(key) for key in ("start", "stop", "num"))
         if not (_is_finite(start) and _is_finite(stop) and _is_integral(num)):
             _err(diags, where, "needs numeric start/stop and integer num")
@@ -289,6 +301,8 @@ def parse_config(data):
     if not isinstance(data, dict):
         _err(diags, "<root>", "config must be a JSON object")
         return None, diags
+    _unknown_keys(diags, "<root>", data, {"schema", "dims", "coupling", "domain", "reduction",
+                                          "tasks", "scaling", "output"})
 
     if data.get("schema") != CONFIG_SCHEMA:
         _err(diags, "schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
@@ -306,6 +320,7 @@ def parse_config(data):
     if not isinstance(coupling, dict):
         _err(diags, "coupling", "missing coupling object (mu, beta, decomposition)")
     else:
+        _unknown_keys(diags, "coupling", coupling, {"mu", "beta", "decomposition"})
         mu, rows = _floats(coupling.get("mu")), coupling.get("beta")
         decomposition = coupling.get("decomposition")
         if mu is None or not isinstance(rows, list) or not all(map(_all_finite, rows)):
@@ -321,10 +336,10 @@ def parse_config(data):
             decomposition = tuple(int(v) for v in decomposition)
             if beta is None:
                 _err(diags, "coupling.beta", f"beta must be {m}x{m}")
-            elif not (beta == beta.T).all():
+            elif not np.logical_and.reduce(beta == beta.T, axis=None):
                 _err(diags, "coupling.beta", "beta must be symmetric")
             else:
-                if (beta.diagonal() == 0.0).all():
+                if np.logical_and.reduce(beta.diagonal() == 0.0):
                     beta = beta + np.diag(mu)   # diagonal may be left implicit
                 try:
                     spec = CouplingSpec(
@@ -353,6 +368,7 @@ def parse_config(data):
     if not isinstance(domain, dict):
         _err(diags, "domain", "missing domain object (radius, holes)")
     else:
+        _unknown_keys(diags, "domain", domain, {"radius", "center", "holes"})
         radius = domain.get("radius")
         if not _is_number(radius) or not 0 < radius <= sys.float_info.max:
             _err(diags, "domain.radius", "radius must be a positive finite number")
@@ -372,6 +388,7 @@ def parse_config(data):
                 if not isinstance(hole, dict):
                     _err(diags, where, "hole must be an object (center, radius_coeff)")
                     continue
+                _unknown_keys(diags, where, hole, {"center", "radius_coeff"})
                 c = _point(hole.get("center"), N)
                 if c is None:
                     _err(diags, where, f"hole center must be {N} finite coordinates")
@@ -396,6 +413,7 @@ def parse_config(data):
     elif not isinstance(reduction, dict):
         _err(diags, "reduction", "must be an object (eta, epsilon_grid, n_nodes)")
         reduction = {}
+    _unknown_keys(diags, "reduction", reduction, {"eta", "epsilon_grid", "n_nodes"})
     eta = reduction.get("eta", 1e-3)
     if not _is_number(eta) or not 0 < eta < 1:
         _err(diags, "reduction.eta", "eta must lie in (0, 1)")
@@ -411,7 +429,7 @@ def parse_config(data):
         try:
             # far-off holes overflow to infinite distances, which fail the checks
             with np.errstate(over="ignore"):
-                check_holes(ball, centers, coeffs, float(grid.max()))
+                check_holes(ball, centers, coeffs, float(np.maximum.reduce(grid)))
         except ValueError as exc:
             _err(diags, "domain.holes", str(exc))
 
@@ -458,6 +476,7 @@ def parse_config(data):
     if output is not None and not isinstance(output, dict):
         _err(diags, "output", "must be an object (dir)")
     elif output is not None:
+        _unknown_keys(diags, "output", output, {"dir"})
         out_dir = output.get("dir")
         if out_dir is not None and not isinstance(out_dir, str):
             _err(diags, "output.dir", "dir must be a string")
@@ -657,7 +676,7 @@ def _task_c_vector(cfg, ctx, rng, out):
                 "groups": _num(groups, "coupling", "solve_c_vector")
             }
         cvecs.append(cv)
-        res = np.abs(system_residual(spec.group_block(h), cv.c, spec.p)).max()
+        res = np.maximum.reduce(np.abs(system_residual(spec.group_block(h), cv.c, spec.p)))
         groups.append(
             {
                 "group": h,
@@ -700,7 +719,7 @@ def _task_spectrum(cfg, ctx, rng, out):
 
 
 def _task_reduced_energy(cfg, ctx, rng, out):
-    weights = np.array([float((cv.c**2).sum()) for cv in ctx["c-vector"]])
+    weights = np.array([float(np.add.reduce(cv.c**2)) for cv in ctx["c-vector"]])
     robin = kernel_robin(cfg.ball, cfg.hole_centers)
     model = ReducedEnergyModel(
         dims=cfg.dims, weights=weights, robin=robin, hole_r=cfg.hole_coeffs

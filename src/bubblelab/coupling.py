@@ -10,7 +10,9 @@ with beta_ii := mu_i.  For N=4 (p=3) this is linear in c_j^2.  For N=3
 for k >= 2; we solve it by damped Newton seeded with c = s^(1/3), where s
 solves sum_j beta_ij s_j = 1 (an approximate seed: the symmetric root is
 c = s^(1/4)).  k = 1 always has the closed form c = mu^(-1/(p-1)).  Groups
-are contiguous, so a group's block of beta is a slice copy.
+are contiguous, so a group's block of beta is a slice copy.  Reductions
+call the ufuncs' `reduce` (np.maximum.reduce, np.logical_and.reduce, ...),
+the call that the ndarray methods make after a Python frame of numpy's.
 
 At u_i = c_i U the linearization is -Lap phi = U^(p-1) M phi, with
 
@@ -62,11 +64,11 @@ class CouplingSpec:
             raise ValueError("mu must have one entry per component")
         if beta.shape != (self.m, self.m):
             raise ValueError("beta must be m x m")
-        if not (mu > 0).all():
+        if not np.logical_and.reduce(mu > 0):
             raise ValueError("all mu_i must be positive")
-        if not (beta == beta.T).all():
+        if not np.logical_and.reduce(beta == beta.T, axis=None):
             raise ValueError("beta must be symmetric")
-        if not (beta.diagonal() == mu).all():
+        if not np.logical_and.reduce(beta.diagonal() == mu):
             raise ValueError("beta_ii must equal mu_i")
         dec = tuple(int(v) for v in self.decomposition)
         if (len(dec) < 2 or dec[0] != 0 or dec[-1] != self.m
@@ -156,12 +158,12 @@ def solve_c_vector(spec, group):
     except np.linalg.LinAlgError as exc:
         raise NoPositiveSolution(f"group {group}: singular coupling block") from exc
 
-    tol = _BOUNDARY_TOL * np.abs(s).max()
-    if (s < -tol).any():
+    tol = _BOUNDARY_TOL * np.maximum.reduce(np.abs(s))
+    if np.logical_or.reduce(s < -tol):
         raise NoPositiveSolution(
             f"group {group}: linear solve gives negative power vector {s}"
         )
-    boundary = bool((np.abs(s) <= tol).any())
+    boundary = bool(np.logical_or.reduce(np.abs(s) <= tol))
     s = np.maximum(s, 0.0)   # what np.clip(s, 0.0, None) computes, -0.0 included
 
     if spec.N == 4:
@@ -172,26 +174,33 @@ def solve_c_vector(spec, group):
     # cube-root of the linear solve.  Jacobian: diag(block@c^3) + 3 diag(c) block diag(c^2).
     if boundary:
         raise NoPositiveSolution(f"group {group}: boundary case not supported for N=3")
+
+    def evaluate(x):   # block @ x^3, the residual F(x) and its max-norm
+        bx = block @ x**3
+        Fx = bx * x - 1.0
+        return bx, Fx, np.maximum.reduce(np.abs(Fx))
+
+    # an accepted trial brings its evaluation into the next step
     c = s ** (1.0 / 3.0)
+    bc3, F, norm = evaluate(c)
     for _ in range(100):
-        bc3 = block @ c**3
-        F = bc3 * c - 1.0
-        if np.abs(F).max() < 1e-14:
+        if norm < 1e-14:
             break
         J = np.diag(bc3) + 3.0 * (c[:, None] * block * (c**2)[None, :])
         step = np.linalg.solve(J, -F)
         lam = 1.0
-        norm0 = np.abs(F).max()
         while lam > 1e-8:
             trial = c + lam * step
-            if (trial > 0).all():
-                Ft = block @ trial**3 * trial - 1.0
-                if np.abs(Ft).max() < norm0:
+            if np.logical_and.reduce(trial > 0):
+                bt, Ft, nt = evaluate(trial)
+                if nt < norm:
                     break
             lam *= 0.5
-        c = c + lam * step
-    F = block @ c**3 * c - 1.0
-    if np.abs(F).max() > 1e-10 or (c <= 0).any():
+        else:   # no trial accepted: the step, cut below 1e-8, is taken untried
+            trial = c + lam * step
+            bt, Ft, nt = evaluate(trial)
+        c, bc3, F, norm = trial, bt, Ft, nt
+    if norm > 1e-10 or np.logical_or.reduce(c <= 0):
         raise NoPositiveSolution(
             f"group {group}: Newton failed to find a positive solution (residual {F})"
         )
@@ -254,7 +263,7 @@ def build_spectrum(spec, cvec):
 
     # structural identity C c = c (equivalently M c = p c) holds whenever c
     # solves the amplitude system, boundary cases included
-    gap = np.abs(matC @ c - c).max() / max(1.0, np.abs(c).max())
+    gap = np.maximum.reduce(np.abs(matC @ c - c)) / max(1.0, np.maximum.reduce(np.abs(c)))
     if gap > 1e-8:
         raise ValueError(
             f"amplitude vector does not solve its system (|Cc - c| = {gap:.2e})"
@@ -265,7 +274,8 @@ def build_spectrum(spec, cvec):
     lambdas = (p - 1) / 2 + (p + 1) / 2 * thetas
 
     det_c = np.linalg.det(matC)
-    det_gap = abs(det_c - (c ** (p - 1)).prod() * np.linalg.det(block)) / max(abs(det_c), 1e-300)
+    det_gap = (abs(det_c - np.multiply.reduce(c ** (p - 1)) * np.linalg.det(block))
+               / max(abs(det_c), 1e-300))
 
     verdict, reason = _verdict_from_lambdas(lambdas, spec.N)
     return SpectrumReport(

@@ -36,11 +36,15 @@ gradient and its Hessian at tau = 0 are elementary.
 
 Psi lives on the box X_eta = {eta < d_i < 1/eta, |tau_i| < 1/eta}.  A
 ReducedPoint checks eta in (0, 1) and decides its membership once, when built;
-a ReducedEnergyModel forms the coefficients A_i and B_i once, when built.
+a ReducedEnergyModel forms the coefficients A_i and B_i once, when built, and
+b1 and b2 are formed once per dimension.  The per-config paths reduce with
+the ufuncs' `reduce` (np.add.reduce, np.maximum.reduce, ...), the call that
+the ndarray methods make after a Python frame of numpy's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +57,14 @@ def _radial_moment(a, c):
     return math.gamma(x) * math.gamma(y) / (2 * math.gamma(x + y))
 
 
+@functools.cache
 def constant_b1(dims):
     """b1 = (alpha^(p+1)/N) * omega_{N-1} * int_0^inf r^(N-1)(1+r^2)^(-N) dr."""
     N = dims.N
     return dims.alphaN ** (dims.p + 1) / N * dims.omegaNm1 * _radial_moment(N, N)
 
 
+@functools.cache
 def constant_b2(dims):
     """b2 = (alpha^(p+1)/2) * omega_{N-1} * int_0^inf r^(N-1)(1+r^2)^(-(N+2)/2) dr;
     the radial integral is 1/N."""
@@ -85,7 +91,7 @@ class ReducedEnergyModel:
         w, H, r = (np.array(v, float, ndmin=1) for v in (self.weights, self.robin, self.hole_r))
         if not (w.shape == H.shape == r.shape):
             raise ValueError("weights, robin, hole_r must have one entry per peak")
-        if not ((w > 0).all() and (H > 0).all() and (r > 0).all()):
+        if not np.logical_and.reduce((w > 0) & (H > 0) & (r > 0), axis=None):
             raise ValueError("weights, robin values, hole radii must be positive")
         b2 = self.b2
         arrays = {"weights": w, "robin": H, "hole_r": r,
@@ -134,9 +140,9 @@ class ReducedPoint:
             raise ValueError("eta must lie in (0, 1)")
         ub = 1.0 / self.eta
         inside = bool(
-            (d > self.eta).all()
-            and (d < ub).all()
-            and (np.sqrt((tau * tau).sum(axis=-1)) < ub).all()   # |tau_i|, as np.linalg.norm
+            np.logical_and.reduce((d > self.eta) & (d < ub), axis=None)
+            # |tau_i|, as np.linalg.norm
+            and np.logical_and.reduce(np.sqrt(np.add.reduce(tau * tau, axis=-1)) < ub, axis=None)
         )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "tau", tau)
@@ -153,7 +159,7 @@ def _check_box(pt):
 
 def _hole_terms(model, pt):
     """Per-peak hole terms B_i / (d_i (1+|tau_i|^2))^(N-2) and 1+|tau_i|^2."""
-    q = 1.0 + (pt.tau**2).sum(axis=-1)
+    q = 1.0 + np.add.reduce(pt.tau**2, axis=-1)
     return model.hole_coeff() / (pt.d * q) ** (model.dims.N - 2), q
 
 
@@ -161,7 +167,7 @@ def _psi(model, pt):
     """Psi at pt, or at each point of a stack: d (..., m), tau (..., m, N)."""
     _check_box(pt)
     hole, _ = _hole_terms(model, pt)
-    return (model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole).sum(axis=-1)
+    return np.add.reduce(model.robin_coeff() * pt.d ** (model.dims.N - 2) + hole, axis=-1)
 
 
 def psi_value(model, pt):
@@ -188,18 +194,19 @@ _FD_CHUNK = 1 << 18      # floats of tau per batched Psi call in _fd_grad
 def _fd_grad(model, pt, step):
     """Central differences of Psi in the flat layout of psi_grad.  The 2n
     shifted points, n = m (N + 1), are pt plus the rows of [step I; -step I],
-    evaluated in batches of about _FD_CHUNK floats of tau each: O(n) memory,
+    evaluated in batches of at most _FD_CHUNK floats of tau each: O(n) memory,
     O(n^2) time as for a loop over the points."""
     m, N = pt.tau.shape
     n = m * (N + 1)
-    v = []
-    for idx in np.array_split(np.arange(2 * n), -(-2 * n * n // _FD_CHUNK)):
+    rows, per_batch = np.arange(2 * n), max(1, _FD_CHUNK // n)
+    v = np.empty(2 * n)
+    for lo in range(0, 2 * n, per_batch):
+        idx = rows[lo:lo + per_batch]
         shifts = np.zeros((len(idx), n))
         shifts[np.arange(len(idx)), idx % n] = np.where(idx < n, step, -step)
         d = pt.d + shifts[:, :m]
         tau = pt.tau + shifts[:, m:].reshape(len(idx), m, N)
-        v.append(_psi(model, ReducedPoint(d=d, tau=tau, eta=pt.eta)))
-    v = np.concatenate(v)
+        v[lo:lo + len(idx)] = _psi(model, ReducedPoint(d=d, tau=tau, eta=pt.eta))
     return (v[:n] - v[n:]) / (2 * step)
 
 
@@ -207,8 +214,8 @@ def gradient_check(model, pt):
     """Gap max|fd - grad| / (1 + max|grad|) between the analytic gradient
     and central differences of Psi with step GRAD_CHECK_STEP, at pt."""
     analytic = psi_grad(model, pt)
-    gap = np.abs(_fd_grad(model, pt, GRAD_CHECK_STEP) - analytic).max()
-    return float(gap / (1.0 + np.abs(analytic).max()))
+    gap = np.maximum.reduce(np.abs(_fd_grad(model, pt, GRAD_CHECK_STEP) - analytic))
+    return float(gap / (1.0 + np.maximum.reduce(np.abs(analytic))))
 
 
 def psi_hessian_at_flat(model, d):
@@ -245,8 +252,8 @@ def critical_point(model, eta=1e-3):
         point=pt,
         hess_d=hd,
         hess_tau=ht,
-        grad_norm=float(np.abs(grad).max()),
-        signature_ok=bool((hd > 0).all() and (ht < 0).all()),
+        grad_norm=float(np.maximum.reduce(np.abs(grad))),
+        signature_ok=bool(np.logical_and.reduce((hd > 0) & (ht < 0), axis=None)),
         in_box=pt.in_box(),
     )
 

@@ -39,7 +39,7 @@ class Ball:
 
     def contains(self, x):
         v = np.asarray(x, float) - self.center
-        return np.sqrt((v * v).sum(axis=-1)) < self.radius   # np.linalg.norm's bits
+        return np.sqrt(np.add.reduce(v * v, axis=-1)) < self.radius   # np.linalg.norm's bits
 
 
 def check_holes(ball, centers, coeffs, epsilon):
@@ -73,11 +73,11 @@ def check_holes(ball, centers, coeffs, epsilon):
 def kernel_robin(ball, a):
     """Robin function of the plain kernel: (R/(R^2 - |a'|^2))^(N-2), at the
     point a or at each row of a stack of points."""
-    if not ball.contains(a).all():
+    if not np.logical_and.reduce(ball.contains(a), axis=None):
         raise ValueError("point outside the ambient ball")
     N = ball.dims.N
     R = ball.radius
     ar = np.asarray(a, float) - ball.center
     # float_power takes libm pow on every value, as ** does on one point; **
     # on an array squares instead, and the two differ in about 0.1 % of values
-    return np.float_power(R / (R**2 - (ar * ar).sum(axis=-1)), N - 2)
+    return np.float_power(R / (R**2 - np.add.reduce(ar * ar, axis=-1)), N - 2)

@@ -398,6 +398,31 @@ def test_parse_accepts_limits(path, value):
     assert config is not None, diags
 
 
+@pytest.mark.parametrize("path, field_name", [
+    ((), "<root>"),
+    (("coupling",), "coupling"),
+    (("domain",), "domain"),
+    (("domain", "holes", 1), "domain.holes[1]"),
+    (("reduction",), "reduction"),
+    (("reduction", "epsilon_grid"), "reduction.epsilon_grid"),
+    (("scaling",), "scaling"),
+    (("output",), "output"),
+])
+def test_config_objects_refuse_unknown_keys(tmp_path, capsys, path, field_name):
+    # a misspelt "n_nodes" in each object of a config that uses every one
+    cfg = _variant(DEMO, reduction={"eta": 1e-3, "epsilon_grid": {"start": 1e-2, "stop": 1e-4,
+                                                                  "num": 8}},
+                   scaling={"single": [{"q": 1}]}, output={"dir": str(tmp_path / "out")})
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    node = cfg
+    for key in path:
+        node = node[key]
+    node["n_node"] = 5000
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"error[{field_name}]: unknown key 'n_node'\n"
+
+
 def test_scaling_family_rejects_parameters_of_other_kinds():
     config, diags = _parse_with(("scaling",), {"single": [{"q": 1, "nu1": 2, "bogus": 3}]})
     assert config is None
