@@ -52,7 +52,7 @@ from .greens import Ball, check_holes, kernel_robin
 from .solver import DEFAULT_NODES, rate_sweep
 
 CONFIG_SCHEMA = "bubblelab-config/1"
-SUMMARY_SCHEMA = "bubblelab-summary/4"
+SUMMARY_SCHEMA = "bubblelab-summary/5"
 
 EXIT_PASS, EXIT_ERROR, EXIT_DEGENERATE = 0, 1, 2
 MAX_EPSILONS = 1000   # Newton solves in one radial sweep
@@ -705,7 +705,6 @@ def _task_spectrum(cfg, ctx, rng, out):
                 "group": h,
                 "lambdas": report.lambdas.tolist(),
                 "thetas": report.thetas.tolist(),
-                "det_identity_gap": float(report.det_identity_gap),
                 "verdict": report.verdict,
                 "message": report.reason,
             }
@@ -804,8 +803,6 @@ def _task_scaling(cfg, ctx, rng, out):
         families.append(
             {
                 "name": name,
-                "kind": kind,
-                "params": params,
                 "exponent_predicted": fit.exponent_predicted,
                 "exponent_measured": fit.exponent_measured,
                 "r2": fit.r2,

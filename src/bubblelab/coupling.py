@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bubbles import dims_for
+
 DEGENERACY_TOL = 1e-8
 _BOUNDARY_TOL = 1e-12   # relative to the largest entry of the power vector
 
@@ -80,7 +82,7 @@ class CouplingSpec:
 
     @property
     def p(self):
-        return (self.N + 2) / (self.N - 2)
+        return dims_for(self.N).p
 
     @property
     def n_groups(self):
@@ -214,7 +216,6 @@ class SpectrumReport:
     lambdas: np.ndarray         # eigenvalues (p-1)/2 + (p+1)/2 thetas of M
     verdict: str
     reason: str                 # the verdict and the eigenvalue that decided it
-    det_identity_gap: float = 0.0   # |det C - prod(c^(p-1)) det(beta)| / scale
 
 
 def _nearest_nu(lam, N):
@@ -229,7 +230,7 @@ def _verdict_from_lambdas(lambdas, N):
     """(verdict, reason).  The reason names the first eigenvalue within
     DEGENERACY_TOL of some nu_k, in descending order after the structural
     p, numbered from lambda_2, or says that the structural p is missing."""
-    p = (N + 2) / (N - 2)
+    p = dims_for(N).p
     lam = sorted(map(float, lambdas), reverse=True)
     i = next((i for i, value in enumerate(lam) if abs(value - p) <= DEGENERACY_TOL), None)
     if i is None:
@@ -250,8 +251,8 @@ def build_spectrum(spec, cvec):
     """Assemble C_ij = beta_ij (c_i c_j)^((p-1)/2); its eigenvalues Theta
     give those of M = (p-1)/2 Id + (p+1)/2 C as Lambda = (p-1)/2 + (p+1)/2 Theta.
 
-    Verifies the structural facts: Lambda = p appears with eigenvector c,
-    and det C = (prod c_i^(p-1)) det(beta block).
+    Verifies that c solves its system, C c = c: then Lambda = p appears
+    with eigenvector c.
     """
     block = spec.group_block(cvec.group)
     c = np.asarray(cvec.c, dtype=float)
@@ -273,10 +274,6 @@ def build_spectrum(spec, cvec):
     thetas = np.linalg.eigvalsh(matC)[::-1]
     lambdas = (p - 1) / 2 + (p + 1) / 2 * thetas
 
-    det_c = np.linalg.det(matC)
-    det_gap = (abs(det_c - np.multiply.reduce(c ** (p - 1)) * np.linalg.det(block))
-               / max(abs(det_c), 1e-300))
-
     verdict, reason = _verdict_from_lambdas(lambdas, spec.N)
     return SpectrumReport(
         matC=matC,
@@ -284,5 +281,4 @@ def build_spectrum(spec, cvec):
         lambdas=lambdas,
         verdict=verdict,
         reason=reason,
-        det_identity_gap=det_gap,
     )

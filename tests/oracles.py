@@ -15,6 +15,8 @@ runs, kept beside the tests that use them.
   reference rule take.
 * `reference_solve_c_vector`: the N=3 amplitude Newton of
   `coupling.solve_c_vector` as first written, whose bits it keeps.
+* `det_identity_gap`: the relative gap of det C = prod(c_i^(p-1)) det(beta)
+  on a group's `coupling.build_spectrum` matrix.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
   Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
@@ -380,6 +382,17 @@ def reference_solve_c_vector(block):
             halvings += 1
         c = c + lam * step
     return c, halvings
+
+
+def det_identity_gap(spec, cvec, report):
+    """|det C - prod(c_i^(p-1)) det(beta block)| / |det C| for the matrix C
+    that `coupling.build_spectrum` reports on the group of `cvec`: C is the
+    block scaled by (c_i c_j)^((p-1)/2), so the identity holds up to
+    rounding."""
+    c, p = cvec.c, spec.p
+    det_c = np.linalg.det(report.matC)
+    det_beta = np.linalg.det(spec.group_block(cvec.group))
+    return abs(det_c - np.multiply.reduce(c ** (p - 1)) * det_beta) / max(abs(det_c), 1e-300)
 
 
 # ---------------------------------------------------------------- energy

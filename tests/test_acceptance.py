@@ -34,7 +34,7 @@ from bubblelab.energy import (
     psi_grad,
 )
 from bubblelab.solver import compose_group_solution, rate_sweep, solve_radial
-from oracles import bubble_residual, linearized_residual, remainder_trend
+from oracles import bubble_residual, det_identity_gap, linearized_residual, remainder_trend
 
 RNG = np.random.default_rng(20260815)
 
@@ -124,7 +124,7 @@ def test_criterion_spectral_identities():
         rep = build_spectrum(spec, cv)
         produced += 1
         worst_l1 = max(worst_l1, abs(float(np.max(rep.lambdas)) - 3.0))
-        worst_det = max(worst_det, rep.det_identity_gap)
+        worst_det = max(worst_det, det_identity_gap(spec, cv, rep))
         thetas = np.sort(rep.thetas)[::-1]
         pf_ok = pf_ok and bool(np.all(np.abs(thetas[1:]) < 1.0))
     # degeneracy boundary beta_12 = mu_1

@@ -1369,7 +1369,7 @@ def _check_narrow_box(summary, written):
 
 def _check_families(summary, written):
     families = _outputs(summary, "scaling-checks")["families"]
-    assert [f["kind"] for f in families] == ["single", "weighted", "pair"]
+    assert [f["name"] for f in families] == ["single_q1", "weighted_q4_nu0_2", "pair_q2_2"]
     assert written["inputs"]["families"] == [
         {"kind": "single", "q": 1.0},
         {"kind": "weighted", "q": 4.0, "nu1": 0.0, "nu2": 2.0},

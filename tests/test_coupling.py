@@ -15,7 +15,7 @@ from bubblelab.coupling import (
     system_residual,
     _verdict_from_lambdas,
 )
-from oracles import reference_solve_c_vector
+from oracles import det_identity_gap, reference_solve_c_vector
 
 RNG = np.random.default_rng(4242)
 
@@ -179,7 +179,7 @@ def test_spectrum_reference_case():
     closed = ((a11 + a22 + disc) / 2, (a11 + a22 - disc) / 2)
     np.testing.assert_allclose(sorted(closed), np.sort(rep.lambdas), rtol=1e-12)
     # det identity
-    assert rep.det_identity_gap < 1e-10
+    assert det_identity_gap(spec, cv, rep) < 1e-10
 
 
 def test_spectrum_cooperative_case_nondegenerate():
@@ -378,7 +378,7 @@ def test_perron_frobenius_on_random_positive_blocks():
         assert np.all(vec > 0)
         np.testing.assert_allclose(vec, cv.c / np.linalg.norm(cv.c), rtol=1e-8)
         # det C = prod(c^2) det(beta)
-        assert rep.det_identity_gap < 1e-10
+        assert det_identity_gap(spec, cv, rep) < 1e-10
         # trace/determinant consistency for k=2
         if k == 2:
             lam = rep.lambdas
@@ -422,8 +422,53 @@ def test_spectrum_is_the_jacobian_of_the_coupled_nonlinearity():
             np.testing.assert_allclose(np.sort(np.linalg.eigvals(matM).real),
                                        np.sort(rep.lambdas), rtol=1e-7, atol=1e-7)
             assert np.min(np.abs(rep.lambdas - spec.p)) < 1e-10
-            assert rep.det_identity_gap < 1e-10
+            assert det_identity_gap(spec, cv, rep) < 1e-10
             checked[spec.N] += 1
+
+
+def _algebra_specs(st):
+    """Specs as the `algebra` workload draws them: N = 3 or 4, 1-8
+    components in contiguous groups, mu in [0.5, 2], couplings between
+    groups in [-0.2, 0.2] and, inside a group of k, beta_ij =
+    -x sqrt(mu_i mu_j) / max(k - 1, 1) with x in [0.05, 0.9], so that each
+    block scaled to a unit diagonal is strictly diagonally dominant."""
+
+    @st.composite
+    def specs(draw):
+        N, m = draw(st.sampled_from([3, 4])), draw(st.integers(1, 8))
+        cuts = draw(st.lists(st.integers(1, m - 1), max_size=m - 1, unique=True)) if m > 1 else []
+        dec = (0, *sorted(cuts), m)
+
+        def values(lo, hi, size):
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+        mu = values(0.5, 2.0, m)
+        beta = values(-0.2, 0.2, m * m).reshape(m, m)   # its upper triangle is used
+        for lo, hi in zip(dec, dec[1:]):
+            k = hi - lo
+            x = values(0.05, 0.9, k * k).reshape(k, k) / max(k - 1, 1)
+            beta[lo:hi, lo:hi] = -x * np.sqrt(np.outer(mu[lo:hi], mu[lo:hi]))
+        beta = np.triu(beta, 1)
+        return CouplingSpec(N=N, m=m, mu=mu, beta=beta + beta.T + np.diag(mu), decomposition=dec)
+
+    return specs()
+
+
+def test_det_identity_holds_on_every_accepted_group():
+    # C = D B D with D = diag(c^((p-1)/2)), so det C = prod(c^(p-1)) det(beta)
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_algebra_specs(hypothesis.strategies))
+    def check(spec):
+        for h in range(spec.n_groups):
+            try:
+                cv = solve_c_vector(spec, h)
+            except NoPositiveSolution:
+                continue
+            assert det_identity_gap(spec, cv, build_spectrum(spec, cv)) < 1e-10
+
+    check()
 
 
 def test_spectrum_at_n3():
