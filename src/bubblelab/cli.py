@@ -98,7 +98,30 @@ def _unknown_keys(diags, field_name, block, known, what="key"):
     return bool(unknown)
 
 
+def _object(diags, where, value, message, row=None):
+    """Whether `value`, the config object at `where`, is a JSON object.  If not, the error
+    `message`, its "{}" the keys of _OBJECTS[row or where]; if so, one per unknown key."""
+    keys = _OBJECTS[row or where]
+    if not isinstance(value, dict):
+        _err(diags, where, message.format(", ".join(keys)))
+        return False
+    _unknown_keys(diags, where, value, keys)
+    return True
+
+
 # -------------------------------------------------------------------- config
+
+
+# config object ([k]: each hole) -> its keys; the scaling objects' are _FAMILIES
+_OBJECTS = {
+    "<root>": ("schema", "dims", "coupling", "domain", "reduction", "tasks", "scaling", "output"),
+    "coupling": ("mu", "beta", "decomposition"),
+    "domain": ("radius", "center", "holes"),
+    "domain.holes[k]": ("center", "radius_coeff"),
+    "reduction": ("eta", "epsilon_grid", "n_nodes"),
+    "reduction.epsilon_grid": ("start", "stop", "num"),
+    "output": ("dir",),
+}
 
 
 @dataclass(frozen=True)
@@ -174,7 +197,7 @@ def _parse_scaling(raw, dims, radius, diags):
         top = 2.0 * dims.N / (dims.N - 2.0)
         raw = {"single": [{"q": 1.0}, {"q": top}], "weighted": [{"q": top, "nu2": 2.0}]}
     if not isinstance(raw, dict):
-        _err(diags, "scaling", "must be an object with single/weighted/pair lists")
+        _err(diags, "scaling", f"must be an object with {'/'.join(_FAMILIES)} lists")
         return ()
     _unknown_keys(diags, "scaling", raw, _FAMILIES.keys())
     families = []
@@ -221,20 +244,7 @@ def _parse_epsilon_grid(raw, diags):
     if raw is None:
         return _DEFAULT_EPSILON_GRID
     where = "reduction.epsilon_grid"
-    if isinstance(raw, dict):
-        _unknown_keys(diags, where, raw, {"start", "stop", "num"})
-        start, stop, num = (raw.get(key) for key in ("start", "stop", "num"))
-        if not (_is_finite(start) and _is_finite(stop) and _is_integral(num)):
-            _err(diags, where, "needs numeric start/stop and integer num")
-            return None
-        if not (start > 0 and stop > 0):
-            _err(diags, where, "start and stop must be positive")
-            return None
-        if not 2 <= num <= MAX_EPSILONS:
-            _err(diags, where, f"num must lie in [2, {MAX_EPSILONS}]")
-            return None
-        grid = np.geomspace(float(start), float(stop), int(num))
-    elif isinstance(raw, list):
+    if isinstance(raw, list):
         grid = _floats(raw)
         if grid is None:
             _err(diags, where, "entries must be finite numbers")
@@ -245,8 +255,19 @@ def _parse_epsilon_grid(raw, diags):
         if len(grid) > MAX_EPSILONS:
             _err(diags, where, f"at most {MAX_EPSILONS} values")
             return None
+    elif _object(diags, where, raw, f"must be a list or a {'/'.join(_OBJECTS[where])} object"):
+        start, stop, num = (raw.get(key) for key in _OBJECTS[where])
+        if not (_is_finite(start) and _is_finite(stop) and _is_integral(num)):
+            _err(diags, where, "needs numeric start/stop and integer num")
+            return None
+        if not (start > 0 and stop > 0):
+            _err(diags, where, "start and stop must be positive")
+            return None
+        if not 2 <= num <= MAX_EPSILONS:
+            _err(diags, where, f"num must lie in [2, {MAX_EPSILONS}]")
+            return None
+        grid = np.geomspace(float(start), float(stop), int(num))
     else:
-        _err(diags, where, "must be a list or a start/stop/num object")
         return None
     seen = set()
     for eps in grid.tolist():
@@ -298,11 +319,8 @@ def parse_config(data):
     """Validate a raw config dict.  Returns (ExperimentConfig or None,
     diagnostics); the config is None iff any diagnostic is an error."""
     diags = []
-    if not isinstance(data, dict):
-        _err(diags, "<root>", "config must be a JSON object")
+    if not _object(diags, "<root>", data, "config must be a JSON object"):
         return None, diags
-    _unknown_keys(diags, "<root>", data, {"schema", "dims", "coupling", "domain", "reduction",
-                                          "tasks", "scaling", "output"})
 
     if data.get("schema") != CONFIG_SCHEMA:
         _err(diags, "schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
@@ -317,10 +335,7 @@ def parse_config(data):
     # ---- coupling block
     coupling = data.get("coupling")
     spec = None
-    if not isinstance(coupling, dict):
-        _err(diags, "coupling", "missing coupling object (mu, beta, decomposition)")
-    else:
-        _unknown_keys(diags, "coupling", coupling, {"mu", "beta", "decomposition"})
+    if _object(diags, "coupling", coupling, "missing coupling object ({})"):
         mu, rows = _floats(coupling.get("mu")), coupling.get("beta")
         decomposition = coupling.get("decomposition")
         if mu is None or not isinstance(rows, list) or not all(map(_all_finite, rows)):
@@ -365,10 +380,7 @@ def parse_config(data):
     domain = data.get("domain")
     ball = None
     centers = coeffs = None
-    if not isinstance(domain, dict):
-        _err(diags, "domain", "missing domain object (radius, holes)")
-    else:
-        _unknown_keys(diags, "domain", domain, {"radius", "center", "holes"})
+    if _object(diags, "domain", domain, "missing domain object ({})"):
         radius = domain.get("radius")
         if not _is_number(radius) or not 0 < radius <= sys.float_info.max:
             _err(diags, "domain.radius", "radius must be a positive finite number")
@@ -385,39 +397,30 @@ def parse_config(data):
             holes = []
             for k, hole in enumerate(raw_holes):
                 where = f"domain.holes[{k}]"
-                if not isinstance(hole, dict):
-                    _err(diags, where, "hole must be an object (center, radius_coeff)")
+                if not _object(diags, where, hole, "hole must be an object ({})",
+                               "domain.holes[k]"):
                     continue
-                _unknown_keys(diags, where, hole, {"center", "radius_coeff"})
                 c = _point(hole.get("center"), N)
                 if c is None:
                     _err(diags, where, f"hole center must be {N} finite coordinates")
                     continue
                 coeff = hole.get("radius_coeff", 1.0)
-                try:
-                    if not _is_number(coeff):
-                        raise ValueError("radius_coeff must be a number")
-                    coeff = float(coeff)
-                    if not coeff > 0:
-                        raise ValueError("hole radius coefficient must be positive")
-                    holes.append((c, coeff))
-                except (ValueError, OverflowError) as exc:
-                    _err(diags, where, f"malformed hole: {exc}")
+                if not _is_finite(coeff):
+                    _err(diags, where, "malformed hole: radius_coeff must be a finite number")
+                elif not coeff > 0:
+                    _err(diags, where, "malformed hole: hole radius coefficient must be positive")
+                else:
+                    holes.append((c, float(coeff)))
             if len(holes) == len(raw_holes):
                 centers, coeffs = map(np.array, zip(*holes))
 
     # ---- reduction block
     reduction = data.get("reduction")
-    if reduction is None:
+    if reduction is None or not _object(diags, "reduction", reduction, "must be an object ({})"):
         reduction = {}
-    elif not isinstance(reduction, dict):
-        _err(diags, "reduction", "must be an object (eta, epsilon_grid, n_nodes)")
-        reduction = {}
-    _unknown_keys(diags, "reduction", reduction, {"eta", "epsilon_grid", "n_nodes"})
     eta = reduction.get("eta", 1e-3)
     if not _is_number(eta) or not 0 < eta < 1:
         _err(diags, "reduction.eta", "eta must lie in (0, 1)")
-        eta = 1e-3
     grid = _parse_epsilon_grid(reduction.get("epsilon_grid"), diags)
     n_nodes = reduction.get("n_nodes", DEFAULT_NODES)
     if _is_integral(n_nodes) and 100 <= n_nodes <= MAX_NODES:
@@ -473,10 +476,7 @@ def parse_config(data):
 
     output = data.get("output")
     out_dir = None
-    if output is not None and not isinstance(output, dict):
-        _err(diags, "output", "must be an object (dir)")
-    elif output is not None:
-        _unknown_keys(diags, "output", output, {"dir"})
+    if output is not None and _object(diags, "output", output, "must be an object ({})"):
         out_dir = output.get("dir")
         if out_dir is not None and not isinstance(out_dir, str):
             _err(diags, "output.dir", "dir must be a string")

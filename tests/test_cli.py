@@ -188,14 +188,16 @@ _HOLES = "error[domain.holes]: "
 @pytest.mark.parametrize("hole0, hole1, line", [
     ({"radius_coeff": 0}, {}, _MALFORMED + "hole radius coefficient must be positive"),
     ({"radius_coeff": -1}, {}, _MALFORMED + "hole radius coefficient must be positive"),
-    ({"radius_coeff": "2"}, {}, _MALFORMED + "radius_coeff must be a number"),
-    ({"radius_coeff": 10**400}, {}, _MALFORMED + "int too large to convert to float"),
+    ({"radius_coeff": "2"}, {}, _MALFORMED + "radius_coeff must be a finite number"),
+    ({"radius_coeff": 10**400}, {}, _MALFORMED + "radius_coeff must be a finite number"),
     ({"center": [2.0, 0.0, 0.0, 0.0]}, {},
      _HOLES + "hole 0 touches or leaves the ambient boundary"),
     ({"radius_coeff": 40}, {}, _HOLES + "epsilon 0.01 too large: the radius of hole 0 "
      "exceeds half its distance to the ambient boundary"),
     ({}, {"center": [0.31, 0.0, 0.0, 0.0], "radius_coeff": 0.5},
      _HOLES + "holes 0 and 1 overlap at eps=0.01; holes must be disjoint"),
+    ({"radius_coeff": float("inf")}, {}, _MALFORMED + "radius_coeff must be a finite number"),
+    ({"radius_coeff": float("nan")}, {}, _MALFORMED + "radius_coeff must be a finite number"),
 ])
 def test_validate_pins_each_hole_diagnostic(tmp_path, capsys, hole0, hole1, line):
     # at the largest eps of the default grid, 1e-2; hole 1 of DEMO sits at -0.3
@@ -263,7 +265,10 @@ def test_validate_rejects_hole_group_mismatch(tmp_path, capsys):
 
 
 def _moved(base, path, value):
-    """A deep copy of the config `base` with the value at `path` replaced."""
+    """A deep copy of the config `base` with the value at `path` replaced
+    (the whole config if `path` is empty)."""
+    if not path:
+        return copy.deepcopy(value)
     cfg = copy.deepcopy(base)
     node = cfg
     for key in path[:-1]:
@@ -398,21 +403,37 @@ def test_parse_accepts_limits(path, value):
     assert config is not None, diags
 
 
-@pytest.mark.parametrize("path, field_name", [
-    ((), "<root>"),
-    (("coupling",), "coupling"),
-    (("domain",), "domain"),
-    (("domain", "holes", 1), "domain.holes[1]"),
-    (("reduction",), "reduction"),
-    (("reduction", "epsilon_grid"), "reduction.epsilon_grid"),
-    (("scaling",), "scaling"),
-    (("output",), "output"),
-])
+# DEMO with every config object and key of cli._OBJECTS and cli._FAMILIES
+EVERY_OBJECT = _variant(
+    DEMO, domain=dict(DEMO["domain"], center=[0.0] * 4),
+    reduction={"eta": 1e-3, "epsilon_grid": {"start": 1e-2, "stop": 1e-4, "num": 8},
+               "n_nodes": 2000},
+    scaling={"single": [{"q": 1}], "weighted": [{"q": 4, "nu1": 0, "nu2": 2}],
+             "pair": [{"q1": 2, "q2": 2, "separation": 0.5, "n": 7}]},
+    output={"dir": "out"})
+
+
+def object_path(row):
+    """The path in EVERY_OBJECT of the config object `row` names: a row of
+    cli._OBJECTS (hole 1 for "[k]"), or "scaling"."""
+    if row == "<root>":
+        return ()
+    return tuple(int(key) if key.isdigit() else key
+                 for key in row.replace("[k]", ".1").split("."))
+
+
+# each config object, the nested ones after their parent, in the order of
+# the top level's keys
+OBJECT_ROWS = sorted(
+    [*cli._OBJECTS, "scaling"],
+    key=lambda row: -1 if row == "<root>" else cli._OBJECTS["<root>"].index(row.split(".")[0]))
+
+
+@pytest.mark.parametrize("path, field_name", [(object_path(row), row.replace("[k]", "[1]"))
+                                              for row in OBJECT_ROWS])
 def test_config_objects_refuse_unknown_keys(tmp_path, capsys, path, field_name):
     # a misspelt "n_nodes" in each object of a config that uses every one
-    cfg = _variant(DEMO, reduction={"eta": 1e-3, "epsilon_grid": {"start": 1e-2, "stop": 1e-4,
-                                                                  "num": 8}},
-                   scaling={"single": [{"q": 1}]}, output={"dir": str(tmp_path / "out")})
+    cfg = _variant(EVERY_OBJECT, output={"dir": str(tmp_path / "out")})
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     capsys.readouterr()
     node = cfg
@@ -421,6 +442,25 @@ def test_config_objects_refuse_unknown_keys(tmp_path, capsys, path, field_name):
     node["n_node"] = 5000
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 1
     assert capsys.readouterr().err == f"error[{field_name}]: unknown key 'n_node'\n"
+
+
+NOT_AN_OBJECT = {   # each row of cli._OBJECTS -> the line for a number in its place
+    "<root>": "error[<root>]: config must be a JSON object",
+    "coupling": "error[coupling]: missing coupling object (mu, beta, decomposition)",
+    "domain": "error[domain]: missing domain object (radius, center, holes)",
+    "domain.holes[k]": "error[domain.holes[1]]: hole must be an object (center, radius_coeff)",
+    "reduction": "error[reduction]: must be an object (eta, epsilon_grid, n_nodes)",
+    "reduction.epsilon_grid":
+        "error[reduction.epsilon_grid]: must be a list or a start/stop/num object",
+    "output": "error[output]: must be an object (dir)",
+}
+
+
+@pytest.mark.parametrize("row", list(cli._OBJECTS))
+def test_config_objects_that_are_not_objects_name_their_keys(row):
+    config, diags = cli.parse_config(_moved(EVERY_OBJECT, object_path(row), 5))
+    assert config is None
+    assert [str(d) for d in diags] == [NOT_AN_OBJECT[row]]
 
 
 def test_scaling_family_rejects_parameters_of_other_kinds():
@@ -1567,6 +1607,24 @@ def test_readme_example_config_exits_zero_with_its_eigenvalues(tmp_path):
     assert code == 0
     group = _outputs(load_summary(out), "spectrum")["groups"][0]
     np.testing.assert_allclose(sorted(group["lambdas"]), [3.0, 37.0 / 7.0], rtol=0, atol=1e-12)
+
+
+def test_readme_lists_each_config_objects_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"The config objects and their keys follow.*?\n\n(.*?)\n\n", readme,
+                      re.S).group(1)
+    listed = {}   # row -> {key: its default in parentheses, or ""}
+    for item in re.split(r"^- ", block, flags=re.M)[1:]:
+        row, keys = re.fullmatch(r"`([^`]+)`: (.*)", " ".join(item.split())).groups()
+        listed[row] = dict(re.findall(r"`(\w+)`(?: \(([^()]*)\))?", keys))
+    want = dict(cli._OBJECTS, scaling=tuple(cli._FAMILIES))
+    want.update({f"scaling.{kind}[k]": tuple(family.params)
+                 for kind, family in cli._FAMILIES.items()})
+    assert [(row, tuple(keys)) for row, keys in listed.items()] == list(want.items())
+    for kind, family in cli._FAMILIES.items():
+        defaults = listed[f"scaling.{kind}[k]"]
+        assert {key: float(text) if text else None for key, text in defaults.items()} == \
+            family.params
 
 
 # ------------------------------------------------------------- verdict fold

@@ -1,19 +1,35 @@
-"""Property test: whatever JSON value sits in the reduction, its n_nodes,
-the coupling decomposition, mu or beta, the scaling field, the domain, its
-center or its holes, `parse_config` returns a config or diagnostics and never
-raises."""
+"""Property test: whatever JSON value sits in place of any config object or
+any of its keys (cli._OBJECTS), the scaling object or a scaling family entry
+or parameter (cli._FAMILIES), `parse_config` returns a config or
+diagnostics and never raises."""
+
+import itertools
 
 import pytest
 
-from test_cli import _parse_with
+from bubblelab import cli
+from test_cli import EVERY_OBJECT, _moved, object_path
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 # keys the parser looks up, so generated objects reach the nested checks
-KEYS = ("single", "weighted", "pair", "q", "q1", "q2", "nu1", "nu2", "n",
-        "separation", "eta", "epsilon_grid", "n_nodes", "start", "stop", "num",
-        "center", "radius_coeff", "holes", "radius")
+KEYS = tuple(dict.fromkeys(itertools.chain(
+    *cli._OBJECTS.values(), cli._FAMILIES, *(family.params for family in cli._FAMILIES.values()))))
+
+
+def _paths():
+    """Each config object and each of its keys in EVERY_OBJECT: the rows of
+    cli._OBJECTS, then each scaling family's list, entry and parameters."""
+    for row, keys in cli._OBJECTS.items():
+        yield object_path(row)
+        yield from (object_path(row) + (key,) for key in keys)
+    for kind, family in cli._FAMILIES.items():
+        yield from [("scaling", kind), ("scaling", kind, 0)]
+        yield from (("scaling", kind, 0, key) for key in family.params)
+
+
+PATHS = tuple(dict.fromkeys(_paths()))   # "coupling" is a row and a top-level key
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -23,14 +39,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(
-    path=st.sampled_from([("reduction",), ("reduction", "n_nodes"),
-                          ("coupling", "decomposition"), ("coupling", "mu"),
-                          ("coupling", "beta"), ("scaling",), ("domain",),
-                          ("domain", "center"), ("domain", "holes")]),
-    value=JSON_VALUES,
-)
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(path=st.sampled_from(PATHS), value=JSON_VALUES)
 def test_parse_config_never_raises(path, value):
-    config, diags = _parse_with(path, value)
+    config, diags = cli.parse_config(_moved(EVERY_OBJECT, path, value))
     assert (config is None) == any(d.level == "error" for d in diags)
