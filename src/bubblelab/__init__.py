@@ -11,9 +11,10 @@ solver       radial Newton-continuation solver and concentration-rate sweeps
 cli          batch front-end (JSON configs in, JSON/CSV reports out)
 
 ``__all__`` holds what ``bubblelab run`` executes, ``bubble_eval`` (which
-the benchmark tracer counts) and two names that await a task:
-``energy_expansion`` and ``compose_group_solution``.  Closed forms and
-finite-difference checks that no task runs are oracles in the tests.
+the benchmark tracer counts) and one name that awaits a task:
+``energy_expansion``.  Closed forms, identities and finite-difference checks
+that no task runs, the group composition u_i = c_i w among them, are oracles
+in the tests.
 """
 
 from .asymptotics import (
@@ -52,7 +53,6 @@ from .greens import Ball, check_holes, kernel_robin
 from .solver import (
     ConcentrationMetrics,
     RadialGrid,
-    compose_group_solution,
     energy_of_solution,
     rate_sweep,
     solve_radial,
@@ -79,7 +79,6 @@ __all__ = [
     "bubble_eval",
     "build_spectrum",
     "check_holes",
-    "compose_group_solution",
     "critical_point",
     "dims_for",
     "energy_expansion",

@@ -122,6 +122,7 @@ _OBJECTS = {
     "reduction.epsilon_grid": ("start", "stop", "num"),
     "output": ("dir",),
 }
+_EMPTY_DIR = "dir must be a non-empty string"   # output.dir's error, and --out's
 
 
 @dataclass(frozen=True)
@@ -478,8 +479,8 @@ def parse_config(data):
     out_dir = None
     if output is not None and _object(diags, "output", output, "must be an object ({})"):
         out_dir = output.get("dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            _err(diags, "output.dir", "dir must be a string")
+        if out_dir is not None and not (isinstance(out_dir, str) and out_dir):
+            _err(diags, "output.dir", _EMPTY_DIR)
 
     if any(d.level == "error" for d in diags):
         return None, diags
@@ -1001,8 +1002,12 @@ def main(argv=None):
     if not 0 <= args.seed < 2**64:
         print("error[--seed]: seed must fit in u64", file=sys.stderr)
         return EXIT_ERROR
+    if args.out == "":
+        print(str(Diagnostic("error", "--out", _EMPTY_DIR)), file=sys.stderr)
+        return EXIT_ERROR
 
-    out_dir = args.out if args.out is not None else (config.out_dir or "bubblelab_out")
+    out_dir = args.out if args.out is not None else (
+        "bubblelab_out" if config.out_dir is None else config.out_dir)
     try:   # run reports task failures itself; what escapes is the directory's
         exit_code, summary = run(config, out_dir, seed=args.seed)
     except OSError as exc:

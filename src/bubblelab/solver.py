@@ -17,8 +17,9 @@ minimizer of the reduced energy.
 
 The solver has no mu: if -Lap w = (w^+)^p, then mu^(-1/(p-1)) w solves
 -Lap u = mu (u^+)^p, so a component's mu_i enters only through its amplitude.
-Multi-component solutions sharing a single peak are composed algebraically
-as u_i = c_i w from a converged scalar profile w and an amplitude vector.
+A group of components sharing one peak, u_i = c_i w, solves its system
+exactly when c solves the amplitude system; that identity is a test oracle
+(``tests/oracles.py``), not a solver path.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ import numpy as np
 
 from .asymptotics import Annulus, project_bubble_radial
 from .bubbles import BubbleParams
-from .coupling import CouplingSpec, CVector
 from .energy import ReducedEnergyModel, critical_point
 from .greens import Ball, kernel_robin
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
 DEFAULT_NODES = 2000
-# the single-component system mu = beta = 1 of every radial solve, per N
-_SINGLE_SPEC = {N: CouplingSpec(N=N, m=1, mu=np.ones(1), beta=np.ones((1, 1)),
-                                decomposition=(0, 1)) for N in (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ def graded_mesh(inner, outer, n):
     return np.geomspace(inner, outer, int(n))
 
 
-def _operator_bands(nodes, dims, ws=None):
+def _operator_bands(nodes, dims, ws):
     """Difference-form stencil of u -> -u'' - (N-1)/s u' on interior nodes.
 
     Every interior row is premultiplied by h_m h_p / 2 so the stencil
@@ -106,10 +103,9 @@ def _operator_bands(nodes, dims, ws=None):
     near machine precision relative to |u| instead of blowing up like
     1/h^2 on fine meshes.  The weights are returned so that source terms
     can be scaled consistently.  Boundary rows are identities.  The four
-    bands are the last four rows of the block ``ws`` (fresh (8, n) when not
-    given), each built in place; its first four rows are scratch.
+    bands are the last four rows of the block ``ws``, each built in place;
+    its first four rows are scratch.
     """
-    ws = np.empty((8, len(nodes))) if ws is None else ws
     bands = ws[-4:]
     bands[:, [0, -1]] = 0.0   # a reused block holds the last solve's values
     bands[1, [0, -1]] = bands[3, [0, -1]] = 1.0
@@ -136,12 +132,10 @@ def _operator_bands(nodes, dims, ws=None):
     return bands
 
 
-def _apply_bands(bands, u, out=None, tmp=None):
-    """The stencil product, into ``out``; ``tmp`` is scratch of u's length
-    (both fresh when not given)."""
+def _apply_bands(bands, u, out, tmp):
+    """The stencil product, into ``out``; ``tmp`` is scratch of u's length."""
     lo, di, up, _ = bands
-    out = np.multiply(di, u, out=out)
-    tmp = np.empty_like(out) if tmp is None else tmp
+    np.multiply(di, u, out=out)
     out[1:] += np.multiply(lo[1:], u[:-1], out=tmp[1:])
     out[:-1] += np.multiply(up[:-1], u[1:], out=tmp[:-1])
     # boundary rows are pure identity; strip neighbor contributions
@@ -150,7 +144,7 @@ def _apply_bands(bands, u, out=None, tmp=None):
     return out
 
 
-def _residual(bands, u, p, out=None, tmp=None):
+def _residual(bands, u, p, out, tmp):
     """Difference-form residual into ``out``: weight * (-Lap u - f(u))
     inside, u itself on the Dirichlet rows.  Also returns the largest scaled
     potential weight * f(u), left in ``tmp``."""
@@ -309,7 +303,7 @@ def _metrics(grid, epsilon, ws):
         rpeak=float(grid.nodes[k]),
         delta_est=delta_est,
         d_est=delta_est / math.sqrt(epsilon),
-        energy=energy_of_solution([grid], _SINGLE_SPEC[dims.N], _workspace=ws),
+        energy=energy_of_solution(grid, _workspace=ws),
     )
 
 
@@ -402,120 +396,50 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
     )
 
 
-@dataclass(frozen=True)
-class ComposeReport:
-    grids: tuple
-    residual_sup: np.ndarray      # per component, discrete system residual
-    identity_gap: np.ndarray      # per component, |R_i - c_i * scalar residual|
-    scalar_residual_sup: float
+def energy_of_solution(grid, *, _workspace=None):
+    """Discrete action of one profile, int (1/2 u'^2 - (u^+)^(p+1)/(p+1))
+    in the radial measure.
 
-
-def compose_group_solution(spec, cvec, w):
-    """Assemble u_i = c_i w for one group and report the system residuals.
-
-    Substituting u_i = c_i w into component i's equation leaves
-    c_i (amplitude-system residual) w^p plus c_i times the scalar solve's
-    own defect, so for an exact amplitude vector the system residual
-    coincides with c_i times the scalar residual.  Residuals use the same
-    difference-form rows as the solver and are normalized by the scalar
-    profile's sup, so the reported numbers are relative.
-    """
-    if not isinstance(cvec, CVector):
-        raise ValueError("cvec must be a CVector")
-    idx = list(spec.group_indices(cvec.group))
-    if len(cvec.c) != len(idx):
-        raise ValueError("amplitude vector length does not match the group")
-    if w.dims.N != spec.N:
-        raise ValueError("grid dimension does not match the coupling data")
-    p = spec.p
-    e1, e2 = (p - 1) / 2, (p + 1) / 2
-    bands = _operator_bands(w.nodes, w.dims)
-    r_scalar, _ = _residual(bands, w.values, p)
-    grids = tuple(
-        RadialGrid(nodes=w.nodes, values=c_i * w.values, dims=w.dims)
-        for c_i in cvec.c
-    )
-    block = spec.group_block(cvec.group)
-    sup = np.zeros(len(idx))
-    gap = np.zeros(len(idx))
-    uplus = [np.maximum(g.values, 0.0) for g in grids]
-    scale = 1.0 + float(np.max(np.abs(w.values)))
-    for a in range(len(idx)):
-        R = _apply_bands(bands, grids[a].values)
-        coupling_sum = np.zeros_like(w.values)
-        for b in range(len(idx)):
-            coupling_sum += block[a, b] * uplus[b] ** e2
-        R[1:-1] -= (bands[3] * coupling_sum * uplus[a] ** e1)[1:-1]
-        sup[a] = float(np.max(np.abs(R))) / scale
-        gap[a] = float(np.max(np.abs(R - cvec.c[a] * r_scalar))) / scale
-    return ComposeReport(
-        grids=grids,
-        residual_sup=sup,
-        identity_gap=gap,
-        scalar_residual_sup=float(np.max(np.abs(r_scalar))) / scale,
-    )
-
-
-def energy_of_solution(grids, spec, *, _workspace=None):
-    """Discrete action: sum of single-component Dirichlet/potential terms
-    minus the pairwise coupling term, in the radial measure.
-
-    u' and the integrals have the bits of np.gradient (second order inside,
-    first order at the ends) and np.trapezoid; the gradient's coefficients
-    are formed once for all components, the integrands in place, all in
-    the first seven rows of ``_workspace`` (a fresh (7, n) block when not
-    given; ``solve_radial`` lends its own)."""
-    if len(grids) != spec.m:
-        raise ValueError("need one grid per component")
-    nodes = grids[0].nodes
-    dims = grids[0].dims
-    for g in grids[1:]:
-        if not np.array_equal(g.nodes, nodes):
-            raise ValueError("grids must share nodes")
-    if len(nodes) < 2:
-        raise ValueError("energy needs at least two nodes")
-    p = spec.p
+    u' and the integral have the bits of np.gradient (second order inside,
+    first order at the ends) and np.trapezoid, formed in place in the first
+    seven rows of ``_workspace`` (a fresh (7, n) block when not given;
+    ``solve_radial`` lends its own)."""
+    nodes, u, dims = grid.nodes, grid.values, grid.dims
     n = len(nodes)
+    if n < 2:
+        raise ValueError("energy needs at least two nodes")
+    p = dims.p
     ws = np.empty((7, n)) if _workspace is None else _workspace
     s_pow, dx, a, b, c, du, tmp = ws[:7]
     np.copyto(s_pow, nodes)
     s_pow **= dims.N - 1   # the scalar-power path of nodes ** (N - 1)
     dx = np.subtract(nodes[1:], nodes[:-1], out=dx[:-1])   # np.diff(nodes)
-    uniform = bool(np.all(dx == dx[0]))   # np.gradient's constant-spacing case
-    dx1, dx2 = dx[:-1], dx[1:]
-    a, b, c = a[:n - 2], b[:n - 2], c[:n - 2]
-    np.negative(dx2, out=a)   # a = -dx2 / (dx1 (dx1 + dx2))
-    a /= np.multiply(dx1, np.add(dx1, dx2, out=c), out=c)
-    np.subtract(dx2, dx1, out=b)   # b = (dx2 - dx1) / (dx1 dx2)
-    b /= np.multiply(dx1, dx2, out=tmp[:n - 2])
-    np.divide(dx1, np.multiply(dx2, np.add(dx1, dx2, out=c), out=c), out=c)   # c
     inner = du[1:-1]
-    total = 0.0
-    for i, g in enumerate(grids):
-        u = g.values
-        if uniform:
-            np.subtract(u[2:], u[:-2], out=inner)
-            inner /= 2.0 * dx[0]
-        else:
-            np.multiply(a, u[:-2], out=inner)
-            inner += np.multiply(b, u[1:-1], out=tmp[1:-1])
-            inner += np.multiply(c, u[2:], out=tmp[1:-1])
-        du[0] = (u[1] - u[0]) / dx[0]
-        du[-1] = (u[-1] - u[-2]) / dx[-1]
-        du **= 2                     # 0.5 u'^2 - mu_i (u^+)^(p+1) / (p+1)
-        du *= 0.5
-        pot = np.maximum(u, 0.0, out=tmp)
-        pot **= p + 1
-        pot *= spec.mu[i]
-        pot /= p + 1
-        du -= pot
-        du *= s_pow
-        terms = np.add(du[1:], du[:-1], out=tmp[:-1])   # np.trapezoid(du, nodes)
-        terms *= dx
-        terms /= 2.0
-        total += terms.sum()
-    for i in range(spec.m):
-        for j in range(i + 1, spec.m):
-            prod = np.abs(grids[i].values * grids[j].values) ** ((p + 1) / 2)
-            total -= 2.0 / (p + 1) * spec.beta[i, j] * np.trapezoid(s_pow * prod, nodes)
-    return float(dims.omegaNm1 * total)
+    if np.all(dx == dx[0]):   # np.gradient's constant-spacing case
+        np.subtract(u[2:], u[:-2], out=inner)
+        inner /= 2.0 * dx[0]
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a, b, c = a[:n - 2], b[:n - 2], c[:n - 2]
+        np.negative(dx2, out=a)   # a = -dx2 / (dx1 (dx1 + dx2))
+        a /= np.multiply(dx1, np.add(dx1, dx2, out=c), out=c)
+        np.subtract(dx2, dx1, out=b)   # b = (dx2 - dx1) / (dx1 dx2)
+        b /= np.multiply(dx1, dx2, out=tmp[:n - 2])
+        np.divide(dx1, np.multiply(dx2, np.add(dx1, dx2, out=c), out=c), out=c)   # c
+        np.multiply(a, u[:-2], out=inner)
+        inner += np.multiply(b, u[1:-1], out=tmp[1:-1])
+        inner += np.multiply(c, u[2:], out=tmp[1:-1])
+    du[0] = (u[1] - u[0]) / dx[0]
+    du[-1] = (u[-1] - u[-2]) / dx[-1]
+    du **= 2                     # 0.5 u'^2 - (u^+)^(p+1) / (p+1)
+    du *= 0.5
+    pot = np.maximum(u, 0.0, out=tmp)
+    pot **= p + 1
+    pot /= p + 1
+    du -= pot
+    du *= s_pow
+    terms = np.add(du[1:], du[:-1], out=tmp[:-1])   # np.trapezoid(du, nodes)
+    terms *= dx
+    terms /= 2.0
+    # the sum starts at 0.0, so an integrand of -0.0 alone gives 0.0
+    return float(dims.omegaNm1 * (0.0 + terms.sum()))

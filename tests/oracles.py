@@ -20,9 +20,13 @@ runs, kept beside the tests that use them.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
   Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
-  action through `np.gradient` and `np.trapezoid`, whose bits
-  `solver.solve_radial` and `solver.energy_of_solution` keep;
+  m-component action through `np.gradient` and `np.trapezoid`, whose bits
+  `solver.solve_radial` and, on one component, `solver.energy_of_solution`
+  keep;
   `reference_newton_system`, the Jacobian and right-hand side of a step.
+* `compose_group_solution`: the synchronized group profile u_i = c_i w of
+  a scalar solve w and an amplitude vector c, with each component's
+  system residual and its gap to c_i times the scalar residual.
 * `exact_radial`: the radial solution from the first integral of its
   Emden-Fowler form, by root-finding and quadrature, with no mesh.
 * `reference_check_holes`: `greens.check_holes` as a loop over the holes
@@ -44,7 +48,7 @@ from bubblelab.asymptotics import (
     radial_profile,
 )
 from bubblelab.bubbles import BubbleParams, _profile, bubble_eval, dims_for
-from bubblelab.coupling import CouplingSpec
+from bubblelab.coupling import CouplingSpec, CVector
 from bubblelab.energy import _radial_moment
 from bubblelab.greens import Ball
 from bubblelab.solver import (
@@ -555,8 +559,64 @@ def reference_solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
     return SolveResult(grid=grid, metrics=metrics, report=report)
 
 
+@dataclass(frozen=True)
+class ComposeReport:
+    grids: tuple
+    residual_sup: np.ndarray      # per component, discrete system residual
+    identity_gap: np.ndarray      # per component, |R_i - c_i * scalar residual|
+    scalar_residual_sup: float
+
+
+def compose_group_solution(spec, cvec, w):
+    """Assemble u_i = c_i w for one group and report the system residuals.
+
+    Substituting u_i = c_i w into component i's equation leaves
+    c_i (amplitude-system residual) w^p plus c_i times the scalar solve's
+    own defect, so for an exact amplitude vector the system residual
+    coincides with c_i times the scalar residual.  Residuals use the same
+    difference-form rows as the solver and are normalized by the scalar
+    profile's sup, so the reported numbers are relative.
+    """
+    if not isinstance(cvec, CVector):
+        raise ValueError("cvec must be a CVector")
+    idx = list(spec.group_indices(cvec.group))
+    if len(cvec.c) != len(idx):
+        raise ValueError("amplitude vector length does not match the group")
+    if w.dims.N != spec.N:
+        raise ValueError("grid dimension does not match the coupling data")
+    p = spec.p
+    e1, e2 = (p - 1) / 2, (p + 1) / 2
+    bands = _operator_bands(w.nodes, w.dims)
+    r_scalar, _ = _residual(bands, w.values, p)
+    grids = tuple(
+        RadialGrid(nodes=w.nodes, values=c_i * w.values, dims=w.dims)
+        for c_i in cvec.c
+    )
+    block = spec.group_block(cvec.group)
+    sup = np.zeros(len(idx))
+    gap = np.zeros(len(idx))
+    uplus = [np.maximum(g.values, 0.0) for g in grids]
+    scale = 1.0 + float(np.max(np.abs(w.values)))
+    for a in range(len(idx)):
+        R = _apply_bands(bands, grids[a].values)
+        coupling_sum = np.zeros_like(w.values)
+        for b in range(len(idx)):
+            coupling_sum += block[a, b] * uplus[b] ** e2
+        R[1:-1] -= (bands[3] * coupling_sum * uplus[a] ** e1)[1:-1]
+        sup[a] = float(np.max(np.abs(R))) / scale
+        gap[a] = float(np.max(np.abs(R - cvec.c[a] * r_scalar))) / scale
+    return ComposeReport(
+        grids=grids,
+        residual_sup=sup,
+        identity_gap=gap,
+        scalar_residual_sup=float(np.max(np.abs(r_scalar))) / scale,
+    )
+
+
 def reference_energy_of_solution(grids, spec):
-    """`solver.energy_of_solution` through `np.gradient` and `np.trapezoid`."""
+    """The action of one grid per component of ``spec``, coupling term
+    included, through `np.gradient` and `np.trapezoid`; on one grid with
+    mu = 1 it has the bits of `solver.energy_of_solution`."""
     nodes = grids[0].nodes
     dims = grids[0].dims
     p = spec.p

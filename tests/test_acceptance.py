@@ -33,8 +33,14 @@ from bubblelab.energy import (
     gamma_kernel,
     psi_grad,
 )
-from bubblelab.solver import compose_group_solution, rate_sweep, solve_radial
-from oracles import bubble_residual, det_identity_gap, linearized_residual, remainder_trend
+from bubblelab.solver import rate_sweep, solve_radial
+from oracles import (
+    bubble_residual,
+    compose_group_solution,
+    det_identity_gap,
+    linearized_residual,
+    remainder_trend,
+)
 
 RNG = np.random.default_rng(20260815)
 

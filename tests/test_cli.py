@@ -570,6 +570,23 @@ def test_output_dir_is_checked_before_anything_is_written(
     assert made == ["bubblelab_out", "config.json"] if field_name is None else ["config.json"]
 
 
+@pytest.mark.parametrize("field_name", ["output.dir", "--out"])
+def test_an_empty_output_dir_is_refused(tmp_path, capsys, monkeypatch, field_name):
+    # "" would be the current directory, or the default one: neither was asked for
+    monkeypatch.chdir(tmp_path)
+    if field_name == "--out":
+        commands = [["run", write_config(tmp_path, PAIR), "--out", ""]]
+    else:
+        path = write_config(tmp_path, _variant(PAIR, output={"dir": ""}))
+        commands = [["validate", path], ["run", path]]
+    for argv in commands:
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[{field_name}]: dir must be a non-empty string\n"
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("field_name, out, code", [
     ("--out", "a_file", errno.EEXIST),
     ("--out", "a_file/sub", errno.ENOTDIR),

@@ -116,8 +116,9 @@ def _awaiting_in_readme():
     """The backquoted names of the README sentence on exports that await a task."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraphs = (" ".join(p.split()) for p in text.split("\n\n"))
-    paragraph = next(p for p in paragraphs if "await a task:" in p)
-    sentence = paragraph.split("await a task:", 1)[1].split(". ", 1)[0]
+    marker = re.compile(r"awaits? a task:")
+    paragraph = next(p for p in paragraphs if marker.search(p))
+    sentence = marker.split(paragraph, 1)[1].split(". ", 1)[0]
     return set(re.findall(r"`(\w+)`", sentence))
 
 
@@ -130,7 +131,7 @@ def test_every_export_is_run_traced_or_awaiting_a_task(tmp_path, monkeypatch):
         and f"{obj.__module__.rpartition('.')[2]}.{name}" in required
     }
     awaiting = _awaiting_in_readme()
-    assert awaiting == {"energy_expansion", "compose_group_solution"}
+    assert awaiting == {"energy_expansion"}
     assert not awaiting & reached, "a listed name has a task now: drop it from the README"
     unaccounted = set(bubblelab.__all__) - reached - traced - awaiting
     assert not unaccounted, sorted(unaccounted)

@@ -8,24 +8,25 @@ import pytest
 
 from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS3, DIMS4
-from bubblelab.coupling import CouplingSpec, CVector, solve_c_vector
+from bubblelab.coupling import CouplingSpec, CVector, NoPositiveSolution, solve_c_vector
 from bubblelab.energy import ReducedEnergyModel, critical_point, energy_expansion, psi_value
 from bubblelab.solver import (
     RadialGrid,
     _gtsv,
     bubble_ansatz,
-    compose_group_solution,
     energy_of_solution,
     graded_mesh,
     rate_sweep,
     solve_radial,
 )
 from oracles import (
+    compose_group_solution,
     exact_radial,
     reference_energy_of_solution,
     reference_newton_system,
     reference_solve_radial,
 )
+from test_coupling import _algebra_specs
 
 SPEC_SCALAR = CouplingSpec(
     N=4, m=1, mu=np.array([1.0]), beta=np.array([[1.0]]), decomposition=(0, 1)
@@ -234,17 +235,14 @@ def test_grid_owns_its_values():
 
 
 def test_energy_has_the_bits_of_gradient_and_trapezoid(solve_1e3, scalar_w):
-    cv = solve_c_vector(SPEC_PAIR, 0)
-    pair = list(compose_group_solution(SPEC_PAIR, cv, scalar_w).grids)
     nodes = np.arange(1, 301) * (3 / 1024)   # exact steps: np.gradient's constant-spacing case
     assert np.all(np.diff(nodes) == nodes[0])
     uniform = RadialGrid(nodes=nodes, values=np.random.default_rng(0).random(300), dims=DIMS4)
-    for grids, spec in (([solve_1e3.grid], SPEC_SCALAR), ([scalar_w], SPEC_SCALAR),
-                        (pair, SPEC_PAIR), ([uniform], SPEC_SCALAR)):
-        expected = reference_energy_of_solution(grids, spec)
-        assert _bits(energy_of_solution(grids, spec)) == _bits(expected)
-        dirty = np.full((11, len(grids[0].nodes)), np.nan)
-        assert _bits(energy_of_solution(grids, spec, _workspace=dirty)) == _bits(expected)
+    for grid in (solve_1e3.grid, scalar_w, uniform):
+        expected = reference_energy_of_solution([grid], SPEC_SCALAR)
+        assert _bits(energy_of_solution(grid)) == _bits(expected)
+        dirty = np.full((11, len(grid.nodes)), np.nan)
+        assert _bits(energy_of_solution(grid, _workspace=dirty)) == _bits(expected)
 
 
 # ------------------------------------------------------- tridiagonal solve
@@ -504,6 +502,8 @@ def test_rate_sweep_d_est_follows_the_second_order_error_law(dims, eps_grid, c):
 
 
 # ------------------------------------------------------------- composition
+# u_i = c_i w solves a group's system exactly when c solves its amplitude
+# system; `compose_group_solution` is the test oracle that measures it.
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +549,27 @@ def test_compose_perturbed_amplitude_breaks_identity(scalar_w):
     assert np.max(dirty.residual_sup) > 1e3 * np.max(clean.residual_sup)
 
 
+def test_composition_identity_holds_on_every_accepted_group(scalar_w):
+    hypothesis = pytest.importorskip("hypothesis")
+    w3 = solve_radial(Annulus(1e-3, 1.0), DIMS3, 1e-3)
+    assert w3.report.message == "converged"
+    profiles = {3: w3.grid, 4: scalar_w}
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_algebra_specs(hypothesis.strategies))
+    def check(spec):
+        for h in range(spec.n_groups):
+            try:
+                cv = solve_c_vector(spec, h)
+            except NoPositiveSolution:
+                continue
+            rep = compose_group_solution(spec, cv, profiles[spec.N])
+            assert rep.scalar_residual_sup < 1e-10
+            assert np.max(rep.identity_gap) <= 1e-10
+
+    check()
+
+
 def test_compose_validation(scalar_w):
     cv = solve_c_vector(SPEC_PAIR, 0)
     with pytest.raises(ValueError):
@@ -567,17 +588,13 @@ def test_compose_validation(scalar_w):
 def test_energy_of_zero_profile():
     nodes = graded_mesh(1e-3, 1.0, 200)
     zero = RadialGrid(nodes=nodes, values=np.zeros_like(nodes), dims=DIMS4)
-    assert energy_of_solution([zero], SPEC_SCALAR) == 0.0
+    assert energy_of_solution(zero) == 0.0
 
 
 def test_energy_validation():
-    nodes = graded_mesh(1e-3, 1.0, 200)
-    g = RadialGrid(nodes=nodes, values=np.zeros_like(nodes), dims=DIMS4)
-    with pytest.raises(ValueError):
-        energy_of_solution([g, g], SPEC_SCALAR)  # wrong count
-    other = RadialGrid(nodes=nodes * 2.0, values=np.zeros_like(nodes), dims=DIMS4)
-    with pytest.raises(ValueError):
-        energy_of_solution([g, other], SPEC_PAIR)  # mismatched nodes
+    one_node = RadialGrid(nodes=np.array([0.5]), values=np.zeros(1), dims=DIMS4)
+    with pytest.raises(ValueError, match="at least two nodes"):
+        energy_of_solution(one_node)
 
 
 def test_energy_gap_converged_vs_ansatz(solve_1e3):
@@ -586,8 +603,8 @@ def test_energy_gap_converged_vs_ansatz(solve_1e3):
     ann = Annulus(1e-3, 1.0)
     seed, _ = bubble_ansatz(ann, DIMS4, 1e-3,
                             graded_mesh(ann.inner, ann.outer, 2000))
-    j_seed = energy_of_solution([seed], SPEC_SCALAR)
-    j_conv = energy_of_solution([solve_1e3.grid], SPEC_SCALAR)
+    j_seed = energy_of_solution(seed)
+    j_conv = energy_of_solution(solve_1e3.grid)
     assert j_conv == pytest.approx(solve_1e3.metrics.energy)
     assert j_conv > j_seed
     assert abs(j_conv - j_seed) < 100 * 1e-3
@@ -599,7 +616,7 @@ def test_energy_tracks_expansion_over_sweep(sweep_r1_calls):
     power = (DIMS4.N - 2) / 2.0
     gaps = []
     for eps, res in sweep_r1_calls[1]:
-        j = energy_of_solution([res.grid], SPEC_SCALAR)
+        j = energy_of_solution(res.grid)
         gaps.append(abs(j - energy_expansion(model, eps)) / eps**power)
     # boundedness test: the ratio stays well below the Psi coefficient (~316)
     assert max(gaps) < 60.0
@@ -610,6 +627,6 @@ def test_composed_energy_scales_by_amplitudes(scalar_w):
     # sum c_i^2 relative to the scalar value (same identity as the c-system)
     cv = solve_c_vector(SPEC_PAIR, 0)
     rep = compose_group_solution(SPEC_PAIR, cv, scalar_w)
-    j_pair = energy_of_solution(list(rep.grids), SPEC_PAIR)
-    j_scalar = energy_of_solution([scalar_w], SPEC_SCALAR)
+    j_pair = reference_energy_of_solution(list(rep.grids), SPEC_PAIR)
+    j_scalar = energy_of_solution(scalar_w)
     np.testing.assert_allclose(j_pair, float(np.sum(cv.c**2)) * j_scalar, rtol=1e-10)
