@@ -32,10 +32,10 @@ Against nested adaptive quadrature the rules agree to about 1e-12 relative
 
 Each bubble power is one `bubbles._bubble_power` on squared distances, with
 alpha_N^q taken out of the sum.  Each family is one call over its delta grid
-(a pair's bound two), which builds its decade panels or cylinder geometry
-once.  The axial rule is mirrored about z = 0, so a symmetric unweighted
-pair reuses its first peak piece and its first cylinder factor, reversed in
-z, as the mirror ones.
+(a pair's bound two, one when the pair is symmetric and unweighted), which
+builds its decade panels or cylinder geometry once.  The axial rule is
+mirrored about z = 0, so a symmetric unweighted pair reuses its first peak
+piece and its first cylinder factor, reversed in z, as the mirror ones.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _panel_rule(breaks, smooth=False):
     absorbs square-root endpoint behaviour of the integrand."""
     t, w = _gauss_legendre(NODES_PER_PANEL)
     breaks = np.asarray(breaks, float)
-    a, h = breaks[:-1, None], np.diff(breaks)[:, None]
+    a, h = breaks[:-1, None], (breaks[1:] - breaks[:-1])[:, None]
     if smooth:
         t, w = t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t) * w
     return (a + h * t).ravel(), (h * w).ravel()
@@ -160,7 +160,7 @@ class ScalingFit:
 
     def __post_init__(self):
         g = np.asarray(self.delta_grid, float)
-        if not (np.all(np.diff(g) < 0) and np.all(g[1:] / g[:-1] <= 0.5 + 1e-9)):
+        if not np.logical_and.reduce((g[1:] < g[:-1]) & (g[1:] / g[:-1] <= 0.5 + 1e-9), None):
             raise ValueError("delta grid must decrease with ratio <= 1/2")
         object.__setattr__(self, "delta_grid", g)
         object.__setattr__(self, "values", np.asarray(self.values, float))
@@ -172,23 +172,27 @@ def default_delta_grid(n=12):
 
 def _scaling_fit(grid, values, predicted, has_log, bound_values=None):
     """Least squares for log v = c + gamma log(delta) [+ b log|log delta|]
-    as a ScalingFit; a flat family (zero variance) counts as perfectly
-    fitted.  A pair family also carries its bound and value/bound ratios."""
-    x = np.log(grid)
-    y = np.log(values)
-    cols = [np.ones_like(x), x]
-    if has_log:
-        cols.append(np.log(np.abs(x)))
-    A = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    as a ScalingFit, in closed form on centred columns; a flat family (zero
+    variance) counts as perfectly fitted.  A pair family also carries its
+    bound and value/bound ratios."""
+    logs = np.log([grid, values])
+    x, y = logs - np.add.reduce(logs, 1)[:, None] / len(grid)   # centred
+    xx = x @ x
+    slope = (x @ y) / xx
+    resid = y - slope * x
+    if has_log:   # the centred log|log delta| column, made orthogonal to x
+        z = np.log(np.abs(logs[0]))
+        along = (x @ z) / xx
+        z = z - np.add.reduce(z) / z.size - along * x
+        b = (z @ resid) / (z @ z)
+        slope, resid = slope - b * along, resid - b * z
+    ss_tot = float(y @ y)
     return ScalingFit(
         delta_grid=grid,
         values=values,
-        exponent_measured=float(coef[1]),
+        exponent_measured=float(slope),
         exponent_predicted=predicted,
-        r2=1.0 if ss_tot < 1e-20 else 1.0 - float(np.sum(resid**2)) / ss_tot,
+        r2=1.0 if ss_tot < 1e-20 else 1.0 - float(resid @ resid) / ss_tot,
         has_log=has_log,
         bound_values=bound_values,
         ratios=None if bound_values is None else values / bound_values,
@@ -265,10 +269,11 @@ def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
     deltas = np.asarray(delta, float)
     if deltas.ndim > 1:
         raise ValueError("delta must be a scalar or a 1-D array")
-    if not np.all(deltas > 0):
+    if not np.logical_and.reduce(deltas > 0, None):
         raise ValueError("delta must be positive")
-    lowers = np.broadcast_to(lower, deltas.shape)
-    if not np.all((0.0 <= lowers) & (lowers < outer)):
+    lowers = np.empty(deltas.shape)
+    lowers[...] = lower   # a ValueError unless lower broadcasts to delta
+    if not np.logical_and.reduce((0.0 <= lowers) & (lowers < outer), None):
         raise ValueError("requires 0 <= lower < outer at every scale")
     expo = N + nu1 - nu2 - (N - 2) * q / 2
     power = N - 1 + nu1 - nu2
@@ -277,19 +282,21 @@ def bubble_power_integral(dims, delta, q, outer, nu1=0.0, nu2=0.0, lower=0.0):
     def panels(a, h):   # the rule on each panel [a, a + h]
         t = a[..., None] + h[..., None] * x
         f = t**power * _bubble_power(1.0, t * t, (N - 2) * q / 2)
-        return (h[..., None] * w * f).sum(-1)
+        return np.add.reduce(h[..., None] * w * f, -1)
 
-    t_lo, t_hi = np.atleast_1d(lowers / deltas, outer / deltas)
-    first = np.searchsorted(_DECADES, t_lo, side="right")   # first decade > t_lo
-    last = np.searchsorted(_DECADES, t_hi, side="left") - 1  # last decade < t_hi
-    k = np.arange(first.min(), last.max())
-    whole = panels(_DECADES[k], _DECADES[k + 1] - _DECADES[k])
-    whole = np.where((first[:, None] <= k) & (k < last[:, None]), whole, 0.0)
+    t_lo, t_hi = (lowers / deltas).reshape(-1), (outer / deltas).reshape(-1)
+    first = _DECADES.searchsorted(t_lo, side="right")   # first decade > t_lo
+    last = _DECADES.searchsorted(t_hi, side="left") - 1  # last decade < t_hi
+    k = np.arange(np.minimum.reduce(first), np.maximum.reduce(last))
     mid_lo = np.minimum(_DECADES.take(first, mode="clip"), t_hi)
     mid_hi = np.maximum(_DECADES.take(last, mode="clip"), mid_lo)
-    left, right = panels(t_lo, mid_lo - t_lo), panels(mid_hi, t_hi - mid_hi)
-    # accumulate adds in order, and the zeros outside a scale's decades add nothing
-    val = np.cumsum(np.column_stack([left, whole, right]), axis=1)[:, -1]
+    # a row per scale, accumulated in order: its left end, the decades (the
+    # zeros outside its own add nothing) and its right end
+    sums = np.empty((t_lo.size, k.size + 2))
+    sums[:, 0], sums[:, -1] = panels(t_lo, mid_lo - t_lo), panels(mid_hi, t_hi - mid_hi)
+    sums[:, 1:-1] = panels(_DECADES[k], _DECADES[k + 1] - _DECADES[k])
+    sums[:, 1:-1][(k < first[:, None]) | (last[:, None] <= k)] = 0.0
+    val = np.add.accumulate(sums, 1)[:, -1]
     return (
         dims.omegaNm1
         * spherical_coordinate_moment(dims, nu1)
@@ -390,7 +397,7 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
     deltas1, deltas2 = np.asarray(delta1, float), np.asarray(delta2, float)
     if deltas1.ndim > 1 or deltas1.shape != deltas2.shape:
         raise ValueError("delta1 and delta2 must be scalars or 1-D arrays of equal length")
-    if not (np.all(deltas1 > 0) and np.all(deltas2 > 0)):
+    if not np.logical_and.reduce((deltas1 > 0) & (deltas2 > 0), None):
         raise ValueError("delta1 and delta2 must be positive")
     rho, zc = separation / 4.0, separation / 2.0
     L = separation
@@ -402,7 +409,10 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
 
     def peak_piece(delta_near, q_near, delta_far, q_far, near_is_pole):
         anchors = delta_near * _DECADES[14:]   # delta 10^k for k >= -2
-        r, w_r = _panel_rule(np.r_[0.0, anchors[anchors < rho], rho])
+        n = anchors.searchsorted(rho)   # those below rho
+        breaks = np.empty(n + 2)
+        breaks[0], breaks[1:-1], breaks[-1] = 0.0, anchors[:n], rho
+        r, w_r = _panel_rule(breaks)
         # far factor (and the weight when the far center is the pole) over
         # the directions around the near center
         dist2 = r[:, None] ** 2 + L * L - 2 * L * r[:, None] * cos_theta
@@ -436,8 +446,8 @@ def pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         piece2 = piece1 if mirror else peak_piece(d2, q2, d1, q1, False)
         f1 = _bubble_power(d1, sq1, (N - 2) * q1 / 2)
         f2 = f1[::-1] if mirror else _bubble_power(d2, sq2, (N - 2) * q2 / 2)
-        values.append(piece1 + piece2 + (base * f1 * f2).sum())
-    return _slice_area(dims) * dims.alphaN ** (q1 + q2) * np.reshape(values, deltas1.shape)
+        values.append(piece1 + piece2 + np.add.reduce(base * f1 * f2, None))
+    return _slice_area(dims) * dims.alphaN ** (q1 + q2) * np.array(values).reshape(deltas1.shape)
 
 
 def _pair_bound(dims, delta, q1, q2, domain_radius, nu1, nu2):
@@ -449,8 +459,8 @@ def _pair_bound(dims, delta, q1, q2, domain_radius, nu1, nu2):
     h2 = delta ** ((N - 2) * q2 / 2)
     cover = 2.0 * domain_radius
     i2 = bubble_power_integral(dims, delta, q2, outer=cover)
-    i1 = bubble_power_integral(dims, delta, q1, outer=cover, nu1=nu1, nu2=nu2,
-                               lower=(delta * delta if nu2 > 0 else 0.0))
+    i1 = i2 if q1 == q2 and nu1 == nu2 == 0.0 else bubble_power_integral(   # the same call
+        dims, delta, q1, outer=cover, nu1=nu1, nu2=nu2, lower=(delta * delta if nu2 > 0 else 0.0))
     return h1 * h2 + h1 * i2 + h2 * i1
 
 

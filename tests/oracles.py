@@ -13,6 +13,8 @@ runs, kept beside the tests that use them.
   powers per node, which `asymptotics.pair_product_integral` matches to
   rounding; `_segments`, the sorted panel breaks it and the single-bubble
   reference rule take.
+* `reference_scaling_fit`: the log-log slope fit by `np.linalg.lstsq`,
+  which the closed-form `asymptotics._scaling_fit` matches to rounding.
 * `reference_solve_c_vector`: the N=3 amplitude Newton of
   `coupling.solve_c_vector` as first written, whose bits it keeps.
 * `det_identity_gap`: the relative gap of det C = prod(c_i^(p-1)) det(beta)
@@ -326,6 +328,21 @@ def reference_pair_product_integral(dims, delta1, delta2, q1, q2, separation,
         values.append(peak_piece(d1, q1, d2, q2, True) + peak_piece(d2, q2, d1, q1, False)
                       + rest)
     return _slice_area(dims) * np.reshape(values, deltas1.shape)
+
+
+def reference_scaling_fit(grid, values, has_log):
+    """Slope and r^2 of `asymptotics._scaling_fit` as first written: one
+    `np.linalg.lstsq` on the columns 1, log delta [, log|log delta|]."""
+    x = np.log(grid)
+    y = np.log(values)
+    cols = [np.ones_like(x), x]
+    if has_log:
+        cols.append(np.log(np.abs(x)))
+    A = np.column_stack(cols)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(coef[1]), 1.0 if ss_tot < 1e-20 else 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
 # ---------------------------------------------------------------- greens

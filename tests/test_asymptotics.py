@@ -8,12 +8,14 @@ import pytest
 from scipy.integrate import quad
 
 from bubblelab.bubbles import DIMS3, DIMS4, BubbleParams, bubble_eval
+from bubblelab.cli import PAIR_DELTAS
 from bubblelab.energy import constant_b1
 from bubblelab import asymptotics as asy
 from oracles import (
     _segments,
     bubble_residual,
     reference_pair_product_integral,
+    reference_scaling_fit,
     remainder_check,
     remainder_trend,
 )
@@ -310,6 +312,27 @@ def test_pair_law_integrates_its_bound_in_two_calls(monkeypatch):
     assert all(np.array_equal(deltas, grid) for deltas in calls)
 
 
+@pytest.mark.parametrize("dims, q1, q2, nu1, nu2, calls", [
+    (DIMS4, 2.0, 2.0, 0.0, 0.0, 1),
+    (DIMS3, 3.0, 3.0, 0.0, 0.0, 1),
+    (DIMS3, 1.0, 3.0, 0.0, 0.0, 2),
+    (DIMS3, 3.0, 3.0, 0.5, 1.0, 2),
+])
+def test_symmetric_unweighted_bound_takes_one_single_integral(monkeypatch, dims, q1, q2,
+                                                              nu1, nu2, calls):
+    counted = _count_power_integral_calls(monkeypatch)
+    grid = asy.default_delta_grid(n=7)
+    fit = asy.scaling_law_pair(q1, q2, dims, delta_grid=grid, nu1=nu1, nu2=nu2)
+    assert len(counted) == calls
+    monkeypatch.undo()
+    # the bound of two single-integral calls
+    N = dims.N
+    h1, h2 = grid ** ((N - 2) * q1 / 2), grid ** ((N - 2) * q2 / 2)
+    i2 = asy.bubble_power_integral(dims, grid, q2, 2.0)
+    i1 = asy.bubble_power_integral(dims, grid, q1, 2.0, nu1, nu2, grid * grid if nu2 else 0.0)
+    assert np.array_equal(fit.bound_values, h1 * h2 + h1 * i2 + h2 * i1)
+
+
 def test_single_exponent_cases():
     assert asy.single_exponent(DIMS4, 1.9) == (1.9, False)
     assert asy.single_exponent(DIMS4, 2.0) == (2.0, True)
@@ -325,6 +348,59 @@ def test_grid_validation():
         asy.scaling_law_single(1.0, DIMS4, delta_grid=bad)
     g = asy.default_delta_grid()
     assert len(g) == 12 and np.all(g[1:] / g[:-1] == 0.5)
+
+
+def test_closed_form_fit_agrees_with_lstsq():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    most = PAIR_DELTAS[1]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        n=st.integers(3, most),
+        first=st.floats(1e-6, 0.5),
+        ratios=st.lists(st.floats(1e-3, 0.5), min_size=most - 1, max_size=most - 1),
+        slope=st.floats(-3.0, 3.0),
+        log_power=st.floats(-3.0, 3.0),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=most, max_size=most),
+        has_log=st.booleans(),
+    )
+    def check(n, first, ratios, slope, log_power, noise, has_log):
+        grid = first * np.cumprod([1.0, *ratios[:n - 1]])
+        x = np.log(grid)
+        values = np.exp(slope * x + log_power * np.log(-x) + np.array(noise[:n]))
+        fit = asy._scaling_fit(grid, values, 0.0, has_log)
+        want_slope, want_r2 = reference_scaling_fit(grid, values, has_log)
+        assert abs(fit.exponent_measured - want_slope) <= 1e-10
+        assert abs(fit.r2 - want_r2) <= 1e-10
+
+    check()
+
+
+# the nine families of the scaling benchmark configs: each dimension's
+# default single and weighted families, and the pairs
+SCALING_FAMILIES = [
+    lambda: asy.scaling_law_single(1.0, DIMS3),
+    lambda: asy.scaling_law_single(6.0, DIMS3),
+    lambda: asy.scaling_law_weighted(6.0, 0.0, 2.0, DIMS3),
+    lambda: asy.scaling_law_single(1.0, DIMS4),
+    lambda: asy.scaling_law_single(4.0, DIMS4),
+    lambda: asy.scaling_law_weighted(4.0, 0.0, 2.0, DIMS4),
+    lambda: asy.scaling_law_pair(1.0, 1.0, DIMS3, asy.default_delta_grid(n=7)),
+    lambda: asy.scaling_law_pair(3.0, 3.0, DIMS3, asy.default_delta_grid(n=7)),
+    lambda: asy.scaling_law_pair(2.0, 2.0, DIMS4, asy.default_delta_grid(n=7)),
+]
+
+
+@pytest.mark.parametrize("family", range(len(SCALING_FAMILIES)))
+def test_scaling_families_fit_as_lstsq_does(family):
+    fit = SCALING_FAMILIES[family]()
+    want_slope, want_r2 = reference_scaling_fit(fit.delta_grid, fit.values, fit.has_log)
+    assert abs(fit.exponent_measured - want_slope) <= 1e-12
+    # the flat families (N=3 q=6, N=4 q=4) have r^2 of two sums of squares
+    # that are themselves near rounding (7.8e-8 for N=4 q=4), so their r^2
+    # moves by up to 9e-13 between two ways of summing
+    assert abs(fit.r2 - want_r2) <= 1e-11
 
 
 # ---------------------------------------------------------------------------

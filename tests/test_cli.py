@@ -1490,6 +1490,39 @@ def test_probe_draws_unchanged_where_the_box_holds_them(tmp_path, eta):
     assert _outputs(summary, "reduced-energy")["probe_d"] == want.tolist()
 
 
+def test_probe_keeps_its_bits_at_seed_zero(tmp_path, monkeypatch):
+    # the draws are pinned: seed 0's rates, then its shifts, from one
+    # generator.  The gap (1.0510204521900262e-10 on x86-64 with glibc) is a
+    # finite difference that moves with libm, so it is the gap at those draws
+    probes, real = [], cli.gradient_check
+    monkeypatch.setattr(cli, "gradient_check",
+                        lambda model, pt: probes.append((model, pt)) or real(model, pt))
+    config, _ = cli.parse_config(DEMO)
+    _, summary = cli.run(config, tmp_path)
+    outputs = _outputs(summary, "reduced-energy")
+    assert outputs["probe_d"] == [1.1467842113038784, 0.7943641574925642]
+    (model, point), = probes
+    rng = np.random.default_rng(0)
+    assert np.exp(rng.uniform(-0.5, 0.5, 2)).tolist() == outputs["probe_d"]
+    assert point.tau.tolist() == rng.uniform(-0.2, 0.2, (2, 4)).tolist()
+    assert outputs["grad_fd_gap"] == real(model, point)
+
+
+def test_seed_reaches_only_the_reduced_energy_probe(tmp_path):
+    cfg = write_config(tmp_path, _variant(PAIR, tasks=["scaling-checks"], scaling={
+        "single": [{"q": 1.0}, {"q": 4.0}], "weighted": [{"q": 4.0, "nu2": 2.0}],
+        "pair": [{"q1": 2.0, "q2": 2.0, "n": 4}]}))
+    runs = []
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / str(seed)
+        cli.main(["run", cfg, "--out", str(out), "--seed", str(seed)])
+        summary = strip_timings(load_summary(out))
+        assert summary.pop("seed") == seed
+        runs.append((summary, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+    assert len(runs[0][1]) == 4
+    assert runs[0] == runs[1]
+
+
 def test_default_epsilon_grid_is_one_read_only_geomspace():
     config, _ = cli.parse_config(DEMO)   # DEMO sets no epsilon_grid
     grid = config.epsilon_grid
