@@ -18,7 +18,6 @@ in the tests.
 """
 
 from .asymptotics import (
-    Annulus,
     RadialProjection,
     ScalingFit,
     project_bubble_radial,
@@ -29,7 +28,6 @@ from .asymptotics import (
 from .bubbles import (
     DIMS3,
     DIMS4,
-    BubbleParams,
     DimensionConstants,
     bubble_eval,
     dims_for,
@@ -61,9 +59,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
     "Ball",
-    "BubbleParams",
     "ConcentrationMetrics",
     "CouplingSpec",
     "CVector",

@@ -2,18 +2,19 @@
 
 Two groups of tools:
 
-* `project_bubble_radial` builds the exact projection of a centered bubble
-  onto an annulus: the correction h(s) = A + B s^(2-N) is harmonic, so the
-  two Dirichlet conditions PU(inner) = PU(outer) = 0 determine (A, B) by a
-  2x2 linear solve and PU = U + h solves the same PDE as U.  The radial
-  solver starts from it.
+* `project_bubble_radial(dims, delta, inner, outer)` projects the centred
+  bubble of scale delta onto the annulus inner < s < outer exactly: the
+  correction h(s) = A + B s^(2-N) is harmonic, so PU(inner) = PU(outer) = 0
+  determine (A, B) by a 2x2 linear solve and PU = U + h solves the same PDE
+  as U.  The radial solver's ansatz starts from it.
 
 * `scaling_law_single` / `scaling_law_weighted` / `scaling_law_pair`
   integrate powers of one or two bubbles (optionally with power weights
   centered at the peak) over a shrinking geometric grid of concentration
   scales and fit log-log slopes against predicted exponents.  Critical
   parameter combinations carry a |log delta| factor, which the fit absorbs
-  with an extra log|log delta| regressor.
+  with an extra log|log delta| regressor.  Each fit is closed-form least
+  squares on at least as many scales as it has parameters.
 
 All integrals are composite Gauss-Legendre rules with a fixed number of
 nodes per panel (`NODES_PER_PANEL`, 24), evaluated as numpy arrays.  The
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bubbles import BubbleParams, _bubble_power, _profile
+from .bubbles import _bubble_power, _profile
 
 NODES_PER_PANEL = 24
 _DECADES = np.array([10.0**k for k in range(-16, 17)])   # panel ends in t = s/delta
@@ -85,57 +86,47 @@ def _panel_rule(breaks, smooth=False):
 
 
 @dataclass(frozen=True)
-class Annulus:
-    """Radial domain inner < s < outer centered at the origin."""
+class RadialProjection:
+    """Centred bubble of scale delta plus the harmonic correction
+    A + B s^(2-N) chosen so that the sum vanishes at s = inner and outer."""
 
+    dims: object
+    delta: float
     inner: float
     outer: float
-
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ValueError("annulus requires 0 < inner < outer")
-
-
-@dataclass(frozen=True)
-class RadialProjection:
-    """Centered bubble plus the harmonic correction A + B s^(2-N) chosen so
-    that the sum vanishes on both boundary spheres."""
-
-    bubble: BubbleParams
-    annulus: Annulus
     const_coeff: float   # A
     power_coeff: float   # B
 
     def correction(self, s):
-        N = self.bubble.dims.N
-        return self.const_coeff + self.power_coeff * np.asarray(s, float) ** (2 - N)
+        return self.const_coeff + self.power_coeff * np.asarray(s, float) ** (2 - self.dims.N)
 
     def bubble_value(self, s):
-        return radial_profile(self.bubble.dims, self.bubble.delta, s)
+        return radial_profile(self.dims, self.delta, s)
 
     def value(self, s):
         """PU(s) = U(s) + A + B s^(2-N)."""
         return self.bubble_value(s) + self.correction(s)
 
 
-def project_bubble_radial(annulus, bubble):
-    """Solve the 2x2 boundary system for the harmonic correction.
+def project_bubble_radial(dims, delta, inner, outer):
+    """Project the centred bubble of scale delta onto inner < s < outer by
+    the 2x2 boundary system of the harmonic correction.
 
     With u0 = U(inner), u1 = U(outer) and the harmonic pair (1, s^(2-N)):
         A + B inner^(2-N) = -u0,   A + B outer^(2-N) = -u1.
     """
-    if not isinstance(annulus, Annulus):
-        raise TypeError("first argument must be an Annulus")
-    if float(np.linalg.norm(bubble.xi)) > 1e-14:
-        raise ValueError("radial projection requires the bubble at the annulus center")
-    N = bubble.dims.N
-    u0 = float(radial_profile(bubble.dims, bubble.delta, annulus.inner))
-    u1 = float(radial_profile(bubble.dims, bubble.delta, annulus.outer))
-    p_in = annulus.inner ** (2 - N)
-    p_out = annulus.outer ** (2 - N)
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if not 0 < inner < outer:
+        raise ValueError("annulus requires 0 < inner < outer")
+    N = dims.N
+    u0 = float(radial_profile(dims, delta, inner))
+    u1 = float(radial_profile(dims, delta, outer))
+    p_in = inner ** (2 - N)
+    p_out = outer ** (2 - N)
     B = (u1 - u0) / (p_in - p_out)
     A = -u1 - B * p_out
-    return RadialProjection(bubble=bubble, annulus=annulus, const_coeff=A, power_coeff=B)
+    return RadialProjection(dims, delta, inner, outer, const_coeff=A, power_coeff=B)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +161,23 @@ def default_delta_grid(n=12):
     return 1e-1 * 0.5 ** np.arange(n)
 
 
+def _loglog_line(logs):
+    """Least squares for log v = c + gamma log(delta), the rows of ``logs``,
+    in closed form: the centred rows x and y, x.x and the slope gamma."""
+    x, y = logs - np.add.reduce(logs, 1)[:, None] / logs.shape[1]   # centred
+    xx = x @ x
+    return x, y, xx, (x @ y) / xx
+
+
 def _scaling_fit(grid, values, predicted, has_log, bound_values=None):
     """Least squares for log v = c + gamma log(delta) [+ b log|log delta|]
-    as a ScalingFit, in closed form on centred columns; a flat family (zero
-    variance) counts as perfectly fitted.  A pair family also carries its
-    bound and value/bound ratios."""
+    as a ScalingFit, by `_loglog_line` and one orthogonalized column, on at
+    least as many scales; a flat family (zero variance) counts as perfectly
+    fitted.  A pair family also carries its bound and value/bound ratios."""
+    if len(grid) < 2 + has_log:
+        raise ValueError(f"a fit of {2 + has_log} parameters needs as many scales")
     logs = np.log([grid, values])
-    x, y = logs - np.add.reduce(logs, 1)[:, None] / len(grid)   # centred
-    xx = x @ x
-    slope = (x @ y) / xx
+    x, y, xx, slope = _loglog_line(logs)
     resid = y - slope * x
     if has_log:   # the centred log|log delta| column, made orthogonal to x
         z = np.log(np.abs(logs[0]))

@@ -6,14 +6,16 @@ The scalar problem
 
 is discretized with three-point finite differences on a log-uniform mesh
 (the solutions of interest have a peak of width ~ sqrt(eps), which a
-geometric mesh resolves at every scale).  Newton with a backtracking line
-search converges from the projected-bubble ansatz; each solve builds its
-bands, iterates and forms its energy in the rows of one workspace, and LAPACK
-dgtsv, through scipy's f2py wrapper, solves the tridiagonal Jacobian.  A
-continuation sweep over a shrinking geometric grid of hole scales, whose
-solves all reuse one workspace, recovers the concentration rate
-delta ~ d sqrt(eps) and the limit amplitude d, which cross-checks the
-minimizer of the reduced energy.
+geometric mesh resolves at every scale).  A solve is described by its seed
+grid alone: the seed's nodes are the mesh, its first and last nodes the
+annulus and its dims the problem.  Newton with a backtracking line search
+converges from the projected-bubble ansatz on those nodes; each solve
+builds its bands, iterates and forms its energy in the rows of one
+workspace, and LAPACK dgtsv, through scipy's f2py wrapper, solves the
+tridiagonal Jacobian.  A continuation sweep over a shrinking geometric grid
+of hole scales, whose solves all reuse one workspace, recovers the
+concentration rate delta ~ d sqrt(eps) and the limit amplitude d, which
+cross-checks the minimizer of the reduced energy.
 
 The solver has no mu: if -Lap w = (w^+)^p, then mu^(-1/(p-1)) w solves
 -Lap u = mu (u^+)^p, so a component's mu_i enters only through its amplitude.
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Annulus, project_bubble_radial
-from .bubbles import BubbleParams
+from .asymptotics import _loglog_line, project_bubble_radial
 from .energy import ReducedEnergyModel, critical_point
 from .greens import Ball, kernel_robin
 
@@ -156,23 +157,21 @@ def _residual(bands, u, p, out, tmp):
     return F, float(np.max(pot))
 
 
-def bubble_ansatz(annulus, dims, epsilon, nodes):
+def bubble_ansatz(dims, epsilon, nodes):
     """Initial profile PU on ``nodes`` at the reduced-energy rate d_tilde,
-    the starting point that realizes the target peak."""
-    r_coeff = annulus.inner / epsilon
-    ball = Ball(radius=annulus.outer, center=np.zeros(dims.N), dims=dims)
+    on the annulus the nodes span: hole coefficient nodes[0] / epsilon and
+    ball radius nodes[-1]."""
+    inner, outer = float(nodes[0]), float(nodes[-1])
+    ball = Ball(radius=outer, center=np.zeros(dims.N), dims=dims)
     H = kernel_robin(ball, np.zeros(dims.N))
     model = ReducedEnergyModel(
         dims=dims,
         weights=np.array([1.0]),
         robin=np.array([H]),
-        hole_r=np.array([r_coeff]),
+        hole_r=np.array([inner / epsilon]),
     )
     d_t = float(critical_point(model).point.d[0])
-    delta = d_t * math.sqrt(epsilon)
-    proj = project_bubble_radial(
-        annulus, BubbleParams(delta=delta, xi=np.zeros(dims.N), dims=dims)
-    )
+    proj = project_bubble_radial(dims, d_t * math.sqrt(epsilon), inner, outer)
     vals = np.maximum(proj.value(nodes), 0.0)
     vals[0] = vals[-1] = 0.0
     return RadialGrid(nodes=nodes, values=vals, dims=dims), d_t
@@ -199,16 +198,16 @@ def _gtsv(dl, d, du, b):
     return x
 
 
-def solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
-                 n_nodes=DEFAULT_NODES, max_iter=MAX_NEWTON_ITER, *, _workspace=None):
-    """Newton solve from a grid or from the projected-bubble ansatz.
+def solve_radial(seed, epsilon, max_iter=MAX_NEWTON_ITER, *, _workspace=None):
+    """Newton solve from the grid ``seed``, on its nodes and in its dims:
+    the annulus is the one its first and last nodes span.  A solve from the
+    projected-bubble ansatz takes ``bubble_ansatz(...)[0]`` as its seed.
 
     The discrete system is kept in difference form (rows scaled by
     h_m h_p / 2), so the residual lives in solution units.  Stops when
     max|F| / (1 + max|u| + max scaled potential) < NEWTON_TOL.  A converged
     profile whose peak max u is below 1e-8 max(1, max|u|) is flagged as the
-    trivial branch and carries no concentration metrics.  A seed grid must
-    span the annulus: its first and last nodes are its inner and outer radii.
+    trivial branch and carries no concentration metrics.
 
     The bands, the Newton loop and the energy allocate no n-length array:
     they work in the rows of one (11, n) float64 workspace, rows 0-6 the
@@ -220,17 +219,8 @@ def solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    nodes, dims = seed.nodes, seed.dims
     p = dims.p
-    if isinstance(initial, RadialGrid):
-        if initial.nodes[0] != annulus.inner or initial.nodes[-1] != annulus.outer:
-            raise ValueError("the seed grid's end nodes must be the annulus radii")
-        seed = initial
-    elif initial == "bubble-ansatz":
-        seed, _ = bubble_ansatz(annulus, dims, epsilon,
-                                graded_mesh(annulus.inner, annulus.outer, n_nodes))
-    else:
-        raise ValueError("initial must be a RadialGrid or 'bubble-ansatz'")
-    nodes = seed.nodes
     ws = np.empty((11, len(nodes))) if _workspace is None else _workspace
     bands = _operator_bands(nodes, dims, ws)   # rows 0-3 are free until u is seeded
     lo, di, up, w = bands
@@ -348,13 +338,11 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
     used = []
     aborted = False
     message = "completed"
-    prev = None
-    d_tilde = None
+    prev = None   # the first eps, of at least two, sets d_tilde from the ansatz
     for eps in eps_desc:
-        ann = Annulus(inner=radius_coeff * eps, outer=outer_radius)
-        nodes = graded_mesh(ann.inner, ann.outer, n_nodes)
+        nodes = graded_mesh(radius_coeff * eps, outer_radius, n_nodes)
         if prev is None:
-            seed, d_tilde = bubble_ansatz(ann, dims, eps, nodes)
+            seed, d_tilde = bubble_ansatz(dims, eps, nodes)
             workspace = np.empty((11, len(nodes)))
         else:
             prev_eps, prev_grid = prev
@@ -364,7 +352,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
             )
             vals[0] = vals[-1] = 0.0
             seed = RadialGrid(nodes=nodes, values=vals, dims=dims)
-        res = solve_radial(ann, dims, eps, initial=seed, _workspace=workspace)
+        res = solve_radial(seed, eps, _workspace=workspace)
         if not res.report.converged or res.report.trivial:
             aborted = True
             message = f"solve failed at eps={eps:.3e}: {res.report.message}"
@@ -377,10 +365,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
         prev = (eps, res.grid)
     used = np.asarray(used)
     deltas = np.asarray([m.delta_est for m in metrics])
-    if len(used) >= 2:
-        slope = float(np.polyfit(np.log(used), np.log(deltas), 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(_loglog_line(np.log([used, deltas]))[3]) if len(used) > 1 else math.nan
     d_ests = np.asarray([m.d_est for m in metrics])
     return RateSweepReport(
         epsilons=used,
@@ -388,7 +373,7 @@ def rate_sweep(dims, outer_radius, radius_coeff, epsilon_grid, n_nodes=DEFAULT_N
         d_ests=d_ests,
         slope=slope,
         d_final=float(d_ests[-1]) if len(d_ests) else float("nan"),
-        d_tilde=float(d_tilde) if d_tilde is not None else float("nan"),
+        d_tilde=d_tilde,
         metrics=tuple(metrics),
         reports=tuple(reports),
         aborted=aborted,

@@ -21,11 +21,12 @@ runs, kept beside the tests that use them.
   on a group's `coupling.build_spectrum` matrix.
 * `sigma_constant`: the limiting weighted norms of the derivative kernels.
 * `reference_solve_radial`, `reference_energy_of_solution`: the radial
-  Newton solve on fresh arrays with `scipy.linalg.solve_banded`, and the
-  m-component action through `np.gradient` and `np.trapezoid`, whose bits
-  `solver.solve_radial` and, on one component, `solver.energy_of_solution`
-  keep;
-  `reference_newton_system`, the Jacobian and right-hand side of a step.
+  Newton solve from a seed grid on fresh arrays with
+  `scipy.linalg.solve_banded`, and the m-component action through
+  `np.gradient` and `np.trapezoid`, whose bits `solver.solve_radial` and,
+  on one component, `solver.energy_of_solution` keep;
+  `reference_newton_system`, the Jacobian and right-hand side of a step;
+  `ansatz_seed`, the projected-bubble seed of a solve on a graded mesh.
 * `compose_group_solution`: the synchronized group profile u_i = c_i w of
   a scalar solve w and an amplitude vector c, with each component's
   system residual and its gap to c_i times the scalar residual.
@@ -42,18 +43,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from bubblelab.asymptotics import (
-    Annulus,
     _panel_rule,
     _slice_area,
     check_separation,
     project_bubble_radial,
     radial_profile,
 )
-from bubblelab.bubbles import BubbleParams, _profile, bubble_eval, dims_for
+from bubblelab.bubbles import _profile, bubble_eval, dims_for
 from bubblelab.coupling import CouplingSpec, CVector
 from bubblelab.energy import _radial_moment
 from bubblelab.greens import Ball
 from bubblelab.solver import (
+    DEFAULT_NODES,
     MAX_NEWTON_ITER,
     NEWTON_TOL,
     ConcentrationMetrics,
@@ -217,19 +218,19 @@ def remainder_check(proj, eta, d):
     The hole scale eps and the hole coefficient are recovered from
     delta = d sqrt(eps) and inner = coeff * eps.
     """
-    dims = proj.bubble.dims
+    dims = proj.dims
     N = dims.N
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     if not eta < d < 1.0 / eta:
         raise ValueError("rate d must lie in (eta, 1/eta)")
-    delta = proj.bubble.delta
+    delta = proj.delta
     eps = (delta / d) ** 2
-    r_coeff = proj.annulus.inner / eps
-    ball = Ball(radius=proj.annulus.outer, center=np.zeros(N), dims=dims)
-    s = np.geomspace(proj.annulus.inner, proj.annulus.outer, 4000)
+    r_coeff = proj.inner / eps
+    ball = Ball(radius=proj.outer, center=np.zeros(N), dims=dims)
+    s = np.geomspace(proj.inner, proj.outer, 4000)
     probe = np.zeros((16, N))
-    probe[:, 0] = np.geomspace(proj.annulus.inner, 0.99 * proj.annulus.outer, 16)
+    probe[:, 0] = np.geomspace(proj.inner, 0.99 * proj.outer, 16)
     h_vals = kernel_regular_part(ball, probe, np.zeros(N))
     # the regular part at a centered pole is constant; verify then broadcast
     if np.ptp(h_vals) > 1e-12 * abs(h_vals[0]):
@@ -265,9 +266,8 @@ def remainder_trend(dims, outer_radius, radius_coeff, d, eps_grid, eta=1e-3):
     reports = []
     for eps in np.sort(np.asarray(eps_grid, float))[::-1]:
         delta = d * math.sqrt(eps)
-        ann = Annulus(inner=radius_coeff * eps, outer=outer_radius)
-        bub = BubbleParams(delta=delta, xi=np.zeros(dims.N), dims=dims)
-        reports.append(remainder_check(project_bubble_radial(ann, bub), eta, d))
+        proj = project_bubble_radial(dims, delta, radius_coeff * eps, outer_radius)
+        reports.append(remainder_check(proj, eta, d))
     x = np.log([r.epsilon for r in reports])
     y = np.log([r.sup_ratio for r in reports])
     slope = float(np.polyfit(x, y, 1)[0])
@@ -505,21 +505,22 @@ def reference_newton_system(grid):
     return _jacobian_bands(bands, u, grid.dims.p), -F
 
 
-def reference_solve_radial(annulus, dims, epsilon, initial="bubble-ansatz",
-                           n_nodes=2000, max_iter=MAX_NEWTON_ITER, steps=None):
+def ansatz_seed(dims, epsilon, n_nodes=DEFAULT_NODES, radius_coeff=1.0, outer=1.0):
+    """The projected-bubble seed of a solve on the graded mesh of the
+    annulus radius_coeff * epsilon < s < outer, as `solver.rate_sweep`
+    builds it for its first eps."""
+    nodes = graded_mesh(radius_coeff * epsilon, outer, n_nodes)
+    return bubble_ansatz(dims, epsilon, nodes)[0]
+
+
+def reference_solve_radial(seed, epsilon, max_iter=MAX_NEWTON_ITER, steps=None):
     """`solver.solve_radial` with fresh arrays in every Newton step and the
     tridiagonal solve by `scipy.linalg.solve_banded`.  ``steps``, if given,
     gets the accepted line-search step t of every Newton step."""
     from scipy.linalg import solve_banded
+    nodes, dims = seed.nodes, seed.dims
     p = dims.p
-    if isinstance(initial, RadialGrid):
-        nodes = initial.nodes
-        u = initial.values.copy()
-    else:
-        seed, _ = bubble_ansatz(annulus, dims, epsilon,
-                                graded_mesh(annulus.inner, annulus.outer, n_nodes))
-        nodes = seed.nodes
-        u = seed.values.copy()
+    u = seed.values.copy()
     u[0] = u[-1] = 0.0
     bands = _operator_bands(nodes, dims)
 

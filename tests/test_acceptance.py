@@ -10,7 +10,6 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from bubblelab.asymptotics import (
-    Annulus,
     project_bubble_radial,
     scaling_law_pair,
     scaling_law_single,
@@ -35,6 +34,7 @@ from bubblelab.energy import (
 )
 from bubblelab.solver import rate_sweep, solve_radial
 from oracles import (
+    ansatz_seed,
     bubble_residual,
     compose_group_solution,
     det_identity_gap,
@@ -237,15 +237,12 @@ def test_criterion_scaling_laws():
 
 def test_criterion_projection_remainder():
     eps = 1e-3
-    ann = Annulus(eps, 1.0)
-    proj = project_bubble_radial(
-        ann, BubbleParams(delta=math.sqrt(eps), xi=np.zeros(4), dims=DIMS4)
-    )
-    s = np.geomspace(ann.inner, ann.outer, 3000)
+    proj = project_bubble_radial(DIMS4, math.sqrt(eps), eps, 1.0)
+    s = np.geomspace(proj.inner, proj.outer, 3000)
     pu, u = proj.value(s), proj.bubble_value(s)
     scale = float(np.max(pu))
-    bc = max(abs(proj.value(np.array([ann.inner]))[0]),
-             abs(proj.value(np.array([ann.outer]))[0]))
+    bc = max(abs(proj.value(np.array([proj.inner]))[0]),
+             abs(proj.value(np.array([proj.outer]))[0]))
     squeeze = bool(np.all(pu >= -1e-12 * scale) and np.all(pu <= u * (1 + 1e-12)))
     reports, slope = remainder_trend(
         DIMS4, 1.0, 1.0, 1.0, np.geomspace(1e-2, 1e-6, 9)
@@ -283,7 +280,7 @@ def test_criterion_concentration_rate():
 
 def test_criterion_group_composition():
     spec = _pair_spec(1.0, 2.0, -0.5)
-    w = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2).grid
+    w = solve_radial(ansatz_seed(DIMS4, 1e-2), 1e-2).grid
     cv = solve_c_vector(spec, 0)
     rep = compose_group_solution(spec, cv, w)
     gap = float(np.max(rep.identity_gap))

@@ -2,6 +2,7 @@
 log-log scaling-law fits (single, weighted, pair)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ RNG = np.random.default_rng(20260815)
 
 
 def make_projection(dims, inner=1e-3, outer=1.0, delta=0.03):
-    ann = asy.Annulus(inner=inner, outer=outer)
-    bub = BubbleParams(delta=delta, xi=np.zeros(dims.N), dims=dims)
-    return asy.project_bubble_radial(ann, bub)
+    return asy.project_bubble_radial(dims, delta, inner, outer)
+
+
+def centred_bubble(proj):
+    """The bubble that ``proj`` projects, as `bubble_eval` takes it."""
+    return BubbleParams(delta=proj.delta, xi=np.zeros(proj.dims.N), dims=proj.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +41,15 @@ def make_projection(dims, inner=1e-3, outer=1.0, delta=0.03):
 def test_projection_boundary_conditions():
     for dims in (DIMS3, DIMS4):
         proj = make_projection(dims)
-        assert abs(proj.value(proj.annulus.inner)) < 1e-12
-        assert abs(proj.value(proj.annulus.outer)) < 1e-12
+        assert abs(proj.value(proj.inner)) < 1e-12
+        assert abs(proj.value(proj.outer)) < 1e-12
 
 
 def test_projection_between_zero_and_bubble():
     # maximum principle for the harmonic correction, checked by sampling
     for dims in (DIMS3, DIMS4):
         proj = make_projection(dims)
-        s = np.geomspace(proj.annulus.inner, proj.annulus.outer, 1000)
+        s = np.geomspace(proj.inner, proj.outer, 1000)
         pu = proj.value(s)
         assert np.all(pu >= -1e-13)
         assert np.all(pu <= proj.bubble_value(s) + 1e-13)
@@ -56,10 +60,10 @@ def test_projection_pde_residual():
     # reduces to the certified bubble residual
     proj = make_projection(DIMS4)
     s = np.geomspace(2e-3, 0.9, 500)
-    scale = np.max(proj.bubble_value(s) ** proj.bubble.dims.p)
+    scale = np.max(proj.bubble_value(s) ** proj.dims.p)
     x = np.zeros(s.shape + (4,))
     x[:, 0] = s   # the points s e_1
-    assert np.max(np.abs(bubble_residual(proj.bubble, x))) < 1e-10 * scale
+    assert np.max(np.abs(bubble_residual(centred_bubble(proj), x))) < 1e-10 * scale
 
 
 def test_projection_correction_harmonic_fd():
@@ -79,22 +83,19 @@ def test_projection_matches_point_evaluation():
     proj = make_projection(DIMS4, delta=0.05)
     pts = RNG.uniform(-0.5, 0.5, size=(40, 4))
     radii = np.linalg.norm(pts, axis=1)
-    keep = radii > proj.annulus.inner
+    keep = radii > proj.inner
     assert np.allclose(
-        proj.bubble_value(radii[keep]), bubble_eval(proj.bubble, pts[keep])
+        proj.bubble_value(radii[keep]), bubble_eval(centred_bubble(proj), pts[keep])
     )
 
 
 def test_projection_validation():
-    with pytest.raises(ValueError):
-        asy.Annulus(inner=1.0, outer=0.5)
-    with pytest.raises(ValueError):
-        asy.Annulus(inner=0.0, outer=1.0)
-    bub = BubbleParams(delta=0.1, xi=np.array([0.2, 0.0, 0.0]), dims=DIMS3)
-    with pytest.raises(ValueError):
-        asy.project_bubble_radial(asy.Annulus(1e-3, 1.0), bub)
-    with pytest.raises(TypeError):
-        asy.project_bubble_radial((1e-3, 1.0), bub)
+    for inner, outer in [(0.0, 1.0), (-1e-3, 1.0), (1.0, 1.0), (1.0, 0.5)]:
+        with pytest.raises(ValueError, match=r"^annulus requires 0 < inner < outer$"):
+            asy.project_bubble_radial(DIMS3, 0.1, inner, outer)
+    for delta in (0.0, -0.1):   # the check BubbleParams made
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            asy.project_bubble_radial(DIMS3, delta, 1e-3, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +349,22 @@ def test_grid_validation():
         asy.scaling_law_single(1.0, DIMS4, delta_grid=bad)
     g = asy.default_delta_grid()
     assert len(g) == 12 and np.all(g[1:] / g[:-1] == 0.5)
+
+
+def test_fit_needs_as_many_scales_as_parameters():
+    # a family with the log|log delta| column fits 3 parameters, any other 2:
+    # on fewer scales the fit once gave a nan slope, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^a fit of 3 parameters needs as many scales$"):
+            asy.scaling_law_single(2.0, DIMS4, delta_grid=[0.1, 0.05])
+        with pytest.raises(ValueError, match="^a fit of 2 parameters needs as many scales$"):
+            asy.scaling_law_single(1.0, DIMS4, delta_grid=[0.1])
+        # as many scales as parameters is enough: two give the chord's slope
+        assert asy.scaling_law_single(2.0, DIMS4, delta_grid=[0.1, 0.05, 0.02]).has_log
+        two = asy.scaling_law_single(1.0, DIMS4, delta_grid=[0.1, 0.05])
+    chord = math.log(two.values[1] / two.values[0]) / math.log(0.5)
+    assert abs(two.exponent_measured - chord) <= 1e-12
 
 
 def test_closed_form_fit_agrees_with_lstsq():

@@ -18,9 +18,9 @@ import pytest
 
 import bubblelab
 from bubblelab import cli, solver
-from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS4
 from bubblelab.solver import solve_radial
+from oracles import ansatz_seed
 
 DEMO = {
     "schema": "bubblelab-config/1",
@@ -870,7 +870,7 @@ def test_sweep_profiles_match_csv_writer_bytes(tmp_path, monkeypatch, config):
 
 
 def test_profile_of_several_blocks_matches_csv_writer_bytes(tmp_path):
-    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=40_000)
+    res = solve_radial(ansatz_seed(DIMS4, 1e-2, 40_000), 1e-2)
     assert res.report.converged and len(res.grid.nodes) > cli.CSV_BLOCK_ROWS
     _assert_same_bytes(tmp_path, ["radius", "value"], [res.grid.nodes, res.grid.values])
 
@@ -956,11 +956,11 @@ def test_profiles_solved_before_a_failing_solve_are_on_disk(tmp_path, monkeypatc
     solve = solver.solve_radial
     solved = []
 
-    def fails_at_fourth_eps(annulus, dims, eps, **kwargs):
+    def fails_at_fourth_eps(seed, eps, **kwargs):
         if len(solved) == 3:
             raise FloatingPointError("overflow at the fourth eps")
         solved.append(eps)
-        return solve(annulus, dims, eps, **kwargs)
+        return solve(seed, eps, **kwargs)
 
     monkeypatch.setattr(solver, "solve_radial", fails_at_fourth_eps)
     threads = threading.active_count()
@@ -1093,7 +1093,7 @@ def test_kernel_formats_the_values_itself(case):
     # work: at least 99.9% of a 20k-node profile, and all the powers of ten
     # in its range, over a third of which need the fix-up of log10's exponent
     if case == "solution_profile":
-        res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=20_000)
+        res = solve_radial(ansatz_seed(DIMS4, 1e-2, 20_000), 1e-2)
         values = np.concatenate([res.grid.nodes, res.grid.values])
     else:
         values = _kernel_domain(KERNEL_VALUES[case])
@@ -1862,7 +1862,7 @@ def test_profile_csv_reads_back_the_solution(sweep_run):
     # the first sweep solve starts from the bubble ansatz, as a fresh solve does
     _, out, _ = sweep_run
     table = np.loadtxt(out / "profile_1.000e-02.csv", delimiter=",", skiprows=1)
-    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2)
+    res = solve_radial(ansatz_seed(DIMS4, 1e-2), 1e-2)
     np.testing.assert_allclose(table[:, 0], res.grid.nodes, rtol=1e-12)
     np.testing.assert_allclose(table[:, 1], res.grid.values, rtol=1e-12)
 

@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 
-from bubblelab.asymptotics import Annulus
 from bubblelab.bubbles import DIMS3, DIMS4
 from bubblelab.coupling import CouplingSpec, CVector, NoPositiveSolution, solve_c_vector
 from bubblelab.energy import ReducedEnergyModel, critical_point, energy_expansion, psi_value
@@ -20,6 +19,7 @@ from bubblelab.solver import (
     solve_radial,
 )
 from oracles import (
+    ansatz_seed,
     compose_group_solution,
     exact_radial,
     reference_energy_of_solution,
@@ -52,7 +52,7 @@ def profile_is_unimodal(grid, rel_tol=1e-8):
 
 @pytest.fixture(scope="module")
 def solve_1e3():
-    return solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3)
+    return solve_radial(ansatz_seed(DIMS4, 1e-3), 1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_residual_history_decreases(solve_1e3):
 def test_zero_seed_lands_on_trivial_branch():
     nodes = graded_mesh(1e-3, 1.0, 500)
     zero = RadialGrid(nodes=nodes, values=np.zeros_like(nodes), dims=DIMS4)
-    res = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=zero)
+    res = solve_radial(zero, 1e-3)
     assert res.report.converged
     assert res.report.trivial
     assert res.report.message == "trivial branch"
@@ -125,7 +125,7 @@ def test_n3_default_grid_sweep_aborts_on_trivial_branch():
 
 
 def test_iteration_limit_reported():
-    res = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, max_iter=1)
+    res = solve_radial(ansatz_seed(DIMS4, 1e-3), 1e-3, max_iter=1)
     assert not res.report.converged
     assert "limit" in res.report.message
     assert res.metrics is None
@@ -133,17 +133,23 @@ def test_iteration_limit_reported():
 
 
 def test_solve_validation():
-    with pytest.raises(ValueError):
-        solve_radial(Annulus(1e-3, 1.0), DIMS4, 0.0)
-    with pytest.raises(ValueError):
-        solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial="nonsense")
-    other, _ = bubble_ansatz(Annulus(1e-2, 1.0), DIMS4, 1e-2, graded_mesh(1e-2, 1.0, 500))
-    with pytest.raises(ValueError, match="annulus radii"):   # a seed from another domain
-        solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=other)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        solve_radial(ansatz_seed(DIMS4, 1e-3, 500), 0.0)
+
+
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4])
+def test_solve_is_on_the_seeds_nodes_and_dims(dims):
+    # the seed alone describes the solve: its nodes are the mesh, its ends
+    # the annulus (here not the unit ball's) and its dims the problem
+    seed = ansatz_seed(dims, 1e-3, 500, radius_coeff=2.0, outer=1.5)
+    res = solve_radial(seed, 1e-3)
+    assert _bits(res.grid.nodes) == _bits(seed.nodes)
+    assert res.grid.dims is seed.dims is dims
+    assert res.grid.values[0] == res.grid.values[-1] == 0.0
 
 
 def test_n3_profile_converges():
-    res = solve_radial(Annulus(1e-3, 1.0), DIMS3, 1e-3)
+    res = solve_radial(ansatz_seed(DIMS3, 1e-3), 1e-3)
     assert res.report.converged
     assert res.report.residuals[-1] < 1e-10
     assert profile_is_positive(res.grid)
@@ -153,12 +159,12 @@ def test_n3_profile_converges():
 
 def test_nan_in_seed_raises_scipys_error():
     nodes = graded_mesh(1e-3, 1.0, 500)
-    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3, nodes)
+    seed, _ = bubble_ansatz(DIMS4, 1e-3, nodes)
     values = seed.values.copy()
     values[250] = np.nan
     bad = RadialGrid(nodes=nodes, values=values, dims=DIMS4)
     with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
-        solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, initial=bad)
+        solve_radial(bad, 1e-3)
 
 
 # ------------------------------------------- same bits as the reference solve
@@ -181,7 +187,7 @@ def _rescaled_seed(prev, eps_from, eps_to, inner):
 
 def _continuation_seed(dims, eps_from, eps_to, n):
     """rate_sweep's seed for eps_to from the solve at eps_from."""
-    prev = solve_radial(Annulus(eps_from, 1.0), dims, eps_from, n_nodes=n).grid
+    prev = solve_radial(ansatz_seed(dims, eps_from, n), eps_from).grid
     return _rescaled_seed(prev, eps_from, eps_to, eps_to)
 
 
@@ -211,15 +217,13 @@ SOLVE_CASES = {   # dims, eps, n_nodes, (eps of the seed's solve or None), max_i
 @pytest.mark.parametrize("case", SOLVE_CASES)
 def test_solve_has_the_bits_of_the_reference_solve(case):
     dims, eps, n, seed_eps, max_iter = SOLVE_CASES[case]
-    initial = "bubble-ansatz" if seed_eps is None else _continuation_seed(dims, seed_eps, eps, n)
-    ann = Annulus(eps, 1.0)
+    seed = (ansatz_seed(dims, eps, n) if seed_eps is None
+            else _continuation_seed(dims, seed_eps, eps, n))
     steps = []
-    ref = reference_solve_radial(ann, dims, eps, initial=initial, n_nodes=n,
-                                 max_iter=max_iter, steps=steps)
+    ref = reference_solve_radial(seed, eps, max_iter=max_iter, steps=steps)
     # a lent workspace is a buffer: one full of another solve's values gives the same bits
     for workspace in (None, np.full((11, n), np.nan)):
-        res = solve_radial(ann, dims, eps, initial=initial, n_nodes=n, max_iter=max_iter,
-                           _workspace=workspace)
+        res = solve_radial(seed, eps, max_iter=max_iter, _workspace=workspace)
         _assert_same_bits(res, ref)
     assert (max_iter == 1) == (ref.report.message == "newton iteration limit reached")
     if "halving" in case:   # the line search halved t at least once
@@ -230,7 +234,7 @@ def test_solve_has_the_bits_of_the_reference_solve(case):
 
 def test_grid_owns_its_values():
     # the returned values are a copy, not a view of the Newton workspace
-    res = solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2, n_nodes=500)
+    res = solve_radial(ansatz_seed(DIMS4, 1e-2, 500), 1e-2)
     assert res.grid.values.base is None
 
 
@@ -267,9 +271,7 @@ def _solve_banded(ab, rhs):
 
 
 def test_gtsv_has_the_bits_of_solve_banded_on_a_newton_system():
-    seed, _ = bubble_ansatz(Annulus(1e-3, 1.0), DIMS4, 1e-3,
-                            graded_mesh(1e-3, 1.0, 20000))
-    ab, rhs = reference_newton_system(seed)
+    ab, rhs = reference_newton_system(ansatz_seed(DIMS4, 1e-3, 20000))
     assert _bits(_gtsv_of(ab, rhs)) == _bits(_solve_banded(ab, rhs))
 
 
@@ -309,13 +311,23 @@ def test_gtsv_raises_scipys_errors():
 
 
 def test_bubble_ansatz_shape():
-    ann = Annulus(1e-3, 1.0)
-    seed, d_tilde = bubble_ansatz(ann, DIMS4, 1e-3,
-                                  graded_mesh(ann.inner, ann.outer, 800))
+    seed, d_tilde = bubble_ansatz(DIMS4, 1e-3, graded_mesh(1e-3, 1.0, 800))
     assert d_tilde == pytest.approx(1.0, rel=1e-8)  # sqrt(r R) for r = R = 1
     assert seed.values[0] == 0.0 and seed.values[-1] == 0.0
     assert np.all(seed.values >= 0.0)
     assert np.max(seed.values) > 1.0
+
+
+@pytest.mark.parametrize("dims", [DIMS3, DIMS4])
+def test_bubble_ansatz_takes_its_annulus_from_its_nodes(dims):
+    # the hole coefficient is r = nodes[0] / eps and the ball radius
+    # R = nodes[-1]; one centred hole has d_tilde = sqrt(r R)
+    eps = 1e-3
+    nodes = graded_mesh(2.5 * eps, 1.6, 700)
+    seed, d_tilde = bubble_ansatz(dims, eps, nodes)
+    assert _bits(seed.nodes) == _bits(nodes) and seed.dims is dims
+    assert seed.values[0] == seed.values[-1] == 0.0
+    assert abs(d_tilde - math.sqrt(nodes[0] / eps * nodes[-1])) <= 1e-12
 
 
 # -------------------------------------------------------------- grid policy
@@ -332,8 +344,8 @@ def test_graded_mesh_endpoints_and_monotone():
 
 
 def test_grid_refinement_under_one_percent():
-    coarse = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, n_nodes=1000)
-    fine = solve_radial(Annulus(1e-3, 1.0), DIMS4, 1e-3, n_nodes=2000)
+    coarse = solve_radial(ansatz_seed(DIMS4, 1e-3, 1000), 1e-3)
+    fine = solve_radial(ansatz_seed(DIMS4, 1e-3, 2000), 1e-3)
     assert coarse.report.converged and fine.report.converged
     rel = abs(coarse.metrics.delta_est / fine.metrics.delta_est - 1.0)
     assert rel < 0.01
@@ -352,6 +364,14 @@ def test_rate_sweep_slope_and_amplitude(sweep_r1):
     assert (last3.max() - last3.min()) / last3[-1] < 0.10
     assert sw.d_tilde == pytest.approx(1.0, rel=1e-8)
     assert abs(sw.d_final / sw.d_tilde - 1.0) < 0.20
+
+
+def _polyfit_slope(sweep):
+    return np.polyfit(np.log(sweep.epsilons), np.log(sweep.delta_ests), 1)[0]
+
+
+def test_rate_sweep_slope_is_the_least_squares_slope(sweep_r1):
+    assert abs(sweep_r1.slope - _polyfit_slope(sweep_r1)) <= 1e-14
 
 
 def test_on_result_sees_each_result_in_order(sweep_r1_calls):
@@ -391,12 +411,12 @@ def test_sweep_chain_has_the_bits_of_the_reference_solves(dims, n, radius_coeff,
     sweep = rate_sweep(dims, 1.0, radius_coeff, eps_grid, n_nodes=n,
                        on_result=lambda eps, res: calls.append((eps, res, res.grid.values.copy())))
     assert not sweep.aborted and len(calls) == len(eps_grid)
+    assert abs(sweep.slope - _polyfit_slope(sweep)) <= 1e-14
     prev = None
     for eps, res, values in calls:
-        ann = Annulus(radius_coeff * eps, 1.0)
-        initial = ("bubble-ansatz" if prev is None
-                   else _rescaled_seed(prev[1].grid, prev[0], eps, ann.inner))
-        ref = reference_solve_radial(ann, dims, eps, initial=initial, n_nodes=n)
+        seed = (ansatz_seed(dims, eps, n, radius_coeff) if prev is None
+                else _rescaled_seed(prev[1].grid, prev[0], eps, radius_coeff * eps))
+        ref = reference_solve_radial(seed, eps)
         _assert_same_bits(res, ref)
         assert _bits(res.grid.values) == _bits(values)
         prev = eps, ref
@@ -508,7 +528,7 @@ def test_rate_sweep_d_est_follows_the_second_order_error_law(dims, eps_grid, c):
 
 @pytest.fixture(scope="module")
 def scalar_w():
-    return solve_radial(Annulus(1e-2, 1.0), DIMS4, 1e-2).grid
+    return solve_radial(ansatz_seed(DIMS4, 1e-2), 1e-2).grid
 
 
 SPEC_PAIR = CouplingSpec(
@@ -551,7 +571,7 @@ def test_compose_perturbed_amplitude_breaks_identity(scalar_w):
 
 def test_composition_identity_holds_on_every_accepted_group(scalar_w):
     hypothesis = pytest.importorskip("hypothesis")
-    w3 = solve_radial(Annulus(1e-3, 1.0), DIMS3, 1e-3)
+    w3 = solve_radial(ansatz_seed(DIMS3, 1e-3), 1e-3)
     assert w3.report.message == "converged"
     profiles = {3: w3.grid, 4: scalar_w}
 
@@ -600,10 +620,7 @@ def test_energy_validation():
 def test_energy_gap_converged_vs_ansatz(solve_1e3):
     # the Newton limit is a saddle of the action: its energy sits slightly
     # above the projected-bubble seed, with an O(eps)-sized gap
-    ann = Annulus(1e-3, 1.0)
-    seed, _ = bubble_ansatz(ann, DIMS4, 1e-3,
-                            graded_mesh(ann.inner, ann.outer, 2000))
-    j_seed = energy_of_solution(seed)
+    j_seed = energy_of_solution(ansatz_seed(DIMS4, 1e-3, 2000))
     j_conv = energy_of_solution(solve_1e3.grid)
     assert j_conv == pytest.approx(solve_1e3.metrics.energy)
     assert j_conv > j_seed
